@@ -9,6 +9,7 @@ or out-of-range errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -78,10 +79,8 @@ def cmd_construct(args) -> int:
     point = qubit.family_point(args.b)
     povm = qubit.construct(args.b)
     meta = {"source": "construct", "r": point.r, "theta": point.theta}
-    if args.out:
-        documents.save_povm(args.out, povm, b=point.b, k=point.params.k, metadata=meta)
-    else:
-        documents.save_povm(sys.stdout, povm, b=point.b, k=point.params.k, metadata=meta)
+    documents.save_povm(args.out or sys.stdout, povm, b=point.b, k=point.params.k,
+                        metadata=meta)
     return 0
 
 
@@ -92,37 +91,27 @@ def cmd_verify(args) -> int:
     return 0 if report.classification != model.NOT_SEMI_SIC else 1
 
 
-def cmd_dual(args) -> int:
-    doc = documents.load_povm(args.infile)
-    report = model.verify(doc.povm)
+def _verified_dual(infile) -> tuple[dual.DualFrame, model.VerificationReport]:
+    """Load a POVM document, verify it once, and build its dual frame."""
+    povm = documents.load_povm(infile).povm
+    report = model.verify(povm)
     if report.classification == model.NOT_SEMI_SIC:
-        print(f"input is not a semi-SIC (max violation {report.max_violation:.3e})",
-              file=sys.stderr)
-        return 1
-    params = model.SemiSicParams.from_b(doc.povm.dim, report.fitted_b, report.k)
-    frame = dual.dual_basis(doc.povm, params)
-    meta = {"fitted_b": report.fitted_b}
-    if args.out:
-        documents.save_dual_frame(args.out, frame, metadata=meta)
-    else:
-        documents.save_dual_frame(sys.stdout, frame, metadata=meta)
+        raise NotSemiSic(f"input is not a semi-SIC (max violation {report.max_violation:.3e})")
+    params = model.SemiSicParams.from_b(povm.dim, report.fitted_b, report.k)
+    return dual._dual_frame(povm, params, report), report
+
+
+def cmd_dual(args) -> int:
+    frame, report = _verified_dual(args.infile)
+    documents.save_dual_frame(args.out or sys.stdout, frame,
+                              metadata={"fitted_b": report.fitted_b})
     return 0
 
 
 def cmd_region(args) -> int:
-    doc = documents.load_povm(args.infile)
-    report = model.verify(doc.povm)
-    if report.classification == model.NOT_SEMI_SIC:
-        print(f"input is not a semi-SIC (max violation {report.max_violation:.3e})",
-              file=sys.stderr)
-        return 1
-    params = model.SemiSicParams.from_b(doc.povm.dim, report.fitted_b, report.k)
-    frame = dual.dual_basis(doc.povm, params)
+    frame, _ = _verified_dual(args.infile)
     samples = dual.region_grid(frame, args.resolution)
-    if args.out:
-        dual.write_region_csv(samples, args.out)
-    else:
-        dual.write_region_csv(samples, sys.stdout)
+    dual.write_region_csv(samples, args.out or sys.stdout)
     feasible = sum(1 for s in samples if s.feasible)
     print(f"{feasible} of {len(samples)} grid points feasible", file=sys.stderr)
     return 0
@@ -215,6 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Bloch vector to probabilities")
     group.add_argument("--to-bloch", nargs=4, type=float, metavar=("Q1", "Q2", "Q3", "Q4"),
                        help="probabilities to Bloch vector")
+    # Python < 3.13 argparse takes "-1e-05" for an option; read any "-" followed
+    # by a digit or ".digit" as a negative number, as later argparse does
+    p._negative_number_matcher = re.compile(r"^-\.?\d")
     p.set_defaults(func=cmd_bloch)
 
     p = sub.add_parser("search", help="multi-start numerical search")
@@ -241,9 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Building the parser costs more than most commands; parse_args leaves it
+# unchanged, so one instance serves every main() call in a process.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     # semantic negatives first: several of these subclass ValueError

@@ -15,6 +15,7 @@ import numpy as np
 from .dual import DualFrame
 from .errors import DocumentError
 from .model import Povm
+from .textio import open_text, write_json
 
 
 def matrix_to_pairs(mat: np.ndarray) -> list[list[list[float]]]:
@@ -110,23 +111,13 @@ def parse_povm_document(doc) -> PovmDocument:
 
 def save_povm(path, povm: Povm, b: float | None = None, k: int | None = None,
               metadata: dict | None = None) -> None:
-    doc = povm_document(povm, b=b, k=k, metadata=metadata)
-    if hasattr(path, "write"):
-        json.dump(doc, path, indent=2)
-        path.write("\n")
-    else:
-        with open(path, "w") as handle:
-            json.dump(doc, handle, indent=2)
-            handle.write("\n")
+    write_json(path, povm_document(povm, b=b, k=k, metadata=metadata))
 
 
 def load_povm(path) -> PovmDocument:
     try:
-        if hasattr(path, "read"):
-            doc = json.load(path)
-        else:
-            with open(path) as handle:
-                doc = json.load(handle)
+        with open_text(path) as handle:
+            doc = json.load(handle)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
     return parse_povm_document(doc)
@@ -145,11 +136,4 @@ def dual_frame_document(frame: DualFrame, metadata: dict | None = None) -> dict:
 
 
 def save_dual_frame(path, frame: DualFrame, metadata: dict | None = None) -> None:
-    doc = dual_frame_document(frame, metadata=metadata)
-    if hasattr(path, "write"):
-        json.dump(doc, path, indent=2)
-        path.write("\n")
-    else:
-        with open(path, "w") as handle:
-            json.dump(doc, handle, indent=2)
-            handle.write("\n")
+    write_json(path, dual_frame_document(frame, metadata=metadata))

@@ -32,7 +32,8 @@ from .errors import (
     NotSemiSic,
 )
 from .linalg import DEFAULT_TOL, Tolerances, as_hermitian
-from .model import NOT_SEMI_SIC, Povm, SemiSicParams, verify
+from .model import NOT_SEMI_SIC, Povm, SemiSicParams, VerificationReport, verify
+from .textio import open_text
 
 # Denominators a^2 - b smaller than this are refused outright.
 _DEGENERACY_GATE = 1e-12
@@ -69,7 +70,11 @@ def dual_basis(povm: Povm, params: SemiSicParams, tol: Tolerances = DEFAULT_TOL)
     params.k small-trace elements). Verifies duality Tr[E_x F_y] = delta_xy
     before returning.
     """
-    report = verify(povm, tol)
+    return _dual_frame(povm, params, verify(povm, tol))
+
+
+def _dual_frame(povm: Povm, params: SemiSicParams, report: VerificationReport) -> DualFrame:
+    """dual_basis for a POVM whose verify() report the caller already holds."""
     if report.classification == NOT_SEMI_SIC:
         raise NotSemiSic(f"verification failed (max violation {report.max_violation:.3e})")
     d = povm.dim
@@ -241,12 +246,7 @@ def write_region_csv(samples: list[RegionSample], path) -> None:
                 "1" if s.feasible else "0",
             )
 
-    if hasattr(path, "write"):
-        writer = csv.writer(path, lineterminator="\n")
+    with open_text(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["p1", "p2", "p3", "f", "feasible"])
         writer.writerows(rows())
-    else:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["p1", "p2", "p3", "f", "feasible"])
-            writer.writerows(rows())

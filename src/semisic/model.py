@@ -7,6 +7,11 @@ free, but completeness forces them to take at most two values a- <= a+,
 the roots of a^2 - a + (d^2 - 1) b = 0. With k elements on the small trace,
 counting gives k a- + (d^2 - k) a+ = d, and for d >= 3 the overlap is pinned
 to a rational function of (d, k).
+
+verify() tests that quadratic directly, through the residual
+|a^2 - a + (d^2 - 1) b| of each trace at the fitted overlap; small-trace
+elements are those with a < 1/2. Where (d, k) pins b (every admissible k
+for d >= 3, k = d^2 in any d), SemiSicParams.from_b stores the closed form.
 """
 
 from __future__ import annotations
@@ -42,8 +47,6 @@ PSD_GATE = 1e-4
 DISC_SNAP = 1e-13
 
 _COUNTING_TOL = 1e-12
-# Trace gap (in units of tol_norm) above which elements split into two classes.
-_GAP_FACTOR = 100.0
 
 
 def trace_values(d: int, b: float) -> tuple[float, float]:
@@ -142,15 +145,35 @@ class SemiSicParams:
 
     @classmethod
     def from_b(cls, d: int, b: float, k: int) -> "SemiSicParams":
+        """Bundle for overlap b and split k.
+
+        Where (d, k) pins the overlap (every k for d >= 3, k = d^2 in any d)
+        the closed form is stored; b must lie within DEFAULT_TOL.tol_cond of
+        it, else KOutOfRange. Otherwise b itself is used (the qubit family).
+        """
+        b = float(b)
+        if k == d * d:
+            pinned = 1.0 / (d * d * (d + 1))
+        elif d >= 3:
+            pinned = b_from_k(d, k)
+        else:
+            pinned = None
+        if pinned is not None:
+            if not abs(b - pinned) <= DEFAULT_TOL.tol_cond:
+                raise KOutOfRange(
+                    f"b = {b!r} does not match the overlap {pinned!r} pinned by "
+                    f"(d, k) = ({d}, {k})"
+                )
+            b = pinned
         lo, hi = trace_values(d, b)
-        return cls(d=int(d), b=float(b), k=int(k), a_minus=lo, a_plus=hi)
+        return cls(d=int(d), b=b, k=int(k), a_minus=lo, a_plus=hi)
 
     @classmethod
     def from_k(cls, d: int, k: int) -> "SemiSicParams":
         return cls.from_b(d, b_from_k(d, k), k)
 
 
-def _validate_povm_stack(dim: int, elements: np.ndarray, tol: Tolerances) -> None:
+def _validate_povm_stack(dim: int, elements: np.ndarray) -> None:
     n = dim * dim
     if elements.shape != (n, dim, dim):
         raise MalformedPovm(
@@ -165,10 +188,10 @@ def _validate_povm_stack(dim: int, elements: np.ndarray, tol: Tolerances) -> Non
     comp_dev = float(np.max(np.abs(total - np.eye(dim))))
     if comp_dev > COMPLETENESS_GATE:
         raise MalformedPovm(f"elements do not sum to the identity (defect {comp_dev:.3e})")
-    for x in range(n):
-        low = float(np.linalg.eigvalsh(elements[x])[0])
-        if low < -PSD_GATE:
-            raise MalformedPovm(f"element {x} has negative eigenvalue {low:.3e}")
+    lows = np.linalg.eigvalsh(elements)[:, 0]
+    x = int(np.argmin(lows))
+    if lows[x] < -PSD_GATE:
+        raise MalformedPovm(f"element {x} has negative eigenvalue {lows[x]:.3e}")
 
 
 @dataclass(frozen=True)
@@ -187,7 +210,7 @@ class Povm:
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
             raise MalformedPovm(f"dimension must be an integer >= 2, got {self.dim!r}")
         stack = np.asarray(self.elements, dtype=complex)
-        _validate_povm_stack(int(self.dim), stack, DEFAULT_TOL)
+        _validate_povm_stack(int(self.dim), stack)
         stack = 0.5 * (stack + stack.conj().transpose(0, 2, 1))
         stack.setflags(write=False)
         object.__setattr__(self, "dim", int(self.dim))
@@ -232,35 +255,22 @@ class VerificationReport:
     max_violation: float
 
 
-def _split_traces(traces: np.ndarray, gap_gate: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cluster traces into one or two classes at the largest gap.
-
-    Returns (class index per element, class means ascending).
-    """
-    order = np.argsort(traces, kind="stable")
-    sorted_t = traces[order]
-    gaps = np.diff(sorted_t)
-    if gaps.size and float(np.max(gaps)) > gap_gate:
-        cut = int(np.argmax(gaps)) + 1
-        labels = np.zeros(traces.size, dtype=int)
-        labels[order[cut:]] = 1
-        means = np.array([sorted_t[:cut].mean(), sorted_t[cut:].mean()])
-        return labels, means
-    return np.zeros(traces.size, dtype=int), np.array([float(sorted_t.mean())])
-
-
 def verify(povm: Povm, tol: Tolerances = DEFAULT_TOL) -> VerificationReport:
     """Measure how far a POVM is from the defining semi-SIC conditions.
 
-    Checks, in order: rank-one elements, informational completeness (the
-    elements span the full operator space), equal pairwise overlaps, trace
-    values consistent with the overlap, completeness defect, and positivity.
-    The largest deviation drives the classification: at most tol_cond means
-    SIC (one trace class) or StrictSemiSIC (two), anything more NotSemiSIC.
+    Checks rank-one elements and informational completeness (the elements
+    span the full operator space), then measures equal pairwise overlaps
+    (their mean is fitted_b), the completeness defect, positivity, and the
+    trace residual max_x |a_x^2 - a_x + (d^2 - 1) fitted_b|, which vanishes
+    exactly when every trace is a root of the trace quadratic. Elements with
+    a < 1/2 sit on the small root; when all traces agree within tol_cond
+    there is one class, the SIC with k = d^2. The largest deviation is
+    max_violation: at most tol_cond means SIC (one trace class) or
+    StrictSemiSIC (two), anything more NotSemiSIC. Structural soundness is
+    the Povm constructor's job and is not re-checked here.
     """
     if not isinstance(povm, Povm):
         raise MalformedPovm(f"expected a Povm, got {type(povm).__name__}")
-    _validate_povm_stack(povm.dim, povm.elements, tol)
     d = povm.dim
     n = d * d
     stack = povm.elements
@@ -286,33 +296,21 @@ def verify(povm: Povm, tol: Tolerances = DEFAULT_TOL) -> VerificationReport:
     is_ic = bool(np.min(gram_eigs) > tol.tol_rank * ic_scale)
 
     traces = povm.traces()
-    labels, means = _split_traces(traces, _GAP_FACTOR * tol.tol_norm)
-    spread = float(np.max(np.abs(traces - means[labels])))
-
-    trace_match = np.inf
-    try:
-        lo, hi = trace_values(d, fitted_b)
-        if means.size == 2:
-            trace_match = max(abs(means[0] - lo), abs(means[1] - hi))
-        else:
-            trace_match = min(abs(means[0] - lo), abs(means[0] - hi))
-    except (BOutOfRange, ValueError):
-        pass  # overlaps incompatible with any trace solution
-
-    if means.size == 2:
-        k = int(np.count_nonzero(labels == 0))
-        classes = ((float(means[0]), k), (float(means[1]), n - k))
-    else:
-        # single trace class: the constant-trace (SIC) convention is k = d^2
+    trace_dev = float(np.max(np.abs(traces * traces - traces + (n - 1) * fitted_b)))
+    small = traces < 0.5
+    k = int(np.count_nonzero(small))
+    if k in (0, n) or float(np.ptp(traces)) <= tol.tol_cond:
+        # one trace class: the constant-trace (SIC) convention is k = d^2
         k = n
-        classes = ((float(means[0]), n),)
+        classes = ((float(traces.mean()), n),)
+    else:
+        classes = ((float(traces[small].mean()), k), (float(traces[~small].mean()), n - k))
 
-    max_violation = max(equi_dev, comp_dev, psd_dev, spread, imag_dev,
-                        trace_match if np.isfinite(trace_match) else 1.0)
+    max_violation = max(equi_dev, comp_dev, psd_dev, imag_dev, trace_dev)
     equiangular = equi_dev <= tol.tol_cond
 
     if is_ic and all_rank_one and max_violation <= tol.tol_cond:
-        classification = SIC if means.size == 1 else STRICT_SEMI_SIC
+        classification = SIC if len(classes) == 1 else STRICT_SEMI_SIC
     else:
         classification = NOT_SEMI_SIC
 

@@ -31,6 +31,7 @@ from .errors import (
     AmbiguousCanonicalization,
     BOutOfFamilyRange,
     BOutOfRange,
+    KOutOfRange,
     NotQubitSemiSic,
 )
 from .linalg import DEFAULT_TOL, Tolerances, eig_hermitian
@@ -135,11 +136,11 @@ def canonicalize(
             f"verification failed (max violation {report.max_violation:.3e})"
         )
 
-    b = min(report.fitted_b, B_MAX)  # guard roundoff just above the SIC endpoint
     try:
+        b = SemiSicParams.from_b(2, report.fitted_b, report.k).b
         target = construct(b).elements
-    except BOutOfFamilyRange as exc:
-        raise NotQubitSemiSic(f"fitted overlap {b!r} is outside the family") from exc
+    except (BOutOfRange, BOutOfFamilyRange, KOutOfRange) as exc:
+        raise NotQubitSemiSic(f"fitted overlap {report.fitted_b!r} is outside the family") from exc
     gate = max(CANON_TOL, 1e3 * report.max_violation)
 
     traces = povm.traces()

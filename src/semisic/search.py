@@ -6,12 +6,14 @@ penalized least-squares objective
 
     f(V) = sum_{x != y} (|<v_x|v_y>|^2 - b)^2  +  w ||sum_x |v_x><v_x| - I||_F^2
 
-minimized by multi-start first-order descent. The default step policy
-minimizes the exact quartic restriction of f along the (conjugate) descent
-direction each iteration; only decreasing steps are ever accepted, so the
-recorded objective trace is monotone. A final polar projection of each
-restart's endpoint (SVD retraction onto exact completeness) is kept when it
-improves the objective.
+minimized by multi-start first-order descent. Along a line the objective is
+a polynomial of degree 8 in the step (each |<v_x|v_y>|^2 is a quartic, and
+f squares it). The default step policy fits a quartic model to it from
+phi(0), phi'(0) and three samples along the (conjugate) descent direction
+and steps to the model's minimum; only decreasing steps are ever accepted,
+so the recorded objective trace is monotone. A final polar projection of
+each restart's endpoint (SVD retraction onto exact completeness) is kept
+when it improves the objective.
 
 For d >= 3 the target overlap is pinned by (d, k); for d = 2 it is supplied
 (the k = 4 SIC point is the default there). Residuals comfortably below
@@ -21,7 +23,6 @@ stalls at ~1e-3, consistent with no strict example being known for d >= 3.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ import numpy as np
 from .errors import DimensionTooSmall, InvalidConfig, KOutOfRange
 from .linalg import Tolerances
 from .model import Povm, SemiSicParams, b_from_k, verify
+from .textio import write_json
 
 STEP_POLICIES = ("exact", "backtracking")
 _ARMIJO = 1e-4
@@ -143,13 +145,7 @@ class SearchReport:
         }
 
     def save(self, path) -> None:
-        if hasattr(path, "write"):
-            json.dump(self.to_dict(), path, indent=2)
-            path.write("\n")
-        else:
-            with open(path, "w") as handle:
-                json.dump(self.to_dict(), handle, indent=2)
-                handle.write("\n")
+        write_json(path, self.to_dict())
 
 
 def _coerce_vectors(vectors, d: int) -> np.ndarray:
@@ -203,11 +199,12 @@ def gradient(vectors, d: int, k: int, b: float | None = None,
 
 
 def _line_minimum(rows, direction, f0, dphi0, b, w, h):
-    """Exact minimizer of the quartic t -> f(rows - t * direction).
+    """Minimizer of a quartic model of phi(t) = f(rows - t * direction).
 
-    Uses analytic phi(0), phi'(0) plus three samples to pin the remaining
-    coefficients, then takes the best positive root of the cubic derivative.
-    Returns None when no positive step decreases the model.
+    phi is a polynomial of degree 8; the model matches its analytic phi(0)
+    and phi'(0) and three samples at h, 2h, 4h, and the step is the best
+    positive root of the model's cubic derivative. Returns None when no
+    positive step decreases the model; the caller re-evaluates f there.
     """
     ts = np.array([h, 2.0 * h, 4.0 * h])
     vals = np.array([_objective(rows - t * direction, b, w) for t in ts])
@@ -374,11 +371,7 @@ def run_search(config: SearchConfig) -> SearchReport:
     if best_f < config.residual_goal:
         best_povm = Povm.from_vectors(best_rows)
         noise = float(np.sqrt(best_f))
-        loose = Tolerances(
-            tol_norm=max(1e-12, 1e2 * noise),
-            tol_cond=max(1e-10, 1e2 * noise),
-            tol_psd=max(1e-10, 1e2 * noise),
-        )
+        loose = Tolerances(tol_cond=max(1e-10, 1e2 * noise))
         report = verify(best_povm, loose)
         classification = report.classification
         observed_k = report.k

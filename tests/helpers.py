@@ -35,3 +35,17 @@ def random_density(rng: np.random.Generator, d: int) -> np.ndarray:
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     m = z @ z.conj().T
     return m / float(np.trace(m).real)
+
+
+def hermitian_noise(rng: np.random.Generator, shape: tuple, size: float) -> np.ndarray:
+    """Random Hermitian matrices (a stack of them) whose largest entry each is size."""
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    h = 0.5 * (z + np.conj(np.swapaxes(z, -1, -2)))
+    return size * h / np.max(np.abs(h), axis=(-2, -1), keepdims=True)
+
+
+def disguise(rng: np.random.Generator, povm: Povm, noise: float) -> Povm:
+    """povm conjugated by a Haar unitary, permuted, plus Hermitian noise of the given size."""
+    u = haar_unitary(rng, povm.dim)
+    stack = np.einsum("ij,xjk,lk->xil", u, povm.elements[rng.permutation(len(povm))], u.conj())
+    return Povm(dim=povm.dim, elements=stack + hermitian_noise(rng, stack.shape, noise))

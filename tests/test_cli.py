@@ -6,8 +6,12 @@ import json
 import numpy as np
 import pytest
 
+from helpers import hermitian_noise, hesse_sic
 from semisic import cli
-from semisic.documents import parse_povm_document
+from semisic.bloch import bloch_to_probs
+from semisic.documents import parse_povm_document, save_povm
+from semisic.model import Povm
+from semisic.qubit import family_point
 
 
 def run(capsys, *argv):
@@ -173,3 +177,44 @@ def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit):
         cli.main([])
     capsys.readouterr()
+
+
+def test_bloch_reads_negative_scientific_notation(capsys):
+    # argparse before Python 3.13 takes "-1e-05" for an option; the bloch
+    # parser's negative-number matcher is widened so these stay values
+    point = family_point(2.0 / 25.0)
+    rc, out, err = run(capsys, "bloch", "--b", "2/25", "--to-probs", "-1e-05", "0", "-1e+00")
+    assert rc == 0, err
+    probs = [float(v) for v in out.split()]
+    assert np.allclose(probs, bloch_to_probs([-1e-5, 0.0, -1.0], point), atol=1e-11)
+
+    q = bloch_to_probs([0.0, 0.0, -1.0], point)
+    assert q[0] == 0.0
+    rc, out, err = run(capsys, "bloch", "--b", "2/25", "--to-bloch",
+                       "-0e+00", *("%.17e" % v for v in q[1:]))
+    assert rc == 0, err
+    assert np.allclose([float(v) for v in out.split()], [0.0, 0.0, -1.0], atol=1e-10)
+
+
+def test_noisy_hesse_sic_verifies_and_dualizes(tmp_path, capsys):
+    clean = hesse_sic()
+    noise = hermitian_noise(np.random.default_rng(5), clean.elements.shape, 1e-11)
+    noisy = Povm(dim=3, elements=clean.elements + noise)
+    path = tmp_path / "hesse.json"
+    save_povm(path, noisy)
+
+    rc, out, _ = run(capsys, "verify", "--in", str(path), "--json")
+    assert rc == 0
+    report = json.loads(out)
+    assert (report["classification"], report["k"]) == ("SIC", 9)
+
+    frame_path = tmp_path / "frame.json"
+    rc, _, err = run(capsys, "dual", "--in", str(path), "--out", str(frame_path))
+    assert rc == 0, err
+    frame_doc = json.loads(frame_path.read_text())
+    duals = np.array(
+        [[[complex(re, im) for re, im in row] for row in e]
+         for e in frame_doc["elements"]]
+    )
+    prod = np.einsum("xij,yji->xy", noisy.elements, duals)
+    assert np.max(np.abs(prod - np.eye(9))) < 1e-8

@@ -4,14 +4,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import hesse_sic
+from helpers import disguise, hesse_sic
+from semisic.dual import dual_basis
 from semisic.errors import (
     BOutOfRange,
     DimensionTooSmall,
     KOutOfRange,
     MalformedPovm,
 )
+from semisic.linalg import DEFAULT_TOL
 from semisic.model import (
     NOT_SEMI_SIC,
     SIC,
@@ -26,6 +30,23 @@ from semisic.model import (
     verify,
 )
 from semisic.qubit import construct, family_kets, family_point
+
+# Random disguises: a Haar unitary, a permutation, and Hermitian noise whose
+# largest entry is at most tol_cond / 10. b = None stands for the Hesse SIC.
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+SEEDS = st.integers(0, 2**32 - 1)
+NOISE = st.floats(0.0, DEFAULT_TOL.tol_cond / 10.0)
+MEMBERS = st.one_of(st.just(1.0 / 12.0), st.floats(1.0 / 16.0, 1.0 / 12.0, exclude_min=True),
+                    st.just(None))
+# The dual's gates are fixed while its coefficients diverge as b -> 1/16, and
+# near 1/12 the traces depend on b through sqrt(1 - 12 b); strict members for
+# the dual are therefore drawn a little inside both ends, the SIC end kept.
+DUAL_MEMBERS = st.one_of(st.just(1.0 / 12.0), st.floats(1.0 / 16.0 + 1e-3, 1.0 / 12.0 - 1e-4),
+                         st.just(None))
+
+
+def member(b):
+    return hesse_sic() if b is None else construct(b)
 
 
 def test_trace_values_qubit_oracle():
@@ -212,3 +233,34 @@ def test_verify_rejects_full_rank_elements():
 def test_verify_requires_povm_instance():
     with pytest.raises(MalformedPovm):
         verify(np.eye(2))
+
+
+def test_params_pin_the_overlap_where_d_and_k_fix_it():
+    sic = SemiSicParams.from_b(2, 1.0 / 12.0 + 3e-11, 4)
+    assert (sic.b, sic.a_minus, sic.a_plus) == (1.0 / 12.0, 0.5, 0.5)
+    hesse = SemiSicParams.from_b(3, 1.0 / 36.0 - 5e-11, 9)
+    assert hesse.b == 1.0 / 36.0
+    assert SemiSicParams.from_b(3, 5.0 / 196.0 + 1e-12, 8).b == b_from_k(3, 8)
+    # the strict qubit family is not pinned: b is kept as given
+    assert SemiSicParams.from_b(2, 0.07 + 1e-11, 2).b == 0.07 + 1e-11
+    with pytest.raises(KOutOfRange):
+        SemiSicParams.from_b(3, 1.0 / 36.0 + 1e-9, 9)
+
+
+@PROPERTY
+@given(b=MEMBERS, seed=SEEDS, noise=NOISE)
+def test_verify_is_invariant_under_disguise(b, seed, noise):
+    clean = member(b)
+    want = verify(clean)
+    report = verify(disguise(np.random.default_rng(seed), clean, noise))
+    assert (report.classification, report.k) == (want.classification, want.k)
+    assert report.max_violation <= want.max_violation + 20.0 * noise + 1e-15
+
+
+@PROPERTY
+@given(b=DUAL_MEMBERS, seed=SEEDS, noise=NOISE)
+def test_disguised_members_flow_through_dual(b, seed, noise):
+    povm = disguise(np.random.default_rng(seed), member(b), noise)
+    report = verify(povm)
+    frame = dual_basis(povm, SemiSicParams.from_b(povm.dim, report.fitted_b, report.k))
+    assert frame.source_k == report.k

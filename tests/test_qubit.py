@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import haar_unitary, hesse_sic
+from helpers import disguise, haar_unitary, hesse_sic
 from semisic.errors import BOutOfFamilyRange, NotQubitSemiSic
 from semisic.model import SIC, STRICT_SEMI_SIC, Povm, verify
 from semisic.qubit import (
@@ -112,6 +112,16 @@ def test_canonicalize_recovers_conjugated_family(b):
         for x in range(4):
             dev = np.min(np.max(np.abs(mapped[x][None] - stack), axis=(1, 2)))
             assert dev < 1e-9
+
+
+def test_canonicalize_recovers_noisy_sic():
+    # the SIC pins b = 1/12, so the fitted overlap's noise does not reach b
+    rng = np.random.default_rng(23)
+    target = construct(1.0 / 12.0)
+    for _ in range(5):
+        u, canon, b = canonicalize(disguise(rng, target, 1e-12))
+        assert b == 1.0 / 12.0
+        assert np.max(np.abs(canon.elements - target.elements)) < 1e-9
 
 
 def test_canonicalize_rejects_non_semisic():
