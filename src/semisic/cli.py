@@ -39,11 +39,9 @@ _FRACTION = re.compile(r"^-?\d+/\d+$")
 def parse_number(text: str) -> float:
     """Accept plain floats and exact fractions like 2/25."""
     text = text.strip()
-    if _FRACTION.match(text):
-        return float(Fraction(text))
     try:
-        return float(text)
-    except ValueError as exc:
+        return float(Fraction(text)) if _FRACTION.match(text) else float(text)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(f"not a number or fraction: {text!r}") from exc
 
 
@@ -110,10 +108,9 @@ def cmd_dual(args) -> int:
 
 def cmd_region(args) -> int:
     frame, _ = _verified_dual(args.infile)
-    samples = dual.region_grid(frame, args.resolution)
-    dual.write_region_csv(samples, args.out or sys.stdout)
-    feasible = sum(1 for s in samples if s.feasible)
-    print(f"{feasible} of {len(samples)} grid points feasible", file=sys.stderr)
+    scan = dual.region_grid(frame, args.resolution)
+    dual.write_region_csv(scan, args.out or sys.stdout)
+    print(f"{int(scan.feasible.sum())} of {len(scan)} grid points feasible", file=sys.stderr)
     return 0
 
 

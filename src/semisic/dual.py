@@ -15,11 +15,15 @@ F_y = E_y/(a^2 - b) + P (a'^2 - a^2)/((a^2 - b)(1 - d)) + I/(1 - d); that
 shorter form does not satisfy duality for d >= 3, so the block form is used
 throughout. At a SIC the two branches coincide; this is checked numerically
 rather than special-cased.
+
+For a qubit, p comes from a state exactly when det(sum_y p_y F_y) >= 0.
+region_grid scans that test over a simplex lattice into one numpy record
+array, write_region_csv writes it in blocks of rows, and scans over
+MAX_REGION_POINTS points raise ValueError (CLI exit 2) before allocating.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,70 +187,61 @@ def feasibility_poly(p, frame: DualFrame) -> float:
     return float(det.real)
 
 
-@dataclass(frozen=True)
-class RegionSample:
-    """One simplex grid point with its feasibility value."""
+# Region scans of more lattice points than this are refused (ValueError, exit
+# 2 from the CLI) before anything is allocated. A scan holds 40 bytes per
+# point, 400 MB at the cap; resolution 389 is the largest admitted.
+MAX_REGION_POINTS = 10_000_000
 
-    p1: float
-    p2: float
-    p3: float
-    f: float
-    feasible: bool
+# Rows per block in the feasibility kernel and in the CSV writer.
+_CHUNK = 65_536
+
+_REGION_FIELDS = "p1", "p2", "p3", "f", "feasible"
+_REGION_DTYPE = np.dtype({"names": _REGION_FIELDS, "formats": [float] * 4 + [bool]}, align=True)
 
 
-def region_grid(frame: DualFrame, resolution: int) -> list[RegionSample]:
+def region_grid(frame: DualFrame, resolution: int) -> np.recarray:
     """Feasibility over the lattice {i/N} on the probability simplex (d = 2).
 
-    Scans all (p1, p2, p3) with p_i = i/resolution and p1+p2+p3 <= 1;
-    p4 is the slack. feasible means f >= -1e-12.
+    Scans all (p1, p2, p3) with p_i = i/resolution and p1+p2+p3 <= 1, p1
+    outermost and p3 innermost; p4 is the slack. Returns a record array with
+    float fields p1, p2, p3, f = det(sum_y p_y F_y) and bool field feasible
+    (f >= -FEASIBILITY_SLACK): scan.feasible is a column, scan[i].p1 a value.
+    A lattice of C(N+3, 3) > MAX_REGION_POINTS points raises ValueError (exit 2).
     """
     if frame.dim != 2:
         raise DimensionMismatch(f"region scan is qubit-only, got d = {frame.dim}")
     if not isinstance(resolution, (int, np.integer)) or resolution < 2:
         raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
+    n = int(resolution)
+    count = (n + 1) * (n + 2) * (n + 3) // 6
+    if count > MAX_REGION_POINTS:
+        raise ValueError(f"resolution {n} gives {count} points, over the cap {MAX_REGION_POINTS}")
 
-    npts = resolution
-    idx = [
-        (i, j, l)
-        for i in range(npts + 1)
-        for j in range(npts + 1 - i)
-        for l in range(npts + 1 - i - j)
-    ]
-    pts = np.array(idx, dtype=float) / npts
-    p4 = 1.0 - pts.sum(axis=1)
-    probs = np.column_stack([pts, p4])
+    # (i, j) pairs in scan order, each followed by its run l = 0 .. n - i - j
+    span = np.arange(n + 1)
+    i, j = np.nonzero(span[:, None] + span <= n)
+    runs = n + 1 - i - j
+    scan = np.recarray(count, dtype=_REGION_DTYPE)
+    scan.p1 = np.repeat(i, runs) / n
+    scan.p2 = np.repeat(j, runs) / n
+    scan.p3 = (np.arange(count) - np.repeat(np.cumsum(runs) - runs, runs)) / n
 
-    # vectorized 2x2 determinant of sum_y p_y F_y
-    f00 = probs @ frame.duals[:, 0, 0].real
-    f11 = probs @ frame.duals[:, 1, 1].real
-    f01 = probs @ frame.duals[:, 0, 1]
-    fvals = f00 * f11 - np.abs(f01) ** 2
-
-    return [
-        RegionSample(
-            p1=float(pts[i, 0]),
-            p2=float(pts[i, 1]),
-            p3=float(pts[i, 2]),
-            f=float(fvals[i]),
-            feasible=bool(fvals[i] >= -FEASIBILITY_SLACK),
-        )
-        for i in range(len(idx))
-    ]
+    # vectorized 2x2 determinant of sum_y p_y F_y, a block of rows at a time
+    f00, f11, f01 = frame.duals[:, 0, 0].real, frame.duals[:, 1, 1].real, frame.duals[:, 0, 1]
+    for start in range(0, count, _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        pts = np.column_stack([scan.p1[rows], scan.p2[rows], scan.p3[rows]])
+        probs = np.column_stack([pts, 1.0 - pts.sum(axis=1)])
+        scan.f[rows] = (probs @ f00) * (probs @ f11) - np.abs(probs @ f01) ** 2
+    scan.feasible = scan.f >= -FEASIBILITY_SLACK
+    return scan
 
 
-def write_region_csv(samples: list[RegionSample], path) -> None:
-    """Write samples as CSV with header p1,p2,p3,f,feasible (17 sig digits)."""
-    def rows():
-        for s in samples:
-            yield (
-                "%.17g" % s.p1,
-                "%.17g" % s.p2,
-                "%.17g" % s.p3,
-                "%.17g" % s.f,
-                "1" if s.feasible else "0",
-            )
-
+def write_region_csv(scan: np.recarray, path) -> None:
+    """Write a region scan as CSV with header p1,p2,p3,f,feasible (17
+    significant digits, feasible as 1 or 0), formatting a block of rows at a time."""
     with open_text(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["p1", "p2", "p3", "f", "feasible"])
-        writer.writerows(rows())
+        handle.write(",".join(_REGION_FIELDS) + "\n")
+        for start in range(0, len(scan), _CHUNK):
+            rows = scan[start:start + _CHUNK].tolist()
+            handle.write("".join(["%.17g,%.17g,%.17g,%.17g,%d\n" % row for row in rows]))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import hermitian_noise, hesse_sic
-from semisic import cli
+from semisic import cli, dual
 from semisic.bloch import bloch_to_probs
 from semisic.documents import parse_povm_document, save_povm
 from semisic.model import Povm
@@ -33,6 +33,16 @@ def test_parse_number():
     assert cli.parse_number("0.07") == 0.07
     with pytest.raises(argparse.ArgumentTypeError):
         cli.parse_number("abc")
+
+
+def test_zero_denominator_is_a_usage_error(capsys):
+    for text in ("1/0", "-3/0", "1" + "0" * 400 + "/1"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli.parse_number(text)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["construct", "--b", "1/0"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_construct_verify_cycle(tmp_path, capsys):
@@ -122,6 +132,16 @@ def test_region_scan(tmp_path, capsys):
     assert lines[0].startswith("p1,")
     assert len(lines) == 1 + 286
     assert "feasible" in err
+
+
+def test_region_over_the_point_cap_exits_2(tmp_path, capsys, monkeypatch):
+    path = member_path(tmp_path, capsys)
+    monkeypatch.setattr(dual, "MAX_REGION_POINTS", 285)
+    out = tmp_path / "f.csv"
+    rc, _, err = run(capsys, "region", "--in", str(path), "--resolution", "10",
+                     "--out", str(out))
+    assert rc == 2 and "cap" in err
+    assert not out.exists()
 
 
 def test_bloch_conversions(capsys):

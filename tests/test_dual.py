@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from helpers import hesse_sic, random_density
+from semisic import dual
+from semisic.bloch import _directions
 from semisic.dual import (
     FEASIBILITY_SLACK,
     dual_basis,
@@ -24,7 +26,7 @@ from semisic.errors import (
     NotSemiSic,
 )
 from semisic.model import Povm, SemiSicParams, verify
-from semisic.qubit import construct
+from semisic.qubit import construct, family_point
 
 
 def frame_for(b, k=2):
@@ -217,3 +219,57 @@ def test_write_region_csv_roundtrip(tmp_path):
     path = tmp_path / "region.csv"
     write_region_csv(samples, path)
     assert path.read_text() == buf.getvalue()
+
+
+def test_region_grid_is_a_record_array_in_scan_order():
+    _, frame = frame_for(2.0 / 25.0)
+    for n in (2, 5, 13):
+        scan = region_grid(frame, n)
+        assert isinstance(scan, np.recarray)
+        assert scan.dtype.names == ("p1", "p2", "p3", "f", "feasible")
+        assert scan.feasible.dtype == bool
+        # the lattice in scan order: p1 outermost, p3 innermost
+        want = [(i, j, l) for i in range(n + 1) for j in range(n + 1 - i)
+                for l in range(n + 1 - i - j)]
+        got = np.column_stack([scan.p1, scan.p2, scan.p3])
+        assert np.array_equal(got, np.array(want, dtype=float) / n)
+        assert np.array_equal(scan.feasible, scan.f >= -FEASIBILITY_SLACK)
+
+
+def test_region_blocks_do_not_change_the_output(monkeypatch):
+    # the kernel and the CSV writer work in blocks of rows; blocks of 7 rows
+    # must give the same scan and the same bytes as one block
+    _, frame = frame_for(1.0 / 12.0, 4)
+    whole = region_grid(frame, 12)
+    buf = io.StringIO()
+    write_region_csv(whole, buf)
+    monkeypatch.setattr(dual, "_CHUNK", 7)
+    blocked = region_grid(frame, 12)
+    assert np.array_equal(blocked, whole)
+    small = io.StringIO()
+    write_region_csv(blocked, small)
+    assert small.getvalue() == buf.getvalue()
+
+
+@pytest.mark.parametrize("b, k", [(2.0 / 25.0, 2), (1.0 / 12.0, 4)])
+def test_region_fraction_matches_the_ellipsoid_volume(b, k):
+    # (p1, p2, p3) = w + A r is affine in the Bloch vector r, A having rows
+    # (a_x/2) n_x, so the feasible set is the image of the unit ball: an
+    # ellipsoid of volume (4 pi/3)|det A| in a simplex of volume 1/6
+    _, frame = frame_for(b, k)
+    weights, dirs = _directions(family_point(b))
+    exact = 8.0 * np.pi * abs(np.linalg.det(weights[:3, None] * dirs[:3]))
+    n = 100
+    scan = region_grid(frame, n)
+    measured = scan.feasible.sum() / (n ** 3 / 6.0)
+    assert measured == pytest.approx(exact, rel=0.01)
+
+
+def test_region_grid_refuses_scans_over_the_point_cap(monkeypatch):
+    _, frame = frame_for(2.0 / 25.0)
+    # the real cap admits resolution 140, C(143, 3) points
+    assert len(region_grid(frame, 140)) == 477191
+    monkeypatch.setattr(dual, "MAX_REGION_POINTS", 285)
+    assert len(region_grid(frame, 9)) == 220
+    with pytest.raises(ValueError, match="cap"):
+        region_grid(frame, 10)
