@@ -140,8 +140,11 @@ def cmd_search(args) -> int:
     report = search.run_search(config)
     if args.out:
         report.save(args.out)
+    stops = ", ".join(f"{report.stop_reasons.count(r)} {r}" for r in search.STOP_REASONS
+                      if r in report.stop_reasons)
     print(f"best residual: {report.best_residual:.6e} "
-          f"({report.restarts_run} restarts, gradient check {report.gradient_check:.2e})")
+          f"({report.restarts_run} restarts, gradient check {report.gradient_check:.2e}; "
+          f"stopped: {stops})")
     if report.best_povm is not None:
         print(f"solution found: classification {report.classification}, "
               f"k = {report.observed_k}")

@@ -6,14 +6,16 @@ penalized least-squares objective
 
     f(V) = sum_{x != y} (|<v_x|v_y>|^2 - b)^2  +  w ||sum_x |v_x><v_x| - I||_F^2
 
-minimized by multi-start first-order descent. Along a line the objective is
-a polynomial of degree 8 in the step (each |<v_x|v_y>|^2 is a quartic, and
-f squares it). The default step policy fits a quartic model to it from
-phi(0), phi'(0) and three samples along the (conjugate) descent direction
-and steps to the model's minimum; only decreasing steps are ever accepted,
-so the recorded objective trace is monotone. A final polar projection of
-each restart's endpoint (SVD retraction onto exact completeness) is kept
-when it improves the objective.
+minimized by multi-start first-order descent. All restarts advance as one
+batch, computed per restart, so a restart's result does not depend on the
+batch. Along a line the objective is a polynomial of degree 8 in the step
+(each |<v_x|v_y>|^2 is a quartic, and f squares it). The default step policy
+fits a quartic model to it from phi(0), phi'(0) and samples at h, 2h, 4h
+along the (conjugate) descent direction (in units of h, one fixed 3x3
+system) and steps to the model's minimum; only decreasing steps are ever
+accepted, so the recorded objective trace is monotone. A final polar
+projection of each restart's endpoint (SVD retraction onto exact
+completeness) is kept when it improves the objective.
 
 For d >= 3 the target overlap is pinned by (d, k); for d = 2 it is supplied
 (the k = 4 SIC point is the default there). Residuals comfortably below
@@ -33,9 +35,15 @@ from .model import Povm, SemiSicParams, b_from_k, verify
 from .textio import write_json
 
 STEP_POLICIES = ("exact", "backtracking")
+STOP_REASONS = ("goal", "cap", "no_descent", "zero_gradient")
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
 _TRACE_POINTS = 200
+_CHECK_CHUNK = 32  # perturbed stacks per objective call in gradient_check
+# In units of the probe step h the line samples sit at s = 1, 2, 4, so the
+# quartic model's coefficients of s^2, s^3, s^4 solve one fixed system.
+_LINE_S = np.array([1.0, 2.0, 4.0])
+_LINE_FIT = np.linalg.inv(_LINE_S[:, None] ** np.arange(2, 5))
 
 
 @dataclass(frozen=True)
@@ -111,13 +119,15 @@ class SearchConfig:
 @dataclass(frozen=True)
 class SearchReport:
     """Outcome of run_search. best_povm is set only when the goal was met;
-    classification and observed_k echo its verification in that case."""
+    classification and observed_k echo its verification in that case.
+    stop_reasons gives each restart's reason to stop, one of STOP_REASONS."""
 
     config: SearchConfig
     best_residual: float
     best_povm: Povm | None
     restarts_run: int
     iterations_per_restart: tuple[int, ...]
+    stop_reasons: tuple[str, ...]
     objective_trace: tuple[tuple[int, float], ...]
     gradient_check: float
     classification: str | None = None
@@ -138,6 +148,7 @@ class SearchReport:
             "best_povm": povm,
             "restarts_run": self.restarts_run,
             "iterations_per_restart": list(self.iterations_per_restart),
+            "stop_reasons": list(self.stop_reasons),
             "objective_trace": [[it, f] for it, f in self.objective_trace],
             "gradient_check": self.gradient_check,
             "classification": self.classification,
@@ -157,28 +168,34 @@ def _coerce_vectors(vectors, d: int) -> np.ndarray:
     return rows
 
 
-def _resolve_target_b(d: int, k: int, b) -> float:
-    if b is None:
-        return b_from_k(d, k)
-    return float(b)
+def _sum2(x: np.ndarray) -> np.ndarray:
+    """Sum over the last two axes, one stacked matrix at a time."""
+    return x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],)).sum(axis=-1)
 
 
-def _objective(rows: np.ndarray, b: float, w: float) -> float:
-    gram = rows.conj() @ rows.T
+def _parts(rows: np.ndarray, b: float):
+    *lead, n, d = rows.shape
+    conj, cols = rows.conj(), rows.swapaxes(-1, -2)
+    gram = conj @ cols
     dev = np.abs(gram) ** 2 - b
-    np.fill_diagonal(dev, 0.0)
-    delta = rows.T @ rows.conj() - np.eye(rows.shape[1])
-    return float(np.sum(dev * dev) + w * np.sum(np.abs(delta) ** 2))
+    dev.reshape(*lead, n * n)[..., ::n + 1] = 0.0  # the diagonal
+    delta = cols @ conj
+    delta.reshape(*lead, d * d)[..., ::d + 1] -= 1.0
+    return gram, dev, delta
+
+
+def _objective(rows: np.ndarray, b: float, w: float) -> np.ndarray:
+    """Objective of each (d^2, d) matrix of a (..., d^2, d) stack."""
+    _, dev, delta = _parts(rows, b)
+    return _sum2(dev * dev) + w * _sum2(np.abs(delta) ** 2)
 
 
 def _gradient(rows: np.ndarray, b: float, w: float) -> np.ndarray:
     # Wirtinger gradient scaled so real/imag parts match the real-coordinate
     # partial derivatives (checked against finite differences in the tests)
-    gram = rows.conj() @ rows.T
-    dev = np.abs(gram) ** 2 - b
-    np.fill_diagonal(dev, 0.0)
-    delta = rows.T @ rows.conj() - np.eye(rows.shape[1])
-    return 8.0 * (dev * gram.T) @ rows + 4.0 * w * rows @ delta.conj()
+    gram, dev, delta = _parts(rows, b)
+    return (8.0 * (dev * gram.swapaxes(-1, -2)) @ rows
+            + 4.0 * w * rows @ delta.conj())
 
 
 def objective(vectors, d: int, k: int, b: float | None = None,
@@ -188,113 +205,136 @@ def objective(vectors, d: int, k: int, b: float | None = None,
     Pass b=None to derive the target overlap from (d, k) (d >= 3 only).
     """
     rows = _coerce_vectors(vectors, d)
-    return _objective(rows, _resolve_target_b(d, k, b), float(penalty_weight))
+    b = b_from_k(d, k) if b is None else float(b)
+    return float(_objective(rows, b, float(penalty_weight)))
 
 
 def gradient(vectors, d: int, k: int, b: float | None = None,
              penalty_weight: float = 10.0) -> np.ndarray:
     """Gradient of objective() with respect to the stacked vectors."""
     rows = _coerce_vectors(vectors, d)
-    return _gradient(rows, _resolve_target_b(d, k, b), float(penalty_weight))
+    b = b_from_k(d, k) if b is None else float(b)
+    return _gradient(rows, b, float(penalty_weight))
 
 
-def _line_minimum(rows, direction, f0, dphi0, b, w, h):
-    """Minimizer of a quartic model of phi(t) = f(rows - t * direction).
+def _model_steps(rows, direction, f0, dphi0, b, w, h):
+    """Per restart, the minimizer of a quartic model of phi(t) = f(rows - t * direction).
 
     phi is a polynomial of degree 8; the model matches its analytic phi(0)
     and phi'(0) and three samples at h, 2h, 4h, and the step is the best
-    positive root of the model's cubic derivative. Returns None when no
-    positive step decreases the model; the caller re-evaluates f there.
+    positive root of the model's cubic derivative. NaN where there is none
+    or the cubic's leading coefficient is zero or non-finite; the caller
+    re-evaluates f at the other steps.
     """
-    ts = np.array([h, 2.0 * h, 4.0 * h])
-    vals = np.array([_objective(rows - t * direction, b, w) for t in ts])
-    rhs = vals - f0 - dphi0 * ts
-    system = np.column_stack([ts**2, ts**3, ts**4])
-    try:
-        c2, c3, c4 = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    roots = np.roots([4.0 * c4, 3.0 * c3, 2.0 * c2, dphi0])
-    best_t, best_f = None, f0
-    for root in roots:
-        if abs(root.imag) < 1e-12 * (1.0 + abs(root.real)) and root.real > 0:
-            t = float(root.real)
-            f = f0 + dphi0 * t + c2 * t * t + c3 * t**3 + c4 * t**4
-            if f < best_f:
-                best_t, best_f = t, f
-    return best_t
+    h, f0 = h[:, None], f0[:, None]
+    ts = h * _LINE_S
+    vals = _objective(rows[:, None] - ts[..., None, None] * direction[:, None], b, w)
+    rhs = vals - f0 - dphi0[:, None] * ts
+    # coefficients in units of h (c_k h^k), the inverse applied row by row
+    c2, c3, c4 = np.split(np.sum(rhs[:, None, :] * _LINE_FIT, axis=-1), 3, axis=-1)
+    slope = dphi0[:, None] * h
+    companion = np.repeat(np.eye(3, k=-1)[None], len(h), axis=0)
+    with np.errstate(all="ignore"):
+        companion[:, 0] = -np.concatenate([3.0 * c3, 2.0 * c2, slope], axis=-1) / (4.0 * c4)
+    fit = (c4 != 0.0) & np.all(np.isfinite(companion[:, 0]), axis=-1, keepdims=True)
+    s = np.linalg.eigvals(np.where(fit[..., None], companion, 0.0))
+    t, x = s.real * h, s.real
+    model = f0 + x * (slope + x * (c2 + x * (c3 + x * c4)))
+    model[(np.abs(s.imag) * h >= 1e-12 * (1.0 + np.abs(t))) | (t <= 0.0) | ~fit] = np.inf
+    pick = np.arange(len(h)), np.argmin(model, axis=-1)
+    return np.where(model[pick] < f0[:, 0], t[pick], np.nan)
 
 
-def _backtrack(rows, grad, f, gnorm2, b, w, step):
-    trial = step
+def _armijo_steps(rows, grad, f, gnorm2, b, w, step):
+    """Masked halvings along -grad: per restart, the first of step, step/2, ...
+    (at most _MAX_HALVINGS trials) that meets the Armijo condition, and the
+    objective there; NaN where no trial does."""
+    trial, fc, pending = step.copy(), np.full(len(f), np.nan), np.arange(len(f))
     for _ in range(_MAX_HALVINGS):
-        candidate = rows - trial * grad
-        fc = _objective(candidate, b, w)
-        if fc <= f - _ARMIJO * trial * gnorm2:
-            return candidate, fc, trial
-        trial *= 0.5
-    return None, f, step
+        values = _objective(rows[pending] - trial[pending, None, None] * grad[pending], b, w)
+        ok = values <= f[pending] - _ARMIJO * trial[pending] * gnorm2[pending]
+        fc[pending[ok]] = values[ok]
+        pending = pending[~ok]
+        if not pending.size:
+            break
+        trial[pending] *= 0.5
+    trial[pending] = np.nan
+    return trial, fc
 
 
-def _descend(rows, b, w, cfg: SearchConfig):
-    """One restart: returns (rows, objective, accepted iterations, trace)."""
-    f = _objective(rows, b, w)
-    grad = _gradient(rows, b, w)
-    gnorm2 = float(np.sum(np.abs(grad) ** 2))
+def _descend_batch(rows, b, w, cfg: SearchConfig):
+    """Advance a (R, d^2, d) stack of restarts together; restart i's result does not
+    depend on the rest. Returns per restart the final rows and objective, the
+    accepted iterations, the objective trace and the stop reason."""
+    rows, out_rows, out_f = rows.copy(), np.empty_like(rows), np.empty(len(rows))
+    done, reasons = np.zeros(len(rows), dtype=int), np.full(len(rows), "", dtype=object)
+    exact = cfg.step_policy == "exact"
+    stride = max(1, cfg.max_iterations // _TRACE_POINTS)
+    live = np.arange(len(rows))
+    f, grad = _objective(rows, b, w), _gradient(rows, b, w)
+    gnorm2 = _sum2(np.abs(grad) ** 2)
     direction = grad.copy()
     h = cfg.initial_step / (1.0 + np.sqrt(gnorm2))
-    stop_f = cfg.residual_goal * 1e-3
-    stride = max(1, cfg.max_iterations // _TRACE_POINTS)
-    trace = [(0, f)]
-    done = 0
+    traces = [[(0, float(v))] for v in f]
+
+    def retire(stop):
+        state, mask = (live, rows, f, grad, direction, gnorm2, h), stop != ""
+        if not mask.any():
+            return state
+        gone = live[mask]
+        out_rows[gone], out_f[gone], reasons[gone] = rows[mask], f[mask], stop[mask]
+        return [a[~mask] for a in state]
 
     for it in range(cfg.max_iterations):
-        accepted = False
-        if cfg.step_policy == "exact":
-            dphi0 = -float(np.sum((grad * direction.conj()).real))
-            if dphi0 >= 0.0:  # conjugate direction stopped descending: reset
-                direction = grad.copy()
-                dphi0 = -gnorm2
-            t = _line_minimum(rows, direction, f, dphi0, b, w, h)
-            if t is not None:
-                candidate = rows - t * direction
-                fc = _objective(candidate, b, w)
-                if fc < f:
-                    rows, f, accepted = candidate, fc, True
-                    h = max(t, 1e-12)
-        if not accepted:
-            candidate, fc, used = _backtrack(rows, grad, f, gnorm2, b, w,
-                                             h if cfg.step_policy == "exact"
-                                             else min(2.0 * h, 1e3 * cfg.initial_step))
-            if candidate is None:
-                break
-            rows, f, h = candidate, fc, used
-            direction = grad.copy()
-        done = it + 1
-        if done % stride == 0:
-            trace.append((done, f))
-        if f < stop_f:
-            break
+        accepted = np.zeros(live.size, dtype=bool)
+        if exact:
+            dphi0 = -_sum2((grad * direction.conj()).real)
+            reset = dphi0 >= 0.0  # conjugate direction stopped descending
+            direction[reset], dphi0[reset] = grad[reset], -gnorm2[reset]
+            t = _model_steps(rows, direction, f, dphi0, b, w, h)
+            j = np.flatnonzero(~np.isnan(t))
+            candidate = rows[j] - t[j, None, None] * direction[j]
+            fc = _objective(candidate, b, w)
+            lower = fc < f[j]
+            j = j[lower]
+            rows[j], f[j], h[j] = candidate[lower], fc[lower], np.maximum(t[j], 1e-12)
+            accepted[j] = True
+        stalled = np.zeros(live.size, dtype=bool)
+        j = np.flatnonzero(~accepted)
+        if j.size:
+            start = h[j] if exact else np.minimum(2.0 * h[j], 1e3 * cfg.initial_step)
+            t, fc = _armijo_steps(rows[j], grad[j], f[j], gnorm2[j], b, w, start)
+            stalled[j] = np.isnan(t)
+            t, fc, j = t[~stalled[j]], fc[~stalled[j]], j[~stalled[j]]
+            rows[j], f[j], h[j] = rows[j] - t[:, None, None] * grad[j], fc, t
+            direction[j] = grad[j]
+        done[live[~stalled]] = it + 1
+        if (it + 1) % stride == 0:
+            for i in np.flatnonzero(~stalled):
+                traces[live[i]].append((it + 1, float(f[i])))
         new_grad = _gradient(rows, b, w)
-        if cfg.step_policy == "exact":
+        if exact:
             # Polak-Ribiere+ conjugate update (first-order momentum)
-            beta = max(0.0, float(np.sum((new_grad.conj() * (new_grad - grad)).real)) / gnorm2)
-            direction = new_grad + beta * direction
+            beta = np.maximum(0.0, _sum2((new_grad.conj() * (new_grad - grad)).real) / gnorm2)
+            direction = new_grad + beta[:, None, None] * direction
         grad = new_grad
-        gnorm2 = float(np.sum(np.abs(grad) ** 2))
-        if gnorm2 == 0.0:
+        gnorm2 = _sum2(np.abs(grad) ** 2)
+        stop = np.where(stalled, "no_descent", np.where(
+            f < cfg.residual_goal * 1e-3, "goal", np.where(gnorm2 == 0.0, "zero_gradient", "")))
+        live, rows, f, grad, direction, gnorm2, h = retire(stop)
+        if not live.size:
             break
-
-    if not trace or trace[-1][0] != done:
-        trace.append((done, f))
-    return rows, f, done, trace
+    retire(np.full(live.size, "cap"))
+    for i, trace in enumerate(traces):
+        if trace[-1][0] != done[i]:
+            trace.append((int(done[i]), float(out_f[i])))
+    return out_rows, out_f, done, traces, [str(r) for r in reasons]
 
 
 def _polar_project(rows: np.ndarray) -> np.ndarray:
-    """Retract onto exact completeness: nearest co-isometry in Frobenius norm."""
-    cols = rows.T
-    u, _, vh = np.linalg.svd(cols, full_matrices=False)
-    return (u @ vh).T
+    """Retract each stacked matrix onto exact completeness: nearest co-isometry."""
+    u, _, vh = np.linalg.svd(np.swapaxes(rows, -1, -2), full_matrices=False)
+    return np.swapaxes(u @ vh, -1, -2)
 
 
 def _restart_rng(seed: int, index: int) -> np.random.Generator:
@@ -310,66 +350,54 @@ def _initial_vectors(rng: np.random.Generator, d: int) -> np.ndarray:
 def gradient_check(d: int, b: float, penalty_weight: float = 10.0,
                    seed: int = 0, points: int = 5, step: float = 1e-6) -> float:
     """Max relative error of the analytic gradient against central differences,
-    over a few seeded random vector stacks."""
+    over a few seeded random vector stacks. The 4 d^3 perturbed stacks of a
+    point go through stacked objective calls of at most _CHECK_CHUNK stacks."""
+    # perturbation 4e + j shifts entry e by step * (1, -1, i, -i)[j]
+    shifts = step * np.array([1.0, -1.0, 1.0j, -1.0j])
     worst = 0.0
     for p in range(points):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(0x67726164, p))
-        )
-        rows = _initial_vectors(rng, d)
-        analytic = _gradient(rows, b, penalty_weight)
-        numeric = np.zeros_like(analytic)
-        for x in range(rows.shape[0]):
-            for i in range(rows.shape[1]):
-                for unit in (1.0, 1.0j):
-                    fwd = rows.copy()
-                    fwd[x, i] += step * unit
-                    bwd = rows.copy()
-                    bwd[x, i] -= step * unit
-                    diff = (_objective(fwd, b, penalty_weight)
-                            - _objective(bwd, b, penalty_weight)) / (2.0 * step)
-                    numeric[x, i] += diff * (1.0 if unit == 1.0 else 1.0j)
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(0x67726164, p))
+        rows = _initial_vectors(np.random.default_rng(seq), d)
+        values = np.empty(4 * rows.size)
+        for start in range(0, values.size, _CHECK_CHUNK):
+            index = np.arange(start, min(start + _CHECK_CHUNK, values.size))
+            stack = np.repeat(rows.reshape(1, -1), index.size, axis=0)
+            stack[np.arange(index.size), index // 4] += shifts[index % 4]
+            values[index] = _objective(stack.reshape((-1,) + rows.shape), b, penalty_weight)
+        diff = (values[0::2] - values[1::2]) / (2.0 * step)
+        numeric = (diff[0::2] + 1j * diff[1::2]).reshape(rows.shape)
         scale = max(1.0, float(np.max(np.abs(numeric))))
-        worst = max(worst, float(np.max(np.abs(analytic - numeric))) / scale)
+        error = np.abs(_gradient(rows, b, penalty_weight) - numeric)
+        worst = max(worst, float(np.max(error)) / scale)
     return worst
 
 
 def run_search(config: SearchConfig) -> SearchReport:
     """Multi-start descent on the penalized objective.
 
-    Deterministic for a fixed config (restart i draws from a child of the
-    seed). The report's best_povm is populated only when the best residual
-    beats config.residual_goal; it is then verified with tolerances scaled
-    to the residual and the observed classification is echoed.
+    All restarts run as one batch, and restart i's result does not depend
+    on it. Deterministic for a fixed config (restart i draws from a child of
+    the seed). The report's best_povm is populated only when the best
+    residual beats config.residual_goal; it is then verified with tolerances
+    scaled to the residual and the observed classification is echoed.
     """
     if not isinstance(config, SearchConfig):
         raise InvalidConfig(f"expected a SearchConfig, got {type(config).__name__}")
-    b = float(config.b)
-    w = float(config.penalty_weight)
-
-    best_f = np.inf
-    best_rows = None
-    best_trace: list[tuple[int, float]] = []
-    iterations: list[int] = []
-
-    for i in range(config.restarts):
-        rows0 = _initial_vectors(_restart_rng(config.seed, i), config.d)
-        rows, f, done, trace = _descend(rows0, b, w, config)
-        projected = _polar_project(rows)
-        f_proj = _objective(projected, b, w)
-        if f_proj < f:
-            rows, f = projected, f_proj
-        iterations.append(done)
-        if f < best_f:
-            best_f, best_rows, best_trace = f, rows, trace
-
+    b, w = float(config.b), float(config.penalty_weight)
+    rows0 = np.stack([_initial_vectors(_restart_rng(config.seed, i), config.d)
+                      for i in range(config.restarts)])
+    rows, f, iterations, traces, reasons = _descend_batch(rows0, b, w, config)
+    projected = _polar_project(rows)
+    f_proj = _objective(projected, b, w)
+    better = f_proj < f
+    rows[better], f[better] = projected[better], f_proj[better]
+    best = int(np.argmin(f))
+    best_f = float(f[best])
     check = gradient_check(config.d, b, w, seed=config.seed)
 
-    best_povm = None
-    classification = None
-    observed_k = None
+    best_povm = classification = observed_k = None
     if best_f < config.residual_goal:
-        best_povm = Povm.from_vectors(best_rows)
+        best_povm = Povm.from_vectors(rows[best])
         noise = float(np.sqrt(best_f))
         loose = Tolerances(tol_cond=max(1e-10, 1e2 * noise))
         report = verify(best_povm, loose)
@@ -378,11 +406,12 @@ def run_search(config: SearchConfig) -> SearchReport:
 
     return SearchReport(
         config=config,
-        best_residual=float(best_f),
+        best_residual=best_f,
         best_povm=best_povm,
         restarts_run=config.restarts,
-        iterations_per_restart=tuple(iterations),
-        objective_trace=tuple((int(i), float(f)) for i, f in best_trace),
+        iterations_per_restart=tuple(int(n) for n in iterations),
+        stop_reasons=tuple(reasons),
+        objective_trace=tuple((int(i), float(f)) for i, f in traces[best]),
         gradient_check=check,
         classification=classification,
         observed_k=observed_k,

@@ -3,6 +3,7 @@
 import numpy as np
 
 from semisic.model import Povm
+from semisic.search import _gradient, _initial_vectors, _objective
 
 
 def hesse_sic() -> Povm:
@@ -49,3 +50,29 @@ def disguise(rng: np.random.Generator, povm: Povm, noise: float) -> Povm:
     u = haar_unitary(rng, povm.dim)
     stack = np.einsum("ij,xjk,lk->xil", u, povm.elements[rng.permutation(len(povm))], u.conj())
     return Povm(dim=povm.dim, elements=stack + hermitian_noise(rng, stack.shape, noise))
+
+
+def serial_gradient_check(d: int, b: float, penalty_weight: float = 10.0,
+                          seed: int = 0, points: int = 5, step: float = 1e-6) -> float:
+    """Reference for search.gradient_check: one objective call per perturbed entry."""
+    worst = 0.0
+    for p in range(points):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(0x67726164, p))
+        )
+        rows = _initial_vectors(rng, d)
+        analytic = _gradient(rows, b, penalty_weight)
+        numeric = np.zeros_like(analytic)
+        for x in range(rows.shape[0]):
+            for i in range(rows.shape[1]):
+                for unit in (1.0, 1.0j):
+                    fwd = rows.copy()
+                    fwd[x, i] += step * unit
+                    bwd = rows.copy()
+                    bwd[x, i] -= step * unit
+                    diff = (_objective(fwd, b, penalty_weight)
+                            - _objective(bwd, b, penalty_weight)) / (2.0 * step)
+                    numeric[x, i] += diff * (1.0 if unit == 1.0 else 1.0j)
+        scale = max(1.0, float(np.max(np.abs(numeric))))
+        worst = max(worst, float(np.max(np.abs(analytic - numeric))) / scale)
+    return worst

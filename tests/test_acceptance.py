@@ -242,18 +242,16 @@ def test_criterion_8_region_scans(tmp_path, capsys):
             samples = region_grid(frame, 100)
             assert len(samples) == 176851
 
-            hit = [
-                s for s in samples
-                if abs(s.p1 - mixed[0]) < 1e-12
-                and abs(s.p2 - mixed[1]) < 1e-12
-                and abs(s.p3 - mixed[2]) < 1e-12
-            ]
-            assert len(hit) == 1 and hit[0].feasible
-
-            feas = np.array(
-                [[s.p1, s.p2, s.p3, 1.0 - s.p1 - s.p2 - s.p3]
-                 for s in samples if s.feasible]
+            hit = np.flatnonzero(
+                (np.abs(samples.p1 - mixed[0]) < 1e-12)
+                & (np.abs(samples.p2 - mixed[1]) < 1e-12)
+                & (np.abs(samples.p3 - mixed[2]) < 1e-12)
             )
+            assert len(hit) == 1 and samples.feasible[hit[0]]
+
+            ok = samples.feasible
+            p1, p2, p3 = samples.p1[ok], samples.p2[ok], samples.p3[ok]
+            feas = np.column_stack([p1, p2, p3, 1.0 - p1 - p2 - p3])
             assert len(feas) > 0
             rhos = np.tensordot(feas, frame.duals, axes=([1], [0]))
             traces = np.einsum("mii->m", rhos)

@@ -176,6 +176,13 @@ def test_search_command(tmp_path, capsys):
     assert "no candidate" in out
 
 
+def test_search_summary_counts_stop_reasons(capsys):
+    rc, out, _ = run(capsys, "search", "--d", "3", "--k", "8", "--restarts", "2",
+                     "--max-iterations", "30")
+    assert rc == 0
+    assert "stopped: 2 cap)" in out
+
+
 def test_search_rejects_inadmissible_counts(capsys):
     rc, _, err = run(capsys, "search", "--d", "3", "--k", "6")
     assert rc == 2 and "error:" in err

@@ -5,12 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from helpers import hesse_sic
+from helpers import hesse_sic, serial_gradient_check
+from semisic import search
 from semisic.errors import DimensionTooSmall, InvalidConfig
 from semisic.model import STRICT_SEMI_SIC
 from semisic.qubit import family_kets, family_point
 from semisic.search import (
     STEP_POLICIES,
+    STOP_REASONS,
     SearchConfig,
     gradient,
     gradient_check,
@@ -108,6 +110,50 @@ def test_objective_validates_vectors():
 def test_gradient_matches_finite_differences():
     assert gradient_check(2, 2.0 / 25.0, seed=3) < 1e-6
     assert gradient_check(3, 1.0 / 36.0, seed=3) < 1e-6
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_gradient_check_equals_serial_central_differences(d):
+    b = 2.0 / 25.0 if d == 2 else 1.0 / (d * d * (d + 1))
+    for seed in (0, 3):
+        assert gradient_check(d, b, seed=seed) == serial_gradient_check(d, b, seed=seed)
+
+
+@pytest.mark.parametrize("d,k,b", [(3, 9, None), (2, 2, 2.0 / 25.0), (4, 16, None)])
+def test_batched_restarts_match_running_alone(d, k, b):
+    cfg = SearchConfig(d=d, k=k, b=b, restarts=5, max_iterations=300, seed=2)
+    stack = np.stack([search._initial_vectors(search._restart_rng(cfg.seed, i), d)
+                      for i in range(cfg.restarts)])
+    rows, f, iterations, traces, reasons = search._descend_batch(
+        stack, cfg.b, cfg.penalty_weight, cfg)
+    for i in range(cfg.restarts):
+        alone = search._descend_batch(stack[i:i + 1], cfg.b, cfg.penalty_weight, cfg)
+        assert alone[1][0] == f[i]
+        assert alone[2][0] == iterations[i]
+        assert np.array_equal(alone[0][0], rows[i])
+        assert (alone[3][0], alone[4][0]) == (traces[i], reasons[i])
+
+
+def test_line_fit_without_a_cubic_gives_no_model_step():
+    rows = family_rows(0.07)[None]
+    f0 = search._objective(rows, 0.07, 10.0)
+    flat = search._model_steps(rows, np.zeros_like(rows), f0, np.zeros(1), 0.07, 10.0,
+                               np.array([1e-3]))
+    assert np.isnan(flat).all()
+
+
+def test_stop_reasons_are_reported_per_restart():
+    stalled = run_search(SearchConfig(d=3, k=8, restarts=3, max_iterations=50, seed=5))
+    assert stalled.stop_reasons == ("cap",) * 3
+    assert stalled.iterations_per_restart == (50,) * 3
+
+    solved = run_search(SearchConfig(d=2, k=2, b=2.0 / 25.0, restarts=4, seed=7))
+    assert solved.best_povm is not None
+    assert set(solved.stop_reasons) <= set(STOP_REASONS)
+    last = solved.objective_trace[-1][0]
+    best = [i for i, n in enumerate(solved.iterations_per_restart) if n == last]
+    assert len(best) == 1 and solved.stop_reasons[best[0]] == "goal"
+    assert solved.to_dict()["stop_reasons"] == list(solved.stop_reasons)
 
 
 def test_search_finds_qubit_member():
