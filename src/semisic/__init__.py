@@ -25,17 +25,7 @@ from .dual import (
     region_grid,
     write_region_csv,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerances,
-    eig_hermitian,
-    hs_inner,
-    is_psd,
-    outer,
-    pauli_compose,
-    pauli_decompose,
-    rank,
-)
+from .linalg import DEFAULT_TOL, Tolerances, eig_hermitian, pauli_compose
 from .model import (
     NOT_SEMI_SIC,
     SIC,
@@ -91,18 +81,13 @@ __all__ = [
     "family_point",
     "feasibility_poly",
     "gradient",
-    "hs_inner",
-    "is_psd",
     "load_povm",
     "objective",
-    "outer",
     "parse_povm_document",
     "pauli_compose",
-    "pauli_decompose",
     "povm_document",
     "probabilities",
     "probs_to_bloch",
-    "rank",
     "reconstruct",
     "region_grid",
     "run_search",

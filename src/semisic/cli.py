@@ -133,7 +133,6 @@ def cmd_search(args) -> int:
         max_iterations=args.max_iterations,
         seed=args.seed,
         initial_step=args.initial_step,
-        step_policy=args.step_policy,
         penalty_weight=args.penalty_weight,
         residual_goal=args.residual_goal,
     )
@@ -218,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iterations", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--initial-step", type=float, default=1e-2)
-    p.add_argument("--step-policy", choices=list(search.STEP_POLICIES), default="exact")
     p.add_argument("--penalty-weight", type=float, default=10.0)
     p.add_argument("--residual-goal", type=float, default=1e-12)
     p.add_argument("--out", help="write the JSON report here")

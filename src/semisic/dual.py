@@ -13,8 +13,11 @@ The coefficients follow from solving Tr[E_x F_y] = delta_xy on the span of
 {E_y, S, T}. At d = 2 (m = 1, S + T = I) this collapses to the familiar
 F_y = E_y/(a^2 - b) + P (a'^2 - a^2)/((a^2 - b)(1 - d)) + I/(1 - d); that
 shorter form does not satisfy duality for d >= 3, so the block form is used
-throughout. At a SIC the two branches coincide; this is checked numerically
-rather than special-cased.
+throughout. The traces a and a' are the mean measured traces of the two
+blocks (an empty block takes the other root, 1 - a), not roots recomputed
+from b, which near the double root b = 1/(4(d^2 - 1)) would amplify noise
+through a square root. At a SIC both blocks share one trace and the two
+branches coincide.
 
 For a qubit, p comes from a state exactly when det(sum_y p_y F_y) >= 0.
 region_grid scans that test over a simplex lattice into one numpy record
@@ -71,8 +74,10 @@ def dual_basis(povm: Povm, params: SemiSicParams, tol: Tolerances = DEFAULT_TOL)
     """Closed-form dual frame of a verified semi-SIC.
 
     params must agree with the POVM (same d, and a trace split of exactly
-    params.k small-trace elements). Verifies duality Tr[E_x F_y] = delta_xy
-    before returning.
+    params.k small-trace elements). The frame uses params.b, params.k and
+    the measured class traces; DegenerateCoefficients is raised when a^2 - b
+    nearly vanishes at those traces or at params' own roots a-, a+.
+    Verifies duality Tr[E_x F_y] = delta_xy before returning.
     """
     return _dual_frame(povm, params, verify(povm, tol))
 
@@ -86,26 +91,17 @@ def _dual_frame(povm: Povm, params: SemiSicParams, report: VerificationReport) -
     if params.d != d:
         raise DimensionMismatch(f"params are for d = {params.d}, POVM has d = {d}")
 
-    a_lo, a_hi = params.a_minus, params.a_plus
-    den_lo = a_lo * a_lo - params.b
-    den_hi = a_hi * a_hi - params.b
-    if min(abs(den_lo), abs(den_hi)) < _DEGENERACY_GATE:
-        raise DegenerateCoefficients(
-            f"dual denominators a^2 - b = ({den_lo:.3e}, {den_hi:.3e}) vanish"
-        )
-
     traces = povm.traces()
     order = np.argsort(traces, kind="stable")
     low = order[: params.k]
     high = order[params.k :]
-    # cross-check the split against the parameter bundle
-    split_gate = max(1e-8, 1e2 * report.max_violation)
-    if (np.max(np.abs(traces[low] - a_lo)) > split_gate
-            or (high.size and np.max(np.abs(traces[high] - a_hi)) > split_gate)):
-        raise NotSemiSic(
-            f"element traces do not split into {params.k} near {a_lo!r} "
-            f"and {n - params.k} near {a_hi!r}"
-        )
+    a_lo = float(traces[low].mean())
+    a_hi = float(traces[high].mean()) if high.size else 1.0 - a_lo
+    # a^2 - b at the parameter set's roots and at the measured traces (the divisors)
+    dens = [a * a - params.b for a in (params.a_minus, params.a_plus, a_lo, a_hi)]
+    if min(map(abs, dens)) < _DEGENERACY_GATE:
+        raise DegenerateCoefficients(f"dual denominators a^2 - b = {dens} vanish")
+    den_lo, den_hi = dens[2:]
 
     zero = np.zeros((d, d), dtype=complex)
     block_low = povm.elements[low].sum(axis=0)
@@ -120,15 +116,6 @@ def _dual_frame(povm: Povm, params: SemiSicParams, report: VerificationReport) -
         duals[y] = branch(povm[y], den_lo, block_low, den_hi, block_high)
     for y in high:
         duals[y] = branch(povm[y], den_hi, block_high, den_lo, block_low)
-
-    if abs(a_hi - a_lo) < 1e-9 and high.size:
-        # SIC regime: both branch forms must agree instead of being special-cased
-        for y in low:
-            alt = branch(povm[y], den_hi, block_high, den_lo, block_low)
-            if float(np.max(np.abs(alt - duals[y]))) > 1e-12:
-                raise DegenerateCoefficients(
-                    "dual branches disagree at a near-degenerate trace split"
-                )
 
     products = np.einsum("xij,yji->xy", povm.elements, duals)
     duality_dev = float(np.max(np.abs(products - np.eye(n))))

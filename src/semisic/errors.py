@@ -5,14 +5,6 @@ class DimensionMismatch(ValueError):
     """Operands live on Hilbert spaces of different (or wrong) dimensions."""
 
 
-class NonNegligibleImaginaryPart(ValueError):
-    """A quantity that must be real came out with a large imaginary part."""
-
-
-class NotNormalized(ValueError):
-    """State vector does not have unit norm."""
-
-
 class ConvergenceFailure(RuntimeError):
     """An eigenvalue or singular value iteration failed to converge."""
 

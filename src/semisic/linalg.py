@@ -1,8 +1,8 @@
 """Dense complex linear algebra helpers for small Hermitian operator spaces.
 
-Everything here works on plain numpy arrays; matrices are complex128 and
-kets are 1-D complex vectors. Tolerances are bundled in a frozen dataclass
-so call sites can tighten or loosen the whole set at once.
+Everything here works on plain numpy arrays; matrices are complex128.
+Tolerances are bundled in a frozen dataclass so call sites can tighten or
+loosen the whole set at once.
 """
 
 from __future__ import annotations
@@ -11,12 +11,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import (
-    ConvergenceFailure,
-    DimensionMismatch,
-    NonNegligibleImaginaryPart,
-    NotNormalized,
-)
+from .errors import ConvergenceFailure, DimensionMismatch
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -28,7 +23,7 @@ class Tolerances:
     """Numerical gates used throughout.
 
     tol_herm   largest tolerated |A - A^dagger| entry (relative to scale)
-    tol_norm   norm / trace deviations (kets, probability sums, traces)
+    tol_norm   trace deviations of states (its square root: eig_hermitian's phase cutoff)
     tol_psd    most negative eigenvalue still counted as PSD
     tol_rank   relative eigenvalue cutoff when counting rank
     tol_cond   classification gate on the defining-condition violations
@@ -70,44 +65,6 @@ def as_hermitian(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return mat
 
 
-def as_ket(v, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Coerce to a normalized complex vector."""
-    ket = np.asarray(v, dtype=complex)
-    if ket.ndim != 1 or ket.size == 0:
-        raise DimensionMismatch(f"expected a 1-D vector, got shape {ket.shape}")
-    if not (np.all(np.isfinite(ket.real)) and np.all(np.isfinite(ket.imag))):
-        raise ValueError("vector has non-finite entries")
-    norm = float(np.linalg.norm(ket))
-    if abs(norm - 1.0) > tol.tol_norm:
-        raise NotNormalized(f"ket norm is {norm!r}, expected 1 within {tol.tol_norm:g}")
-    return ket
-
-
-def hs_inner(a, b, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Hilbert-Schmidt inner product Tr[A B] for Hermitian A, B.
-
-    The trace of a product of Hermitians is real; the imaginary part is
-    discarded after checking it is negligible.
-    """
-    am = as_matrix(a)
-    bm = as_matrix(b)
-    if am.shape != bm.shape:
-        raise DimensionMismatch(f"operand shapes differ: {am.shape} vs {bm.shape}")
-    value = complex(np.trace(am @ bm))
-    scale = max(1.0, abs(value.real))
-    if abs(value.imag) > tol.tol_herm * scale:
-        raise NonNegligibleImaginaryPart(
-            f"Tr[AB] = {value!r} has a non-negligible imaginary part"
-        )
-    return float(value.real)
-
-
-def outer(v, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Rank-one projector |v><v| of a normalized ket."""
-    ket = as_ket(v, tol)
-    return np.outer(ket, ket.conj())
-
-
 def eig_hermitian(a, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors (columns) of a Hermitian matrix.
 
@@ -130,34 +87,6 @@ def eig_hermitian(a, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndar
     return vals, vecs
 
 
-def is_psd(a, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True when every eigenvalue is above -tol_psd."""
-    vals, _ = eig_hermitian(a, tol)
-    return bool(vals[0] >= -tol.tol_psd)
-
-
-def rank(a, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Number of eigenvalues with magnitude above tol_rank * max(1, ||A||)."""
-    vals, _ = eig_hermitian(a, tol)
-    scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 1.0)
-    return int(np.count_nonzero(np.abs(vals) > tol.tol_rank * scale))
-
-
-def pauli_decompose(a, tol: Tolerances = DEFAULT_TOL) -> tuple[float, float, float, float]:
-    """Coefficients (c0, cx, cy, cz) with A = c0 I + cx X + cy Y + cz Z.
-
-    Only defined for 2x2 Hermitian matrices; coefficients are real.
-    """
-    mat = as_hermitian(a, tol)
-    if mat.shape != (2, 2):
-        raise DimensionMismatch(f"Pauli decomposition needs a 2x2 matrix, got {mat.shape}")
-    c0 = 0.5 * float(np.trace(mat).real)
-    cx = 0.5 * hs_inner(mat, PAULI_X, tol)
-    cy = 0.5 * hs_inner(mat, PAULI_Y, tol)
-    cz = 0.5 * hs_inner(mat, PAULI_Z, tol)
-    return (c0, cx, cy, cz)
-
-
 def pauli_compose(c0: float, cx: float, cy: float, cz: float) -> np.ndarray:
-    """Inverse of pauli_decompose."""
+    """c0 I + cx X + cy Y + cz Z as a 2x2 complex matrix."""
     return c0 * np.eye(2, dtype=complex) + cx * PAULI_X + cy * PAULI_Y + cz * PAULI_Z

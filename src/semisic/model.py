@@ -149,13 +149,17 @@ class SemiSicParams:
 
         Where (d, k) pins the overlap (every k for d >= 3, k = d^2 in any d)
         the closed form is stored; b must lie within DEFAULT_TOL.tol_cond of
-        it, else KOutOfRange. Otherwise b itself is used (the qubit family).
+        it, else KOutOfRange. Otherwise b itself is used (the qubit family),
+        except that a qubit b at most tol_cond above the double root 1/12
+        (where a fitted b of a near-SIC member can land) is that root.
         """
         b = float(b)
         if k == d * d:
             pinned = 1.0 / (d * d * (d + 1))
         elif d >= 3:
             pinned = b_from_k(d, k)
+        elif d == 2 and 1.0 / 12.0 < b <= 1.0 / 12.0 + DEFAULT_TOL.tol_cond:
+            pinned = 1.0 / 12.0  # the double root 1/(4(d^2 - 1))
         else:
             pinned = None
         if pinned is not None:

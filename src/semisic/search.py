@@ -9,13 +9,14 @@ penalized least-squares objective
 minimized by multi-start first-order descent. All restarts advance as one
 batch, computed per restart, so a restart's result does not depend on the
 batch. Along a line the objective is a polynomial of degree 8 in the step
-(each |<v_x|v_y>|^2 is a quartic, and f squares it). The default step policy
-fits a quartic model to it from phi(0), phi'(0) and samples at h, 2h, 4h
-along the (conjugate) descent direction (in units of h, one fixed 3x3
-system) and steps to the model's minimum; only decreasing steps are ever
-accepted, so the recorded objective trace is monotone. A final polar
-projection of each restart's endpoint (SVD retraction onto exact
-completeness) is kept when it improves the objective.
+(each |<v_x|v_y>|^2 is a quartic, and f squares it). Each step fits a
+quartic model to it from phi(0), phi'(0) and samples at h, 2h, 4h along the
+(conjugate) descent direction (in units of h, one fixed 3x3 system) and
+steps to the model's minimum, falling back to Armijo halvings along the
+gradient; only decreasing steps are ever accepted, so the recorded
+objective trace is monotone. A final polar projection of each restart's
+endpoint (SVD retraction onto exact completeness) is kept when it improves
+the objective.
 
 For d >= 3 the target overlap is pinned by (d, k); for d = 2 it is supplied
 (the k = 4 SIC point is the default there). Residuals comfortably below
@@ -30,11 +31,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DimensionTooSmall, InvalidConfig, KOutOfRange
+from .documents import povm_document
 from .linalg import Tolerances
 from .model import Povm, SemiSicParams, b_from_k, verify
 from .textio import write_json
 
-STEP_POLICIES = ("exact", "backtracking")
 STOP_REASONS = ("goal", "cap", "no_descent", "zero_gradient")
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
@@ -59,7 +60,6 @@ class SearchConfig:
     max_iterations: int = 2000
     seed: int = 0
     initial_step: float = 1e-2
-    step_policy: str = "exact"
     penalty_weight: float = 10.0
     residual_goal: float = 1e-12
 
@@ -78,10 +78,6 @@ class SearchConfig:
             raise InvalidConfig(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not (isinstance(self.initial_step, (int, float)) and self.initial_step > 0):
             raise InvalidConfig(f"initial_step must be positive, got {self.initial_step!r}")
-        if self.step_policy not in STEP_POLICIES:
-            raise InvalidConfig(
-                f"step_policy must be one of {STEP_POLICIES}, got {self.step_policy!r}"
-            )
         if not (isinstance(self.penalty_weight, (int, float)) and self.penalty_weight > 0):
             raise InvalidConfig(f"penalty_weight must be positive, got {self.penalty_weight!r}")
         if not (isinstance(self.residual_goal, (int, float)) and self.residual_goal > 0):
@@ -119,7 +115,8 @@ class SearchConfig:
 @dataclass(frozen=True)
 class SearchReport:
     """Outcome of run_search. best_povm is set only when the goal was met;
-    classification and observed_k echo its verification in that case.
+    classification and observed_k echo its verification in that case, and
+    to_dict writes it as a POVM document (documents.povm_document).
     stop_reasons gives each restart's reason to stop, one of STOP_REASONS."""
 
     config: SearchConfig
@@ -134,18 +131,12 @@ class SearchReport:
     observed_k: int | None = None
 
     def to_dict(self) -> dict:
-        from .documents import matrix_to_pairs
-
-        povm = None
-        if self.best_povm is not None:
-            povm = {
-                "dim": int(self.best_povm.dim),
-                "elements": [matrix_to_pairs(e) for e in self.best_povm.elements],
-            }
+        povm = self.best_povm
         return {
             "config": asdict(self.config),
             "best_residual": self.best_residual,
-            "best_povm": povm,
+            "best_povm": None if povm is None else povm_document(
+                povm, b=self.config.b, k=self.observed_k),
             "restarts_run": self.restarts_run,
             "iterations_per_restart": list(self.iterations_per_restart),
             "stop_reasons": list(self.stop_reasons),
@@ -268,7 +259,6 @@ def _descend_batch(rows, b, w, cfg: SearchConfig):
     accepted iterations, the objective trace and the stop reason."""
     rows, out_rows, out_f = rows.copy(), np.empty_like(rows), np.empty(len(rows))
     done, reasons = np.zeros(len(rows), dtype=int), np.full(len(rows), "", dtype=object)
-    exact = cfg.step_policy == "exact"
     stride = max(1, cfg.max_iterations // _TRACE_POINTS)
     live = np.arange(len(rows))
     f, grad = _objective(rows, b, w), _gradient(rows, b, w)
@@ -287,23 +277,21 @@ def _descend_batch(rows, b, w, cfg: SearchConfig):
 
     for it in range(cfg.max_iterations):
         accepted = np.zeros(live.size, dtype=bool)
-        if exact:
-            dphi0 = -_sum2((grad * direction.conj()).real)
-            reset = dphi0 >= 0.0  # conjugate direction stopped descending
-            direction[reset], dphi0[reset] = grad[reset], -gnorm2[reset]
-            t = _model_steps(rows, direction, f, dphi0, b, w, h)
-            j = np.flatnonzero(~np.isnan(t))
-            candidate = rows[j] - t[j, None, None] * direction[j]
-            fc = _objective(candidate, b, w)
-            lower = fc < f[j]
-            j = j[lower]
-            rows[j], f[j], h[j] = candidate[lower], fc[lower], np.maximum(t[j], 1e-12)
-            accepted[j] = True
+        dphi0 = -_sum2((grad * direction.conj()).real)
+        reset = dphi0 >= 0.0  # conjugate direction stopped descending
+        direction[reset], dphi0[reset] = grad[reset], -gnorm2[reset]
+        t = _model_steps(rows, direction, f, dphi0, b, w, h)
+        j = np.flatnonzero(~np.isnan(t))
+        candidate = rows[j] - t[j, None, None] * direction[j]
+        fc = _objective(candidate, b, w)
+        lower = fc < f[j]
+        j = j[lower]
+        rows[j], f[j], h[j] = candidate[lower], fc[lower], np.maximum(t[j], 1e-12)
+        accepted[j] = True
         stalled = np.zeros(live.size, dtype=bool)
         j = np.flatnonzero(~accepted)
         if j.size:
-            start = h[j] if exact else np.minimum(2.0 * h[j], 1e3 * cfg.initial_step)
-            t, fc = _armijo_steps(rows[j], grad[j], f[j], gnorm2[j], b, w, start)
+            t, fc = _armijo_steps(rows[j], grad[j], f[j], gnorm2[j], b, w, h[j])
             stalled[j] = np.isnan(t)
             t, fc, j = t[~stalled[j]], fc[~stalled[j]], j[~stalled[j]]
             rows[j], f[j], h[j] = rows[j] - t[:, None, None] * grad[j], fc, t
@@ -313,10 +301,9 @@ def _descend_batch(rows, b, w, cfg: SearchConfig):
             for i in np.flatnonzero(~stalled):
                 traces[live[i]].append((it + 1, float(f[i])))
         new_grad = _gradient(rows, b, w)
-        if exact:
-            # Polak-Ribiere+ conjugate update (first-order momentum)
-            beta = np.maximum(0.0, _sum2((new_grad.conj() * (new_grad - grad)).real) / gnorm2)
-            direction = new_grad + beta[:, None, None] * direction
+        # Polak-Ribiere+ conjugate update (first-order momentum)
+        beta = np.maximum(0.0, _sum2((new_grad.conj() * (new_grad - grad)).real) / gnorm2)
+        direction = new_grad + beta[:, None, None] * direction
         grad = new_grad
         gnorm2 = _sum2(np.abs(grad) ** 2)
         stop = np.where(stalled, "no_descent", np.where(

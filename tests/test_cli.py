@@ -6,12 +6,12 @@ import json
 import numpy as np
 import pytest
 
-from helpers import hermitian_noise, hesse_sic
+from helpers import disguise, hermitian_noise, hesse_sic
 from semisic import cli, dual
 from semisic.bloch import bloch_to_probs
 from semisic.documents import parse_povm_document, save_povm
 from semisic.model import Povm
-from semisic.qubit import family_point
+from semisic.qubit import construct, family_point
 
 
 def run(capsys, *argv):
@@ -245,3 +245,17 @@ def test_noisy_hesse_sic_verifies_and_dualizes(tmp_path, capsys):
     )
     prod = np.einsum("xij,yji->xy", noisy.elements, duals)
     assert np.max(np.abs(prod - np.eye(9))) < 1e-8
+
+
+def test_near_sic_member_with_fitted_b_above_the_double_root_dualizes(tmp_path, capsys):
+    # at b = 1/12 - 1e-12 with noise 1e-11, seed 2's fitted b lands just above 1/12
+    povm = disguise(np.random.default_rng(2), construct(1.0 / 12.0 - 1e-12), 1e-11)
+    path = tmp_path / "near_sic.json"
+    save_povm(path, povm)
+
+    rc, out, _ = run(capsys, "verify", "--in", str(path), "--json")
+    assert rc == 0
+    assert json.loads(out)["fitted_b"] > 1.0 / 12.0
+
+    rc, _, err = run(capsys, "dual", "--in", str(path), "--out", str(tmp_path / "frame.json"))
+    assert rc == 0, err

@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from helpers import hesse_sic, random_density
+from helpers import disguise, hesse_sic, random_density
 from semisic import dual
 from semisic.bloch import _directions
 from semisic.dual import (
@@ -106,6 +106,18 @@ def test_dual_rejects_mismatched_params():
         dual_basis(povm, SemiSicParams.from_b(2, 1.0 / 12.0, 2))
 
 
+@pytest.mark.parametrize("gap", [1e-12, 1e-9, 1e-7])
+@pytest.mark.parametrize("noise", [0.0, 1e-13, 1e-11])
+def test_dual_accepts_disguised_members_near_the_sic(gap, noise):
+    # the traces 1/2 -+ sqrt(1 - 12 b)/2 are measured, not recomputed from the fitted b
+    for seed in range(5):
+        povm = disguise(np.random.default_rng(seed), construct(1.0 / 12.0 - gap), noise)
+        report = verify(povm)
+        frame = dual_basis(povm, SemiSicParams.from_b(2, report.fitted_b, report.k))
+        prod = np.einsum("xij,yji->xy", povm.elements, frame.duals)
+        assert np.max(np.abs(prod - np.eye(4))) <= 1e-10 + 1e3 * noise
+
+
 def test_dual_rejects_broken_povm():
     stack = np.array(construct(2.0 / 25.0).elements, copy=True)
     stack[0, 0, 0] += 1e-3
@@ -118,6 +130,11 @@ def test_dual_degenerate_denominator():
     params = SemiSicParams.from_b(2, 1.0 / 16.0 + 1e-15, 2)
     with pytest.raises(DegenerateCoefficients):
         dual_basis(construct(2.0 / 25.0), params)
+    # mismatched params whose b is the square of the POVM's measured small trace
+    povm = construct(0.065)
+    a = float(np.sort(povm.traces())[:2].mean())
+    with pytest.raises(DegenerateCoefficients):
+        dual_basis(povm, SemiSicParams.from_b(2, a * a, 2))
 
 
 def test_probabilities_of_known_states():

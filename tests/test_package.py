@@ -1,0 +1,19 @@
+"""The package's public names."""
+
+import semisic
+from semisic import errors, linalg, search
+
+DELETED = {
+    linalg: ("as_ket", "hs_inner", "outer", "is_psd", "rank", "pauli_decompose"),
+    errors: ("NotNormalized", "NonNegligibleImaginaryPart"),
+    search: ("STEP_POLICIES",),
+}
+
+
+def test_exports_exist_and_deleted_names_stay_gone():
+    assert [name for name in semisic.__all__ if not hasattr(semisic, name)] == []
+    for module, names in DELETED.items():
+        for name in names:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+            assert not hasattr(semisic, name) and name not in semisic.__all__
+    assert "step_policy" not in search.SearchConfig.__dataclass_fields__

@@ -7,11 +7,11 @@ import pytest
 
 from helpers import hesse_sic, serial_gradient_check
 from semisic import search
+from semisic.documents import parse_povm_document
 from semisic.errors import DimensionTooSmall, InvalidConfig
 from semisic.model import STRICT_SEMI_SIC
 from semisic.qubit import family_kets, family_point
 from semisic.search import (
-    STEP_POLICIES,
     STOP_REASONS,
     SearchConfig,
     gradient,
@@ -61,7 +61,6 @@ def test_config_qubit_rules():
     [
         {"restarts": 0},
         {"max_iterations": 0},
-        {"step_policy": "newton"},
         {"residual_goal": 0.0},
         {"seed": -1},
         {"penalty_weight": 0.0},
@@ -188,18 +187,6 @@ def test_search_trace_is_monotone_when_stalling():
     assert report.classification is None
 
 
-def test_search_backtracking_policy_descends():
-    assert set(STEP_POLICIES) == {"exact", "backtracking"}
-    cfg = SearchConfig(
-        d=2, k=2, b=2.0 / 25.0, restarts=2, max_iterations=3000,
-        seed=1, step_policy="backtracking",
-    )
-    report = run_search(cfg)
-    assert report.best_residual < 1e-6
-    values = [f for _, f in report.objective_trace]
-    assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
-
-
 def test_report_serialization_roundtrip(tmp_path):
     cfg = SearchConfig(d=2, k=4, restarts=2, max_iterations=300, seed=13)
     report = run_search(cfg)
@@ -213,6 +200,14 @@ def test_report_serialization_roundtrip(tmp_path):
     assert raw["best_residual"] == report.best_residual
     if report.best_povm is not None:
         assert len(raw["best_povm"]["elements"]) == 4
+
+
+def test_report_best_povm_is_a_povm_document():
+    report = run_search(SearchConfig(d=2, k=2, b=0.07, restarts=2, seed=3))
+    assert report.best_povm is not None
+    doc = parse_povm_document(report.to_dict()["best_povm"])
+    assert np.array_equal(doc.povm.elements, report.best_povm.elements)
+    assert (doc.b, doc.k) == (report.config.b, report.observed_k)
 
 
 def test_run_search_requires_config():
