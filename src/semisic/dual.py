@@ -2,27 +2,20 @@
 
 A semi-SIC is an operator-space frame, so every density matrix rho is
 recovered linearly from its outcome probabilities p_y = Tr[E_y rho] via the
-dual frame: rho = sum_y p_y F_y. For a semi-SIC the dual has a two-block
-closed form. Writing S for the sum of the k small-trace elements, T for the
-sum of the rest, and m = d^2 - d - 1, an element E_y with trace a (partner
-trace a', own block sum P in {S, T}, other block sum Q) has
-
-    F_y = E_y / (a^2 - b)  -  P * (a'^2 - b) / ((a^2 - b) m)  -  Q / m.
-
-The coefficients follow from solving Tr[E_x F_y] = delta_xy on the span of
-{E_y, S, T}. At d = 2 (m = 1, S + T = I) this collapses to the familiar
-F_y = E_y/(a^2 - b) + P (a'^2 - a^2)/((a^2 - b)(1 - d)) + I/(1 - d); that
-shorter form does not satisfy duality for d >= 3, so the block form is used
-throughout. The traces a and a' are the mean measured traces of the two
-blocks (an empty block takes the other root, 1 - a), not roots recomputed
-from b, which near the double root b = 1/(4(d^2 - 1)) would amplify noise
-through a square root. At a SIC both blocks share one trace and the two
-branches coincide.
+dual frame: rho = sum_y p_y F_y. The d^2 elements of an IC POVM are a basis
+of operator space, so the dual is unique, F_y = sum_x (G^-1)_{xy} E_x with
+the Gram matrix G_xy = Tr[E_x E_y], and dual_basis forms it by one linear
+solve. For a semi-SIC this is the paper's two-block closed form, with
+coefficients 1/(a^2 - b) per trace class; the solve never divides by
+a^2 - b, which vanishes as a qubit b tends to 1/16, so it stays accurate
+there. The parameter set is still refused where those divisors vanish.
 
 For a qubit, p comes from a state exactly when det(sum_y p_y F_y) >= 0.
 region_grid scans that test over a simplex lattice into one numpy record
-array, write_region_csv writes it in blocks of rows, and scans over
-MAX_REGION_POINTS points raise ValueError (CLI exit 2) before allocating.
+array, and scans over MAX_REGION_POINTS points raise ValueError (CLI exit 2)
+before allocating. write_region_csv formats every float with "%.17g" a
+block of rows at a time: each distinct lattice coordinate once per block,
+and the block by one % call, which gives the bytes of a per-row format.
 """
 
 from __future__ import annotations
@@ -42,7 +35,7 @@ from .linalg import DEFAULT_TOL, Tolerances, as_hermitian
 from .model import NOT_SEMI_SIC, Povm, SemiSicParams, VerificationReport, verify
 from .textio import open_text
 
-# Denominators a^2 - b smaller than this are refused outright.
+# Parameter sets whose closed-form divisors a^2 - b fall below this are refused.
 _DEGENERACY_GATE = 1e-12
 
 # Feasibility slack: determinant values above -1e-12 count as reconstructible.
@@ -54,8 +47,8 @@ class DualFrame:
     """Dual elements aligned with the source POVM's ordering.
 
     source_k records how many source elements sat on the small trace;
-    permutation lists source indices with the small-trace block first
-    (the order the block sums were accumulated in).
+    permutation lists source indices in ascending trace order, so the
+    small-trace block comes first.
     """
 
     dim: int
@@ -71,13 +64,15 @@ class DualFrame:
 
 
 def dual_basis(povm: Povm, params: SemiSicParams, tol: Tolerances = DEFAULT_TOL) -> DualFrame:
-    """Closed-form dual frame of a verified semi-SIC.
+    """Dual frame of a verified semi-SIC, by one solve of its Gram system.
 
-    params must agree with the POVM (same d, and a trace split of exactly
-    params.k small-trace elements). The frame uses params.b, params.k and
-    the measured class traces; DegenerateCoefficients is raised when a^2 - b
-    nearly vanishes at those traces or at params' own roots a-, a+.
-    Verifies duality Tr[E_x F_y] = delta_xy before returning.
+    params must agree with the POVM: the same d, and params.b within
+    DEFAULT_TOL.tol_cond of the fitted overlap (else NotSemiSic), which for
+    a verified POVM fixes the trace split to params.k small-trace elements.
+    DegenerateCoefficients is raised when a^2 - params.b nearly vanishes at
+    params' roots a-, a+ or at the measured class traces, where the closed
+    form has no coefficients. Verifies duality Tr[E_x F_y] = delta_xy before
+    returning.
     """
     return _dual_frame(povm, params, verify(povm, tol))
 
@@ -87,38 +82,23 @@ def _dual_frame(povm: Povm, params: SemiSicParams, report: VerificationReport) -
     if report.classification == NOT_SEMI_SIC:
         raise NotSemiSic(f"verification failed (max violation {report.max_violation:.3e})")
     d = povm.dim
-    n = d * d
     if params.d != d:
         raise DimensionMismatch(f"params are for d = {params.d}, POVM has d = {d}")
-
-    traces = povm.traces()
-    order = np.argsort(traces, kind="stable")
-    low = order[: params.k]
-    high = order[params.k :]
-    a_lo = float(traces[low].mean())
-    a_hi = float(traces[high].mean()) if high.size else 1.0 - a_lo
-    # a^2 - b at the parameter set's roots and at the measured traces (the divisors)
-    dens = [a * a - params.b for a in (params.a_minus, params.a_plus, a_lo, a_hi)]
+    # the closed form's divisors a^2 - b at params' roots and at the measured class traces
+    traces = (params.a_minus, params.a_plus, *(a for a, _ in report.trace_classes))
+    dens = [a * a - params.b for a in traces]
     if min(map(abs, dens)) < _DEGENERACY_GATE:
         raise DegenerateCoefficients(f"dual denominators a^2 - b = {dens} vanish")
-    den_lo, den_hi = dens[2:]
+    if abs(params.b - report.fitted_b) > DEFAULT_TOL.tol_cond:
+        raise NotSemiSic(f"params have b = {params.b!r}, the POVM fits b = {report.fitted_b!r}")
 
-    zero = np.zeros((d, d), dtype=complex)
-    block_low = povm.elements[low].sum(axis=0)
-    block_high = povm.elements[high].sum(axis=0) if high.size else zero
-    m = float(n - d - 1)
+    # G symmetric, so row y of G^-1 E is F_y = sum_x (G^-1)_{xy} E_x
+    elements = povm.elements
+    gram = np.einsum("xij,yji->xy", elements, elements).real
+    duals = np.linalg.solve(gram, elements.reshape(len(povm), -1)).reshape(elements.shape)
 
-    def branch(e, den_own: float, own: np.ndarray, den_other: float, other: np.ndarray):
-        return e / den_own - own * (den_other / (den_own * m)) - other / m
-
-    duals = np.empty_like(povm.elements)
-    for y in low:
-        duals[y] = branch(povm[y], den_lo, block_low, den_hi, block_high)
-    for y in high:
-        duals[y] = branch(povm[y], den_hi, block_high, den_lo, block_low)
-
-    products = np.einsum("xij,yji->xy", povm.elements, duals)
-    duality_dev = float(np.max(np.abs(products - np.eye(n))))
+    products = np.einsum("xij,yji->xy", elements, duals)
+    duality_dev = float(np.max(np.abs(products - np.eye(len(povm)))))
     if duality_dev > max(1e-10, 1e3 * report.max_violation):
         raise NotSemiSic(f"dual frame fails duality check (deviation {duality_dev:.3e})")
 
@@ -126,7 +106,7 @@ def _dual_frame(povm: Povm, params: SemiSicParams, report: VerificationReport) -
         dim=d,
         duals=duals,
         source_k=int(params.k),
-        permutation=tuple(int(x) for x in np.concatenate([low, high])),
+        permutation=tuple(int(x) for x in np.argsort(povm.traces(), kind="stable")),
     )
 
 
@@ -225,10 +205,23 @@ def region_grid(frame: DualFrame, resolution: int) -> np.recarray:
 
 
 def write_region_csv(scan: np.recarray, path) -> None:
-    """Write a region scan as CSV with header p1,p2,p3,f,feasible (17
-    significant digits, feasible as 1 or 0), formatting a block of rows at a time."""
+    """Write a region scan as CSV with header p1,p2,p3,f,feasible: every float
+    as "%.17g" (17 significant digits), feasible as 1 or 0.
+
+    A block of rows at a time, each distinct p1, p2 and p3 value of the block
+    (a lattice value i/N) is formatted once, keyed on its bit pattern so that
+    -0.0 and NaN keep their own text, and the block is formatted by one %
+    call. The bytes equal those of formatting every row on its own.
+    """
     with open_text(path, "w", newline="") as handle:
         handle.write(",".join(_REGION_FIELDS) + "\n")
         for start in range(0, len(scan), _CHUNK):
-            rows = scan[start:start + _CHUNK].tolist()
-            handle.write("".join(["%.17g,%.17g,%.17g,%.17g,%d\n" % row for row in rows]))
+            block = scan[start:start + _CHUNK]
+            cells = [None] * (5 * len(block))
+            for col, name in enumerate(_REGION_FIELDS[:3]):
+                bits, where = np.unique(block[name].view(np.int64), return_inverse=True)
+                text = np.array(["%.17g" % x for x in bits.view(float).tolist()], dtype=object)
+                cells[col::5] = text[where].tolist()
+            cells[3::5] = block["f"].tolist()
+            cells[4::5] = block["feasible"].tolist()
+            handle.write(("%s,%s,%s,%.17g,%d\n" * len(block)) % tuple(cells))

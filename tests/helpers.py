@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from semisic.model import Povm
+from semisic.model import Povm, SemiSicParams
 from semisic.search import _gradient, _initial_vectors, _objective
 
 
@@ -50,6 +50,44 @@ def disguise(rng: np.random.Generator, povm: Povm, noise: float) -> Povm:
     u = haar_unitary(rng, povm.dim)
     stack = np.einsum("ij,xjk,lk->xil", u, povm.elements[rng.permutation(len(povm))], u.conj())
     return Povm(dim=povm.dim, elements=stack + hermitian_noise(rng, stack.shape, noise))
+
+
+def block_dual(povm: Povm, params: SemiSicParams) -> np.ndarray:
+    """The paper's two-block closed form of a semi-SIC's dual frame.
+
+    Reference for dual.dual_basis. S and T are the sums of the params.k
+    small-trace elements and of the rest, m = d^2 - d - 1, and an element of
+    trace a (partner trace a', own block sum P, other block sum Q) has
+
+        F_y = E_y / (a^2 - b)  -  P (a'^2 - b) / ((a^2 - b) m)  -  Q / m,
+
+    with a and a' the measured mean traces of the two blocks (an empty block
+    takes 1 - a).
+    """
+    d = povm.dim
+    traces = povm.traces()
+    order = np.argsort(traces, kind="stable")
+    blocks = order[: params.k], order[params.k :]
+    a_lo = float(traces[blocks[0]].mean())
+    a_hi = float(traces[blocks[1]].mean()) if blocks[1].size else 1.0 - a_lo
+    dens = a_lo * a_lo - params.b, a_hi * a_hi - params.b
+    sums = [povm.elements[ys].sum(axis=0) for ys in blocks]
+    m = float(d * d - d - 1)
+    duals = np.empty_like(povm.elements)
+    for own, other in ((0, 1), (1, 0)):
+        ys = blocks[own]
+        duals[ys] = (povm.elements[ys] / dens[own]
+                     - sums[own] * (dens[other] / (dens[own] * m)) - sums[other] / m)
+    return duals
+
+
+def reference_region_csv(scan) -> str:
+    """A region scan as CSV, every row formatted on its own.
+
+    Reference for dual.write_region_csv, whose bytes must equal these.
+    """
+    rows = ["%.17g,%.17g,%.17g,%.17g,%d\n" % row for row in scan.tolist()]
+    return "p1,p2,p3,f,feasible\n" + "".join(rows)
 
 
 def serial_gradient_check(d: int, b: float, penalty_weight: float = 10.0,

@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from helpers import disguise, hesse_sic, random_density
+from helpers import block_dual, disguise, hesse_sic, random_density, reference_region_csv
 from semisic import dual
 from semisic.bloch import _directions
 from semisic.dual import (
@@ -116,6 +116,33 @@ def test_dual_accepts_disguised_members_near_the_sic(gap, noise):
         frame = dual_basis(povm, SemiSicParams.from_b(2, report.fitted_b, report.k))
         prod = np.einsum("xij,yji->xy", povm.elements, frame.duals)
         assert np.max(np.abs(prod - np.eye(4))) <= 1e-10 + 1e3 * noise
+
+
+@pytest.mark.parametrize("gap", [1e-4, 1e-3])
+@pytest.mark.parametrize("noise", [0.0, 1e-13, 1e-12, 1e-11])
+def test_dual_accepts_disguised_members_near_one_sixteenth(gap, noise):
+    # the closed form's coefficients 1/(a-^2 - b) diverge as b -> 1/16; the Gram
+    # solve does not divide by them, so no disguised member is refused
+    for seed in range(40):
+        povm = disguise(np.random.default_rng(seed), construct(1.0 / 16.0 + gap), noise)
+        report = verify(povm)
+        frame = dual_basis(povm, SemiSicParams.from_b(2, report.fitted_b, report.k))
+        prod = np.einsum("xij,yji->xy", povm.elements, frame.duals)
+        assert np.max(np.abs(prod - np.eye(4))) <= 1e-10
+
+
+@pytest.mark.parametrize("b, k", [(0.065, 2), (0.07, 2), (2.0 / 25.0, 2), (1.0 / 12.0, 2),
+                                  (1.0 / 12.0, 4), (None, 9)])
+def test_gram_solve_equals_the_block_formula(b, k):
+    # the paper's two-block closed form is the oracle at well-conditioned b,
+    # in d = 2 and for the Hesse SIC (b = None), also on rotated and permuted copies
+    for seed in range(5):
+        clean = hesse_sic() if b is None else construct(b)
+        povm = disguise(np.random.default_rng(seed), clean, 0.0) if seed else clean
+        report = verify(povm)
+        params = SemiSicParams.from_b(povm.dim, report.fitted_b, k)
+        frame = dual_basis(povm, params)
+        assert np.max(np.abs(frame.duals - block_dual(povm, params))) < 1e-12
 
 
 def test_dual_rejects_broken_povm():
@@ -266,6 +293,24 @@ def test_region_blocks_do_not_change_the_output(monkeypatch):
     small = io.StringIO()
     write_region_csv(blocked, small)
     assert small.getvalue() == buf.getvalue()
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 24, 37])
+@pytest.mark.parametrize("b", [2.0 / 25.0, 1.0 / 12.0, 0.07, 0.0626])
+def test_write_region_csv_matches_the_per_row_format(monkeypatch, b, n):
+    # whole, filtered, strided and empty scans, and one holding -0.0 and NaN:
+    # formatting each distinct coordinate once per block must keep every byte
+    _, frame = frame_for(b, 4 if b == 1.0 / 12.0 else 2)
+    scan = region_grid(frame, n)
+    edited = scan.copy()
+    edited.p1[1] = -0.0
+    edited.f[2] = -0.0
+    edited.p2[3] = np.nan
+    monkeypatch.setattr(dual, "_CHUNK", 7)
+    for part in (scan, scan[scan.feasible], scan[::-3], scan[:0], edited):
+        buf = io.StringIO()
+        write_region_csv(part, buf)
+        assert buf.getvalue() == reference_region_csv(part)
 
 
 @pytest.mark.parametrize("b, k", [(2.0 / 25.0, 2), (1.0 / 12.0, 4)])
