@@ -25,7 +25,7 @@ from .dual import (
     region_grid,
     write_region_csv,
 )
-from .linalg import DEFAULT_TOL, Tolerances, eig_hermitian, pauli_compose
+from .linalg import eig_hermitian, pauli_compose
 from .model import (
     NOT_SEMI_SIC,
     SIC,
@@ -54,7 +54,6 @@ from .search import SearchConfig, SearchReport, gradient, objective, run_search
 __all__ = [
     "B_MAX",
     "B_MIN",
-    "DEFAULT_TOL",
     "DualFrame",
     "NOT_SEMI_SIC",
     "Povm",
@@ -65,7 +64,6 @@ __all__ = [
     "SearchConfig",
     "SearchReport",
     "SemiSicParams",
-    "Tolerances",
     "VerificationReport",
     "admissible_k",
     "b_from_k",

@@ -19,19 +19,7 @@ import numpy as np
 
 from . import documents, dual, model, qubit, search
 from .bloch import bloch_to_probs, probs_to_bloch
-from .errors import (
-    BOutOfFamilyRange,
-    BOutOfRange,
-    DimensionTooSmall,
-    DocumentError,
-    InconsistentProbabilities,
-    InvalidConfig,
-    KOutOfRange,
-    MalformedPovm,
-    NotQubitSemiSic,
-    NotSemiSic,
-    OutsideBlochBall,
-)
+from .errors import InconsistentProbabilities, NotQubitSemiSic, NotSemiSic
 
 _FRACTION = re.compile(r"^-?\d+/\d+$")
 
@@ -125,17 +113,9 @@ def cmd_bloch(args) -> int:
 
 
 def cmd_search(args) -> int:
-    config = search.SearchConfig(
-        d=args.d,
-        k=args.k,
-        b=args.b,
-        restarts=args.restarts,
-        max_iterations=args.max_iterations,
-        seed=args.seed,
-        initial_step=args.initial_step,
-        penalty_weight=args.penalty_weight,
-        residual_goal=args.residual_goal,
-    )
+    config = search.SearchConfig(d=args.d, k=args.k, b=args.b, restarts=args.restarts,
+                                 max_iterations=args.max_iterations, seed=args.seed,
+                                 residual_goal=args.residual_goal)
     report = search.run_search(config)
     if args.out:
         report.save(args.out)
@@ -216,8 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--max-iterations", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--initial-step", type=float, default=1e-2)
-    p.add_argument("--penalty-weight", type=float, default=10.0)
     p.add_argument("--residual-goal", type=float, default=1e-12)
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--require-solution", action="store_true",
@@ -240,15 +218,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    # semantic negatives first: several of these subclass ValueError
+    # semantic negatives first: they subclass ValueError, like every
+    # usage, document and range error of the package (exit 2)
     except (NotSemiSic, NotQubitSemiSic, InconsistentProbabilities) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DocumentError, MalformedPovm, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (BOutOfFamilyRange, BOutOfRange, KOutOfRange, DimensionTooSmall,
-            InvalidConfig, OutsideBlochBall, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,7 +31,7 @@ from .errors import (
     NotAState,
     NotSemiSic,
 )
-from .linalg import DEFAULT_TOL, Tolerances, as_hermitian
+from .linalg import TOL_COND, TOL_NORM, TOL_PSD, as_hermitian
 from .model import NOT_SEMI_SIC, Povm, SemiSicParams, VerificationReport, verify
 from .textio import open_text
 
@@ -63,18 +63,18 @@ class DualFrame:
         return self.duals[idx]
 
 
-def dual_basis(povm: Povm, params: SemiSicParams, tol: Tolerances = DEFAULT_TOL) -> DualFrame:
+def dual_basis(povm: Povm, params: SemiSicParams) -> DualFrame:
     """Dual frame of a verified semi-SIC, by one solve of its Gram system.
 
-    params must agree with the POVM: the same d, and params.b within
-    DEFAULT_TOL.tol_cond of the fitted overlap (else NotSemiSic), which for
-    a verified POVM fixes the trace split to params.k small-trace elements.
+    params must agree with a POVM that passes verify() at linalg.TOL_COND:
+    the same d, and params.b within TOL_COND of the fitted overlap (else
+    NotSemiSic), which fixes the trace split to params.k small-trace elements.
     DegenerateCoefficients is raised when a^2 - params.b nearly vanishes at
     params' roots a-, a+ or at the measured class traces, where the closed
     form has no coefficients. Verifies duality Tr[E_x F_y] = delta_xy before
     returning.
     """
-    return _dual_frame(povm, params, verify(povm, tol))
+    return _dual_frame(povm, params, verify(povm))
 
 
 def _dual_frame(povm: Povm, params: SemiSicParams, report: VerificationReport) -> DualFrame:
@@ -89,7 +89,7 @@ def _dual_frame(povm: Povm, params: SemiSicParams, report: VerificationReport) -
     dens = [a * a - params.b for a in traces]
     if min(map(abs, dens)) < _DEGENERACY_GATE:
         raise DegenerateCoefficients(f"dual denominators a^2 - b = {dens} vanish")
-    if abs(params.b - report.fitted_b) > DEFAULT_TOL.tol_cond:
+    if abs(params.b - report.fitted_b) > TOL_COND:
         raise NotSemiSic(f"params have b = {params.b!r}, the POVM fits b = {report.fitted_b!r}")
 
     # G symmetric, so row y of G^-1 E is F_y = sum_x (G^-1)_{xy} E_x
@@ -110,20 +110,20 @@ def _dual_frame(povm: Povm, params: SemiSicParams, report: VerificationReport) -
     )
 
 
-def probabilities(rho, povm: Povm, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def probabilities(rho, povm: Povm) -> np.ndarray:
     """Outcome probabilities p_y = Tr[E_y rho] of a density matrix."""
-    mat = as_hermitian(rho, tol)
+    mat = as_hermitian(rho)
     if mat.shape != (povm.dim, povm.dim):
         raise DimensionMismatch(f"state shape {mat.shape} does not match d = {povm.dim}")
     eigs = np.linalg.eigvalsh(mat)
-    if eigs[0] < -tol.tol_psd:
+    if eigs[0] < -TOL_PSD:
         raise NotAState(f"state has negative eigenvalue {eigs[0]:.3e}")
     tr = float(np.trace(mat).real)
-    if abs(tr - 1.0) > 1e2 * tol.tol_norm:
+    if abs(tr - 1.0) > 1e2 * TOL_NORM:
         raise NotAState(f"state has trace {tr!r}, expected 1")
     p = np.einsum("yij,ji->y", povm.elements, mat).real
     # roundoff can leave tiny negatives on boundary states
-    p[(p < 0) & (p > -tol.tol_psd)] = 0.0
+    p[(p < 0) & (p > -TOL_PSD)] = 0.0
     if np.any(p < 0):
         raise NotAState(f"negative outcome probability {float(p.min()):.3e}")
     return p

@@ -1,13 +1,11 @@
-"""Dense complex linear algebra helpers for small Hermitian operator spaces.
+"""Dense complex linear algebra helpers and the package's numerical gates.
 
-Everything here works on plain numpy arrays; matrices are complex128.
-Tolerances are bundled in a frozen dataclass so call sites can tighten or
-loosen the whole set at once.
+Matrices are complex128 numpy arrays. The TOL_* gates are constants: only
+the classification gate TOL_COND can be changed per call, as verify()'s
+tol_cond, which run_search loosens for its hits.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -17,32 +15,11 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical gates used throughout.
-
-    tol_herm   largest tolerated |A - A^dagger| entry (relative to scale)
-    tol_norm   trace deviations of states (its square root: eig_hermitian's phase cutoff)
-    tol_psd    most negative eigenvalue still counted as PSD
-    tol_rank   relative eigenvalue cutoff when counting rank
-    tol_cond   classification gate on the defining-condition violations
-    """
-
-    tol_herm: float = 1e-12
-    tol_norm: float = 1e-12
-    tol_psd: float = 1e-10
-    tol_rank: float = 1e-10
-    tol_cond: float = 1e-10
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise ValueError(f"{f.name} must be a positive real, got {value!r}")
-
-
-DEFAULT_TOL = Tolerances()
+TOL_HERM = 1e-12  # largest |A - A^dagger| entry, relative to max(1, max |A_ij|)
+TOL_NORM = 1e-12  # a state's trace may miss 1 by 100x this; sqrt: eig_hermitian's cutoff
+TOL_PSD = 1e-10  # most negative eigenvalue or outcome probability counted as zero
+TOL_RANK = 1e-10  # eigenvalue cutoff when counting rank, relative to max(1, max |eig|)
+TOL_COND = 1e-10  # classification gate on the defining-condition violations
 
 
 def as_matrix(a) -> np.ndarray:
@@ -55,29 +32,29 @@ def as_matrix(a) -> np.ndarray:
     return mat
 
 
-def as_hermitian(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def as_hermitian(a) -> np.ndarray:
     """Coerce to a Hermitian matrix, raising if A deviates from A^dagger."""
     mat = as_matrix(a)
     scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 1.0)
     dev = float(np.max(np.abs(mat - mat.conj().T)))
-    if dev > tol.tol_herm * scale:
+    if dev > TOL_HERM * scale:
         raise ValueError(f"matrix is not Hermitian within tolerance (deviation {dev:.3e})")
     return mat
 
 
-def eig_hermitian(a, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors (columns) of a Hermitian matrix.
 
     Each eigenvector is phase-fixed so its first non-negligible amplitude is
     real and positive, which makes results comparable across runs.
     """
-    mat = as_hermitian(a, tol)
+    mat = as_hermitian(a)
     try:
         vals, vecs = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
     vecs = vecs.copy()
-    cutoff = np.sqrt(tol.tol_norm)
+    cutoff = np.sqrt(TOL_NORM)
     for j in range(vecs.shape[1]):
         col = vecs[:, j]
         idx = np.flatnonzero(np.abs(col) > cutoff)

@@ -27,7 +27,7 @@ from .errors import (
     KOutOfRange,
     MalformedPovm,
 )
-from .linalg import DEFAULT_TOL, Tolerances
+from .linalg import TOL_COND, TOL_RANK
 
 # Classification labels used by verify() and the CLI.
 SIC = "SIC"
@@ -148,22 +148,23 @@ class SemiSicParams:
         """Bundle for overlap b and split k.
 
         Where (d, k) pins the overlap (every k for d >= 3, k = d^2 in any d)
-        the closed form is stored; b must lie within DEFAULT_TOL.tol_cond of
-        it, else KOutOfRange. Otherwise b itself is used (the qubit family),
-        except that a qubit b at most tol_cond above the double root 1/12
-        (where a fitted b of a near-SIC member can land) is that root.
+        the closed form is stored; b must lie within linalg.TOL_COND of it,
+        else KOutOfRange. Otherwise b itself is used (the qubit family),
+        except that a qubit b at most TOL_COND above the double root 1/12
+        (where a fitted b of a near-SIC member can land) is that root, even
+        for a b that verify() fitted under a looser tol_cond.
         """
         b = float(b)
         if k == d * d:
             pinned = 1.0 / (d * d * (d + 1))
         elif d >= 3:
             pinned = b_from_k(d, k)
-        elif d == 2 and 1.0 / 12.0 < b <= 1.0 / 12.0 + DEFAULT_TOL.tol_cond:
+        elif d == 2 and 1.0 / 12.0 < b <= 1.0 / 12.0 + TOL_COND:
             pinned = 1.0 / 12.0  # the double root 1/(4(d^2 - 1))
         else:
             pinned = None
         if pinned is not None:
-            if not abs(b - pinned) <= DEFAULT_TOL.tol_cond:
+            if not abs(b - pinned) <= TOL_COND:
                 raise KOutOfRange(
                     f"b = {b!r} does not match the overlap {pinned!r} pinned by "
                     f"(d, k) = ({d}, {k})"
@@ -259,7 +260,7 @@ class VerificationReport:
     max_violation: float
 
 
-def verify(povm: Povm, tol: Tolerances = DEFAULT_TOL) -> VerificationReport:
+def verify(povm: Povm, tol_cond: float = TOL_COND) -> VerificationReport:
     """Measure how far a POVM is from the defining semi-SIC conditions.
 
     Checks rank-one elements and informational completeness (the elements
@@ -270,8 +271,8 @@ def verify(povm: Povm, tol: Tolerances = DEFAULT_TOL) -> VerificationReport:
     a < 1/2 sit on the small root; when all traces agree within tol_cond
     there is one class, the SIC with k = d^2. The largest deviation is
     max_violation: at most tol_cond means SIC (one trace class) or
-    StrictSemiSIC (two), anything more NotSemiSIC. Structural soundness is
-    the Povm constructor's job and is not re-checked here.
+    StrictSemiSIC (two), anything more NotSemiSIC; the other gates are fixed
+    linalg constants. Structural soundness is the Povm constructor's job.
     """
     if not isinstance(povm, Povm):
         raise MalformedPovm(f"expected a Povm, got {type(povm).__name__}")
@@ -292,18 +293,18 @@ def verify(povm: Povm, tol: Tolerances = DEFAULT_TOL) -> VerificationReport:
     eig_stack = np.linalg.eigvalsh(stack)
     psd_dev = float(max(0.0, -np.min(eig_stack)))
     scale = np.maximum(1.0, np.max(np.abs(eig_stack), axis=1))
-    ranks = (np.abs(eig_stack) > tol.tol_rank * scale[:, None]).sum(axis=1)
+    ranks = (np.abs(eig_stack) > TOL_RANK * scale[:, None]).sum(axis=1)
     all_rank_one = bool(np.all(ranks == 1))
 
     gram_eigs = np.linalg.eigvalsh(gram)
     ic_scale = max(1.0, float(np.max(np.abs(gram_eigs))))
-    is_ic = bool(np.min(gram_eigs) > tol.tol_rank * ic_scale)
+    is_ic = bool(np.min(gram_eigs) > TOL_RANK * ic_scale)
 
     traces = povm.traces()
     trace_dev = float(np.max(np.abs(traces * traces - traces + (n - 1) * fitted_b)))
     small = traces < 0.5
     k = int(np.count_nonzero(small))
-    if k in (0, n) or float(np.ptp(traces)) <= tol.tol_cond:
+    if k in (0, n) or float(np.ptp(traces)) <= tol_cond:
         # one trace class: the constant-trace (SIC) convention is k = d^2
         k = n
         classes = ((float(traces.mean()), n),)
@@ -311,9 +312,9 @@ def verify(povm: Povm, tol: Tolerances = DEFAULT_TOL) -> VerificationReport:
         classes = ((float(traces[small].mean()), k), (float(traces[~small].mean()), n - k))
 
     max_violation = max(equi_dev, comp_dev, psd_dev, imag_dev, trace_dev)
-    equiangular = equi_dev <= tol.tol_cond
+    equiangular = equi_dev <= tol_cond
 
-    if is_ic and all_rank_one and max_violation <= tol.tol_cond:
+    if is_ic and all_rank_one and max_violation <= tol_cond:
         classification = SIC if len(classes) == 1 else STRICT_SEMI_SIC
     else:
         classification = NOT_SEMI_SIC

@@ -34,7 +34,7 @@ from .errors import (
     KOutOfRange,
     NotQubitSemiSic,
 )
-from .linalg import DEFAULT_TOL, Tolerances, eig_hermitian
+from .linalg import eig_hermitian
 from .model import NOT_SEMI_SIC, Povm, SemiSicParams, trace_values, verify
 
 B_MIN = 1.0 / 16.0   # open: the family degenerates here
@@ -113,9 +113,7 @@ def _completion_unitary(ket: np.ndarray) -> np.ndarray:
     return np.array([[a.conjugate(), c.conjugate()], [-c, a]], dtype=complex)
 
 
-def canonicalize(
-    povm: Povm, tol: Tolerances = DEFAULT_TOL
-) -> tuple[np.ndarray, Povm, float]:
+def canonicalize(povm: Povm) -> tuple[np.ndarray, Povm, float]:
     """Rotate and reorder a verified qubit semi-SIC into the family form.
 
     Returns (u, canonical, b) where canonical is the reordered, rotated
@@ -130,7 +128,7 @@ def canonicalize(
     """
     if not isinstance(povm, Povm) or povm.dim != 2:
         raise NotQubitSemiSic("canonicalization is defined for qubit POVMs only")
-    report = verify(povm, tol)
+    report = verify(povm)
     if report.classification == NOT_SEMI_SIC:
         raise NotQubitSemiSic(
             f"verification failed (max violation {report.max_violation:.3e})"
@@ -153,7 +151,7 @@ def canonicalize(
 
     for i1, i2 in pairs:
         rest = [x for x in range(4) if x not in (i1, i2)]
-        _, vecs = eig_hermitian(povm[i1], tol)
+        _, vecs = eig_hermitian(povm[i1])
         w1 = _completion_unitary(vecs[:, -1])
         z = (w1 @ povm[i2] @ w1.conj().T)[0, 1]
         if abs(z) < 1e-14:

@@ -32,11 +32,17 @@ import numpy as np
 
 from .errors import DimensionTooSmall, InvalidConfig, KOutOfRange
 from .documents import povm_document
-from .linalg import Tolerances
+from .linalg import TOL_COND
 from .model import Povm, SemiSicParams, b_from_k, verify
 from .textio import write_json
 
 STOP_REASONS = ("goal", "cap", "no_descent", "zero_gradient")
+# Configs are refused (InvalidConfig, CLI exit 2) before anything is allocated when the
+# line search's (restarts, 3, d^2, d^2) Grams or gradient_check's (_CHECK_CHUNK, d^2, d^2)
+# would exceed this many complex entries (64 MB); d <= 19 is admitted.
+MAX_SEARCH_ENTRIES = 2**22
+_PENALTY_WEIGHT = 10.0  # w of the objective
+_INITIAL_STEP = 1e-2  # first probe step, divided by 1 + |gradient|
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
 _TRACE_POINTS = 200
@@ -51,7 +57,8 @@ _LINE_FIT = np.linalg.inv(_LINE_S[:, None] ** np.arange(2, 5))
 class SearchConfig:
     """Validated search parameters. b is resolved at construction:
     derived from (d, k) when d >= 3, required for d = 2 (except k = 4,
-    which defaults to the SIC point 1/12)."""
+    which defaults to the SIC point 1/12). Configs over MAX_SEARCH_ENTRIES
+    are refused."""
 
     d: int
     k: int
@@ -59,8 +66,6 @@ class SearchConfig:
     restarts: int = 20
     max_iterations: int = 2000
     seed: int = 0
-    initial_step: float = 1e-2
-    penalty_weight: float = 10.0
     residual_goal: float = 1e-12
 
     def __post_init__(self) -> None:
@@ -70,16 +75,16 @@ class SearchConfig:
             raise InvalidConfig(f"k must be an integer, got {self.k!r}")
         if not isinstance(self.restarts, int) or self.restarts < 1:
             raise InvalidConfig(f"restarts must be a positive integer, got {self.restarts!r}")
+        entries = max(3 * self.restarts, _CHECK_CHUNK) * self.d**4
+        if entries > MAX_SEARCH_ENTRIES:
+            raise InvalidConfig(f"d = {self.d} with {self.restarts} restarts needs {entries} "
+                                f"stacked entries, over the cap {MAX_SEARCH_ENTRIES}")
         if not isinstance(self.max_iterations, int) or self.max_iterations < 1:
             raise InvalidConfig(
                 f"max_iterations must be a positive integer, got {self.max_iterations!r}"
             )
         if not isinstance(self.seed, int) or not (0 <= self.seed < 2**64):
             raise InvalidConfig(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not (isinstance(self.initial_step, (int, float)) and self.initial_step > 0):
-            raise InvalidConfig(f"initial_step must be positive, got {self.initial_step!r}")
-        if not (isinstance(self.penalty_weight, (int, float)) and self.penalty_weight > 0):
-            raise InvalidConfig(f"penalty_weight must be positive, got {self.penalty_weight!r}")
         if not (isinstance(self.residual_goal, (int, float)) and self.residual_goal > 0):
             raise InvalidConfig(f"residual_goal must be positive, got {self.residual_goal!r}")
         object.__setattr__(self, "b", self._resolve_b())
@@ -190,7 +195,7 @@ def _gradient(rows: np.ndarray, b: float, w: float) -> np.ndarray:
 
 
 def objective(vectors, d: int, k: int, b: float | None = None,
-              penalty_weight: float = 10.0) -> float:
+              penalty_weight: float = _PENALTY_WEIGHT) -> float:
     """Penalized equiangularity objective at the given vectors.
 
     Pass b=None to derive the target overlap from (d, k) (d >= 3 only).
@@ -201,7 +206,7 @@ def objective(vectors, d: int, k: int, b: float | None = None,
 
 
 def gradient(vectors, d: int, k: int, b: float | None = None,
-             penalty_weight: float = 10.0) -> np.ndarray:
+             penalty_weight: float = _PENALTY_WEIGHT) -> np.ndarray:
     """Gradient of objective() with respect to the stacked vectors."""
     rows = _coerce_vectors(vectors, d)
     b = b_from_k(d, k) if b is None else float(b)
@@ -264,7 +269,7 @@ def _descend_batch(rows, b, w, cfg: SearchConfig):
     f, grad = _objective(rows, b, w), _gradient(rows, b, w)
     gnorm2 = _sum2(np.abs(grad) ** 2)
     direction = grad.copy()
-    h = cfg.initial_step / (1.0 + np.sqrt(gnorm2))
+    h = _INITIAL_STEP / (1.0 + np.sqrt(gnorm2))
     traces = [[(0, float(v))] for v in f]
 
     def retire(stop):
@@ -334,7 +339,7 @@ def _initial_vectors(rng: np.random.Generator, d: int) -> np.ndarray:
     return rows * np.sqrt(d / np.sum(np.abs(rows) ** 2))
 
 
-def gradient_check(d: int, b: float, penalty_weight: float = 10.0,
+def gradient_check(d: int, b: float, penalty_weight: float = _PENALTY_WEIGHT,
                    seed: int = 0, points: int = 5, step: float = 1e-6) -> float:
     """Max relative error of the analytic gradient against central differences,
     over a few seeded random vector stacks. The 4 d^3 perturbed stacks of a
@@ -365,12 +370,13 @@ def run_search(config: SearchConfig) -> SearchReport:
     All restarts run as one batch, and restart i's result does not depend
     on it. Deterministic for a fixed config (restart i draws from a child of
     the seed). The report's best_povm is populated only when the best
-    residual beats config.residual_goal; it is then verified with tolerances
-    scaled to the residual and the observed classification is echoed.
+    residual beats config.residual_goal; it is then verified with tol_cond
+    loosened to max(TOL_COND, 100 sqrt(residual)) and the observed
+    classification is echoed.
     """
     if not isinstance(config, SearchConfig):
         raise InvalidConfig(f"expected a SearchConfig, got {type(config).__name__}")
-    b, w = float(config.b), float(config.penalty_weight)
+    b, w = float(config.b), _PENALTY_WEIGHT
     rows0 = np.stack([_initial_vectors(_restart_rng(config.seed, i), config.d)
                       for i in range(config.restarts)])
     rows, f, iterations, traces, reasons = _descend_batch(rows0, b, w, config)
@@ -385,11 +391,8 @@ def run_search(config: SearchConfig) -> SearchReport:
     best_povm = classification = observed_k = None
     if best_f < config.residual_goal:
         best_povm = Povm.from_vectors(rows[best])
-        noise = float(np.sqrt(best_f))
-        loose = Tolerances(tol_cond=max(1e-10, 1e2 * noise))
-        report = verify(best_povm, loose)
-        classification = report.classification
-        observed_k = report.k
+        report = verify(best_povm, tol_cond=max(TOL_COND, 1e2 * float(np.sqrt(best_f))))
+        classification, observed_k = report.classification, report.k
 
     return SearchReport(
         config=config,

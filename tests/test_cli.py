@@ -2,6 +2,8 @@
 
 import argparse
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +188,26 @@ def test_search_summary_counts_stop_reasons(capsys):
 def test_search_rejects_inadmissible_counts(capsys):
     rc, _, err = run(capsys, "search", "--d", "3", "--k", "6")
     assert rc == 2 and "error:" in err
+
+
+def test_search_refuses_removed_flags_and_oversized_runs(capsys):
+    for extra in (["--penalty-weight", "5"], ["--initial-step", "0.1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["search", "--d", "2", "--k", "4", *extra])
+        assert exc.value.code == 2
+    for argv in (["--d", "2", "--k", "4", "--restarts", "1000000"], ["--d", "20", "--k", "400"]):
+        rc, _, err = run(capsys, "search", *argv)
+        assert rc == 2 and "over the cap" in err
+
+
+def test_readme_examples_run_in_order(tmp_path, capsys, monkeypatch):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    commands = [shlex.split(line)[1:] for line in readme.read_text().splitlines()
+                if line.startswith("semisic ")]
+    assert len(commands) >= 9
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert run(capsys, *argv)[0] == 0, argv
 
 
 def test_spectrum_table(capsys):

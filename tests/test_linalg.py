@@ -8,7 +8,6 @@ from semisic.linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    Tolerances,
     as_hermitian,
     eig_hermitian,
     pauli_compose,
@@ -18,15 +17,6 @@ from semisic.linalg import (
 def random_hermitian(rng, d):
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return 0.5 * (z + z.conj().T)
-
-
-def test_tolerances_reject_nonpositive_entries():
-    with pytest.raises(ValueError):
-        Tolerances(tol_norm=0.0)
-    with pytest.raises(ValueError):
-        Tolerances(tol_psd=-1e-9)
-    with pytest.raises(ValueError):
-        Tolerances(tol_herm="tight")
 
 
 def test_as_hermitian_accepts_and_rejects():

@@ -15,7 +15,7 @@ from semisic.errors import (
     KOutOfRange,
     MalformedPovm,
 )
-from semisic.linalg import DEFAULT_TOL
+from semisic.linalg import TOL_COND
 from semisic.model import (
     NOT_SEMI_SIC,
     SIC,
@@ -35,7 +35,7 @@ from semisic.qubit import construct, family_kets, family_point
 # largest entry is at most tol_cond / 10. b = None stands for the Hesse SIC.
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 SEEDS = st.integers(0, 2**32 - 1)
-NOISE = st.floats(0.0, DEFAULT_TOL.tol_cond / 10.0)
+NOISE = st.floats(0.0, TOL_COND / 10.0)
 MEMBERS = st.one_of(st.just(1.0 / 12.0), st.floats(1.0 / 16.0, 1.0 / 12.0, exclude_min=True),
                     st.just(None))
 # The parameter set's divisors a^2 - b vanish at b = 1/16, where the dual
@@ -217,6 +217,20 @@ def test_verify_flags_perturbation():
     assert report.classification == NOT_SEMI_SIC
     # the reported violation tracks the size of the injected defect
     assert 5e-4 < report.max_violation < 5e-3
+
+
+def test_verify_classifies_at_the_given_gate():
+    # the b = 0.07 member with its first vector lengthened by 1e-9: trace 0.3 -> 0.3 + 6e-10
+    point = family_point(0.07)
+    weights = np.array([point.params.a_minus] * 2 + [point.params.a_plus] * 2)
+    rows = np.sqrt(weights)[:, None] * family_kets(point)
+    rows[0] *= 1.0 + 1e-9
+    povm = Povm.from_vectors(rows)
+    report = verify(povm)
+    assert report.classification == NOT_SEMI_SIC
+    assert report.max_violation == pytest.approx(6e-10, rel=0.05)
+    loose = verify(povm, tol_cond=1e-6)
+    assert (loose.classification, loose.k) == (STRICT_SEMI_SIC, 2)
 
 
 def test_verify_rejects_full_rank_elements():

@@ -4,7 +4,8 @@ import semisic
 from semisic import errors, linalg, search
 
 DELETED = {
-    linalg: ("as_ket", "hs_inner", "outer", "is_psd", "rank", "pauli_decompose"),
+    linalg: ("as_ket", "hs_inner", "outer", "is_psd", "rank", "pauli_decompose",
+             "Tolerances", "DEFAULT_TOL"),
     errors: ("NotNormalized", "NonNegligibleImaginaryPart"),
     search: ("STEP_POLICIES",),
 }
@@ -16,4 +17,5 @@ def test_exports_exist_and_deleted_names_stay_gone():
         for name in names:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
             assert not hasattr(semisic, name) and name not in semisic.__all__
-    assert "step_policy" not in search.SearchConfig.__dataclass_fields__
+    for field in ("step_policy", "initial_step", "penalty_weight"):
+        assert field not in search.SearchConfig.__dataclass_fields__

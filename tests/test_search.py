@@ -63,13 +63,19 @@ def test_config_qubit_rules():
         {"max_iterations": 0},
         {"residual_goal": 0.0},
         {"seed": -1},
-        {"penalty_weight": 0.0},
-        {"initial_step": -1e-3},
     ],
 )
 def test_config_rejects_bad_scalars(kwargs):
     with pytest.raises(InvalidConfig):
         SearchConfig(d=2, k=4, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [{"d": 20, "k": 400}, {"d": 2, "k": 4, "restarts": 10**6}])
+def test_config_refuses_searches_over_the_entry_cap(kwargs):
+    with pytest.raises(InvalidConfig, match="over the cap"):
+        SearchConfig(**kwargs)
+    # the largest admitted dimension still passes
+    assert SearchConfig(d=19, k=361, restarts=10).d == 19
 
 
 def test_objective_vanishes_on_exact_solution():
@@ -124,9 +130,9 @@ def test_batched_restarts_match_running_alone(d, k, b):
     stack = np.stack([search._initial_vectors(search._restart_rng(cfg.seed, i), d)
                       for i in range(cfg.restarts)])
     rows, f, iterations, traces, reasons = search._descend_batch(
-        stack, cfg.b, cfg.penalty_weight, cfg)
+        stack, cfg.b, search._PENALTY_WEIGHT, cfg)
     for i in range(cfg.restarts):
-        alone = search._descend_batch(stack[i:i + 1], cfg.b, cfg.penalty_weight, cfg)
+        alone = search._descend_batch(stack[i:i + 1], cfg.b, search._PENALTY_WEIGHT, cfg)
         assert alone[1][0] == f[i]
         assert alone[2][0] == iterations[i]
         assert np.array_equal(alone[0][0], rows[i])
