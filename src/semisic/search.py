@@ -18,6 +18,12 @@ objective trace is monotone. A final polar projection of each restart's
 endpoint (SVD retraction onto exact completeness) is kept when it improves
 the objective.
 
+One iteration evaluates, for all live restarts at once: f at the three line
+samples (one stacked call), f and the gradient at the model step (one Gram
+per restart; the gradient is kept when the step is accepted), and, for the
+restarts whose model step does not lower f, Armijo trials in ladders of
+three halvings per stacked call, then the gradient at the accepted point.
+
 For d >= 3 the target overlap is pinned by (d, k); for d = 2 it is supplied
 (the k = 4 SIC point is the default there). Residuals comfortably below
 1e-12 are reached for d = 2 and for the d = 3, k = 9 case; k in {7, 8}
@@ -37,16 +43,21 @@ from .model import Povm, SemiSicParams, b_from_k, verify
 from .textio import write_json
 
 STOP_REASONS = ("goal", "cap", "no_descent", "zero_gradient")
-# Configs are refused (InvalidConfig, CLI exit 2) before anything is allocated when the
-# line search's (restarts, 3, d^2, d^2) Grams or gradient_check's (_CHECK_CHUNK, d^2, d^2)
-# would exceed this many complex entries (64 MB); d <= 19 is admitted.
+_GOAL, _CAP, _NO_DESCENT, _ZERO_GRADIENT = range(len(STOP_REASONS))
+# Configs are refused (InvalidConfig, CLI exit 2) before anything is allocated when
+# max(3 restarts, 32) stacks of (d^2, d^2) would exceed this many complex entries (64 MB);
+# d <= 19 is admitted. The line samples and each Armijo ladder stack (restarts, 3, d^2,
+# d^2) Grams; gradient_check's calls stack at most max(2^13, d^4) entries, within the
+# 32-stack floor from d = 4 on and far below the cap under it.
 MAX_SEARCH_ENTRIES = 2**22
 _PENALTY_WEIGHT = 10.0  # w of the objective
 _INITIAL_STEP = 1e-2  # first probe step, divided by 1 + |gradient|
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
+_LADDER = 3  # Armijo trials per stacked call: (restarts, 3, d^2, d^2) Grams, as the line samples
+_HALVINGS = 0.5 ** np.arange(_MAX_HALVINGS)  # exact, so trials equal repeated halving
 _TRACE_POINTS = 200
-_CHECK_CHUNK = 32  # perturbed stacks per objective call in gradient_check
+_CHECK_ENTRIES = 2**13  # Gram entries per objective call in gradient_check
 # In units of the probe step h the line samples sit at s = 1, 2, 4, so the
 # quartic model's coefficients of s^2, s^3, s^4 solve one fixed system.
 _LINE_S = np.array([1.0, 2.0, 4.0])
@@ -75,7 +86,7 @@ class SearchConfig:
             raise InvalidConfig(f"k must be an integer, got {self.k!r}")
         if not isinstance(self.restarts, int) or self.restarts < 1:
             raise InvalidConfig(f"restarts must be a positive integer, got {self.restarts!r}")
-        entries = max(3 * self.restarts, _CHECK_CHUNK) * self.d**4
+        entries = max(3 * self.restarts, 32) * self.d**4
         if entries > MAX_SEARCH_ENTRIES:
             raise InvalidConfig(f"d = {self.d} with {self.restarts} restarts needs {entries} "
                                 f"stacked entries, over the cap {MAX_SEARCH_ENTRIES}")
@@ -85,8 +96,9 @@ class SearchConfig:
             )
         if not isinstance(self.seed, int) or not (0 <= self.seed < 2**64):
             raise InvalidConfig(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not (isinstance(self.residual_goal, (int, float)) and self.residual_goal > 0):
-            raise InvalidConfig(f"residual_goal must be positive, got {self.residual_goal!r}")
+        goal = self.residual_goal
+        if not (isinstance(goal, (int, float)) and np.isfinite(goal) and goal > 0):
+            raise InvalidConfig(f"residual_goal must be positive and finite, got {goal!r}")
         object.__setattr__(self, "b", self._resolve_b())
 
     def _resolve_b(self) -> float:
@@ -186,12 +198,18 @@ def _objective(rows: np.ndarray, b: float, w: float) -> np.ndarray:
     return _sum2(dev * dev) + w * _sum2(np.abs(delta) ** 2)
 
 
-def _gradient(rows: np.ndarray, b: float, w: float) -> np.ndarray:
+def _value_and_gradient(rows: np.ndarray, b: float, w: float):
+    """_objective and _gradient of a stack from one Gram per matrix."""
+    gram, dev, delta = _parts(rows, b)
+    value = _sum2(dev * dev) + w * _sum2(np.abs(delta) ** 2)
     # Wirtinger gradient scaled so real/imag parts match the real-coordinate
     # partial derivatives (checked against finite differences in the tests)
-    gram, dev, delta = _parts(rows, b)
-    return (8.0 * (dev * gram.swapaxes(-1, -2)) @ rows
-            + 4.0 * w * rows @ delta.conj())
+    grad = 8.0 * (dev * gram.swapaxes(-1, -2)) @ rows + 4.0 * w * rows @ delta.conj()
+    return value, grad
+
+
+def _gradient(rows: np.ndarray, b: float, w: float) -> np.ndarray:
+    return _value_and_gradient(rows, b, w)[1]
 
 
 def objective(vectors, d: int, k: int, b: float | None = None,
@@ -227,34 +245,44 @@ def _model_steps(rows, direction, f0, dphi0, b, w, h):
     vals = _objective(rows[:, None] - ts[..., None, None] * direction[:, None], b, w)
     rhs = vals - f0 - dphi0[:, None] * ts
     # coefficients in units of h (c_k h^k), the inverse applied row by row
-    c2, c3, c4 = np.split(np.sum(rhs[:, None, :] * _LINE_FIT, axis=-1), 3, axis=-1)
+    coef = np.sum(rhs[:, None, :] * _LINE_FIT, axis=-1)
+    c2, c3, c4 = coef[:, 0:1], coef[:, 1:2], coef[:, 2:3]
     slope = dphi0[:, None] * h
-    companion = np.repeat(np.eye(3, k=-1)[None], len(h), axis=0)
+    # companion matrix of the model's derivative x^3 + (3 c3 x^2 + 2 c2 x + slope) / (4 c4)
+    companion = np.zeros((len(h), 3, 3))
+    companion[:, (1, 2), (0, 1)] = 1.0
+    top = companion[:, 0]
+    top[:, :2], top[:, 2:] = coef[:, 1::-1] * (3.0, 2.0), slope
     with np.errstate(all="ignore"):
-        companion[:, 0] = -np.concatenate([3.0 * c3, 2.0 * c2, slope], axis=-1) / (4.0 * c4)
-    fit = (c4 != 0.0) & np.all(np.isfinite(companion[:, 0]), axis=-1, keepdims=True)
-    s = np.linalg.eigvals(np.where(fit[..., None], companion, 0.0))
+        top /= -4.0 * c4
+    fit = (c4[:, 0] != 0.0) & np.isfinite(top).all(axis=-1)
+    if not fit.all():
+        companion[~fit] = 0.0
+    s = np.linalg.eigvals(companion)
     t, x = s.real * h, s.real
     model = f0 + x * (slope + x * (c2 + x * (c3 + x * c4)))
-    model[(np.abs(s.imag) * h >= 1e-12 * (1.0 + np.abs(t))) | (t <= 0.0) | ~fit] = np.inf
+    model[(np.abs(s.imag) * h >= 1e-12 * (1.0 + np.abs(t))) | (t <= 0.0) | ~fit[:, None]] = np.inf
     pick = np.arange(len(h)), np.argmin(model, axis=-1)
     return np.where(model[pick] < f0[:, 0], t[pick], np.nan)
 
 
 def _armijo_steps(rows, grad, f, gnorm2, b, w, step):
-    """Masked halvings along -grad: per restart, the first of step, step/2, ...
-    (at most _MAX_HALVINGS trials) that meets the Armijo condition, and the
-    objective there; NaN where no trial does."""
-    trial, fc, pending = step.copy(), np.full(len(f), np.nan), np.arange(len(f))
-    for _ in range(_MAX_HALVINGS):
-        values = _objective(rows[pending] - trial[pending, None, None] * grad[pending], b, w)
-        ok = values <= f[pending] - _ARMIJO * trial[pending] * gnorm2[pending]
-        fc[pending[ok]] = values[ok]
-        pending = pending[~ok]
+    """Halvings along -grad: per restart, the first of step, step/2, ... (at
+    most _MAX_HALVINGS trials) that meets the Armijo condition, and the
+    objective there; NaN where no trial does. The trials go in ladders of
+    _LADDER halvings, one stacked objective call per ladder."""
+    trial, fc, pending = np.full(len(f), np.nan), np.full(len(f), np.nan), np.arange(len(f))
+    for m in range(0, _MAX_HALVINGS, _LADDER):
+        steps = step[pending, None] * _HALVINGS[m:m + _LADDER]
+        values = _objective(rows[pending, None] - steps[..., None, None] * grad[pending, None],
+                            b, w)
+        ok = values <= f[pending, None] - _ARMIJO * steps * gnorm2[pending, None]
+        hit = ok.any(axis=1)
+        first = hit.nonzero()[0], ok[hit].argmax(axis=1)
+        trial[pending[hit]], fc[pending[hit]] = steps[first], values[first]
+        pending = pending[~hit]
         if not pending.size:
             break
-        trial[pending] *= 0.5
-    trial[pending] = np.nan
     return trial, fc
 
 
@@ -263,17 +291,18 @@ def _descend_batch(rows, b, w, cfg: SearchConfig):
     depend on the rest. Returns per restart the final rows and objective, the
     accepted iterations, the objective trace and the stop reason."""
     rows, out_rows, out_f = rows.copy(), np.empty_like(rows), np.empty(len(rows))
-    done, reasons = np.zeros(len(rows), dtype=int), np.full(len(rows), "", dtype=object)
+    done, reasons = np.zeros(len(rows), dtype=int), np.empty(len(rows), dtype=int)
     stride = max(1, cfg.max_iterations // _TRACE_POINTS)
     live = np.arange(len(rows))
-    f, grad = _objective(rows, b, w), _gradient(rows, b, w)
+    f, grad = _value_and_gradient(rows, b, w)
     gnorm2 = _sum2(np.abs(grad) ** 2)
     direction = grad.copy()
     h = _INITIAL_STEP / (1.0 + np.sqrt(gnorm2))
     traces = [[(0, float(v))] for v in f]
 
     def retire(stop):
-        state, mask = (live, rows, f, grad, direction, gnorm2, h), stop != ""
+        """Stop codes index STOP_REASONS; -1 keeps a restart live."""
+        state, mask = (live, rows, f, grad, direction, gnorm2, h), stop >= 0
         if not mask.any():
             return state
         gone = live[mask]
@@ -288,10 +317,12 @@ def _descend_batch(rows, b, w, cfg: SearchConfig):
         t = _model_steps(rows, direction, f, dphi0, b, w, h)
         j = np.flatnonzero(~np.isnan(t))
         candidate = rows[j] - t[j, None, None] * direction[j]
-        fc = _objective(candidate, b, w)
+        fc, gc = _value_and_gradient(candidate, b, w)
         lower = fc < f[j]
         j = j[lower]
         rows[j], f[j], h[j] = candidate[lower], fc[lower], np.maximum(t[j], 1e-12)
+        new_grad = np.zeros_like(grad)  # stays zero for stalled restarts, which retire
+        new_grad[j] = gc[lower]
         accepted[j] = True
         stalled = np.zeros(live.size, dtype=bool)
         j = np.flatnonzero(~accepted)
@@ -301,26 +332,26 @@ def _descend_batch(rows, b, w, cfg: SearchConfig):
             t, fc, j = t[~stalled[j]], fc[~stalled[j]], j[~stalled[j]]
             rows[j], f[j], h[j] = rows[j] - t[:, None, None] * grad[j], fc, t
             direction[j] = grad[j]
+            new_grad[j] = _gradient(rows[j], b, w)
         done[live[~stalled]] = it + 1
         if (it + 1) % stride == 0:
             for i in np.flatnonzero(~stalled):
                 traces[live[i]].append((it + 1, float(f[i])))
-        new_grad = _gradient(rows, b, w)
         # Polak-Ribiere+ conjugate update (first-order momentum)
         beta = np.maximum(0.0, _sum2((new_grad.conj() * (new_grad - grad)).real) / gnorm2)
         direction = new_grad + beta[:, None, None] * direction
         grad = new_grad
         gnorm2 = _sum2(np.abs(grad) ** 2)
-        stop = np.where(stalled, "no_descent", np.where(
-            f < cfg.residual_goal * 1e-3, "goal", np.where(gnorm2 == 0.0, "zero_gradient", "")))
+        stop = np.where(stalled, _NO_DESCENT, np.where(
+            f < cfg.residual_goal * 1e-3, _GOAL, np.where(gnorm2 == 0.0, _ZERO_GRADIENT, -1)))
         live, rows, f, grad, direction, gnorm2, h = retire(stop)
         if not live.size:
             break
-    retire(np.full(live.size, "cap"))
+    retire(np.full(live.size, _CAP))
     for i, trace in enumerate(traces):
         if trace[-1][0] != done[i]:
             trace.append((int(done[i]), float(out_f[i])))
-    return out_rows, out_f, done, traces, [str(r) for r in reasons]
+    return out_rows, out_f, done, traces, [STOP_REASONS[r] for r in reasons]
 
 
 def _polar_project(rows: np.ndarray) -> np.ndarray:
@@ -342,26 +373,29 @@ def _initial_vectors(rng: np.random.Generator, d: int) -> np.ndarray:
 def gradient_check(d: int, b: float, penalty_weight: float = _PENALTY_WEIGHT,
                    seed: int = 0, points: int = 5, step: float = 1e-6) -> float:
     """Max relative error of the analytic gradient against central differences,
-    over a few seeded random vector stacks. The 4 d^3 perturbed stacks of a
-    point go through stacked objective calls of at most _CHECK_CHUNK stacks."""
-    # perturbation 4e + j shifts entry e by step * (1, -1, i, -i)[j]
-    shifts = step * np.array([1.0, -1.0, 1.0j, -1.0j])
-    worst = 0.0
-    for p in range(points):
-        seq = np.random.SeedSequence(entropy=seed, spawn_key=(0x67726164, p))
-        rows = _initial_vectors(np.random.default_rng(seq), d)
-        values = np.empty(4 * rows.size)
-        for start in range(0, values.size, _CHECK_CHUNK):
-            index = np.arange(start, min(start + _CHECK_CHUNK, values.size))
-            stack = np.repeat(rows.reshape(1, -1), index.size, axis=0)
-            stack[np.arange(index.size), index // 4] += shifts[index % 4]
-            values[index] = _objective(stack.reshape((-1,) + rows.shape), b, penalty_weight)
-        diff = (values[0::2] - values[1::2]) / (2.0 * step)
-        numeric = (diff[0::2] + 1j * diff[1::2]).reshape(rows.shape)
-        scale = max(1.0, float(np.max(np.abs(numeric))))
-        error = np.abs(_gradient(rows, b, penalty_weight) - numeric)
-        worst = max(worst, float(np.max(error)) / scale)
-    return worst
+    over a few seeded random vector stacks (points). The 4 d^3 perturbed
+    stacks of every point go through stacked objective calls of at most
+    max(1, _CHECK_ENTRIES // d^4) stacks, and the analytic gradients of all
+    points are one stacked call."""
+    base = np.stack([_initial_vectors(np.random.default_rng(np.random.SeedSequence(
+        entropy=seed, spawn_key=(0x67726164, p))), d) for p in range(points)])
+    flat = base.reshape(points, -1)
+    # perturbation 4e + j of a point shifts its entry e by step * (1, -1, i, -i)[j]
+    index = np.arange(4 * base.size)
+    point, entry = np.divmod(index // 4, flat.shape[1])
+    shift = (step * np.array([1.0, -1.0, 1.0j, -1.0j]))[index % 4]
+    chunk = max(1, _CHECK_ENTRIES // d**4)
+    values = np.empty(index.size)
+    for start in range(0, index.size, chunk):
+        part = slice(start, start + chunk)
+        stack = flat[point[part]]
+        stack[np.arange(len(stack)), entry[part]] += shift[part]
+        values[part] = _objective(stack.reshape((-1,) + base.shape[1:]), b, penalty_weight)
+    diff = (values[0::2] - values[1::2]) / (2.0 * step)
+    numeric = (diff[0::2] + 1j * diff[1::2]).reshape(base.shape)
+    scale = np.maximum(1.0, np.abs(numeric).max(axis=(1, 2)))
+    error = np.abs(_gradient(base, b, penalty_weight) - numeric).max(axis=(1, 2))
+    return float(np.max(error / scale))
 
 
 def run_search(config: SearchConfig) -> SearchReport:

@@ -3,7 +3,7 @@
 import numpy as np
 
 from semisic.model import Povm, SemiSicParams
-from semisic.search import _gradient, _initial_vectors, _objective
+from semisic.search import _ARMIJO, _MAX_HALVINGS, _gradient, _initial_vectors, _objective
 
 
 def hesse_sic() -> Povm:
@@ -114,3 +114,23 @@ def serial_gradient_check(d: int, b: float, penalty_weight: float = 10.0,
         scale = max(1.0, float(np.max(np.abs(numeric))))
         worst = max(worst, float(np.max(np.abs(analytic - numeric))) / scale)
     return worst
+
+
+def serial_armijo_steps(rows, grad, f, gnorm2, b, w, step):
+    """Reference for search._armijo_steps: one halving per objective call.
+
+    Per stacked restart, the first of step, step/2, ... (at most
+    _MAX_HALVINGS trials) that meets the Armijo condition along -grad, and
+    the objective there; NaN where no trial does.
+    """
+    trial, fc, pending = step.copy(), np.full(len(f), np.nan), np.arange(len(f))
+    for _ in range(_MAX_HALVINGS):
+        values = _objective(rows[pending] - trial[pending, None, None] * grad[pending], b, w)
+        ok = values <= f[pending] - _ARMIJO * trial[pending] * gnorm2[pending]
+        fc[pending[ok]] = values[ok]
+        pending = pending[~ok]
+        if not pending.size:
+            break
+        trial[pending] *= 0.5
+    trial[pending] = np.nan
+    return trial, fc

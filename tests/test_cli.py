@@ -190,6 +190,13 @@ def test_search_rejects_inadmissible_counts(capsys):
     assert rc == 2 and "error:" in err
 
 
+def test_search_refuses_a_non_finite_residual_goal(capsys):
+    rc, out, err = run(capsys, "search", "--d", "3", "--k", "9", "--restarts", "2",
+                       "--residual-goal", "inf")
+    assert rc == 2 and "residual_goal" in err
+    assert "solution found" not in out
+
+
 def test_search_refuses_removed_flags_and_oversized_runs(capsys):
     for extra in (["--penalty-weight", "5"], ["--initial-step", "0.1"]):
         with pytest.raises(SystemExit) as exc:

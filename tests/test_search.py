@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import hesse_sic, serial_gradient_check
+from helpers import hesse_sic, serial_armijo_steps, serial_gradient_check
 from semisic import search
 from semisic.documents import parse_povm_document
 from semisic.errors import DimensionTooSmall, InvalidConfig
@@ -63,6 +63,8 @@ def test_config_qubit_rules():
         {"max_iterations": 0},
         {"residual_goal": 0.0},
         {"seed": -1},
+        {"residual_goal": float("inf")},
+        {"residual_goal": float("nan")},
     ],
 )
 def test_config_rejects_bad_scalars(kwargs):
@@ -117,11 +119,41 @@ def test_gradient_matches_finite_differences():
     assert gradient_check(3, 1.0 / 36.0, seed=3) < 1e-6
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_gradient_check_equals_serial_central_differences(d):
+    # at d = 5 a point's 500 perturbed stacks span several objective calls
     b = 2.0 / 25.0 if d == 2 else 1.0 / (d * d * (d + 1))
     for seed in (0, 3):
         assert gradient_check(d, b, seed=seed) == serial_gradient_check(d, b, seed=seed)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("count", [1, 5])
+def test_value_and_gradient_is_objective_and_gradient(d, count):
+    rng = np.random.default_rng(d * 10 + count)
+    rows = np.stack([search._initial_vectors(rng, d) for _ in range(count)])
+    b = 1.0 / (d * d * (d + 1))
+    value, grad = search._value_and_gradient(rows, b, 10.0)
+    assert np.array_equal(value, search._objective(rows, b, 10.0))
+    assert np.array_equal(grad, search._gradient(rows, b, 10.0))
+
+
+def test_armijo_ladder_equals_serial_halvings():
+    b, w = 1.0 / 36.0, 10.0
+    point = search._initial_vectors(np.random.default_rng(5), 3)
+    f0, g0 = search._value_and_gradient(point, b, w)
+    # five descent steps, then one along the ascent direction +g0 that no halving rescues
+    step = np.array([1e-3, 3e-2, 0.1, 0.3, 10.0, 1e3])
+    rows = np.repeat(point[None], len(step), axis=0)
+    grad = np.stack([g0] * 5 + [-g0])
+    f = np.full(len(step), f0)
+    gnorm2 = np.full(len(step), search._sum2(np.abs(g0) ** 2))
+    expected = serial_armijo_steps(rows, grad, f, gnorm2, b, w, step)
+    halvings = np.log2(step / expected[0])
+    assert list(halvings[:5]) == [0, 1, 2, 4, 9] and np.isnan(halvings[5])
+    got = search._armijo_steps(rows, grad, f, gnorm2, b, w, step)
+    for a, e in zip(got, expected):
+        assert np.array_equal(a, e, equal_nan=True)
 
 
 @pytest.mark.parametrize("d,k,b", [(3, 9, None), (2, 2, 2.0 / 25.0), (4, 16, None)])
