@@ -15,7 +15,9 @@ where a_x is the element's trace and n_x the Bloch vector of its ket:
 (r, t) = (point.r, point.theta). The inverse map solves the affine system
 by least squares and reports a residual; the residual is measured against
 the closest point of the closed unit ball, so probability vectors that are
-only realizable by "states" outside the ball are rejected too.
+only realizable by "states" outside the ball are rejected too. That point
+solves a trust-region subproblem, found by Newton's method on the secular
+equation (More & Sorensen, SIAM J. Sci. Stat. Comput. 4, 553 (1983)).
 """
 
 from __future__ import annotations
@@ -73,26 +75,24 @@ def bloch_to_probs(r, point: QubitFamilyPoint) -> np.ndarray:
 
 
 def _ball_residual(m: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """min ||M r - rhs|| over ||r|| <= 1, via the trust-region subproblem."""
-    gram = m.T @ m
-    g = m.T @ rhs
-    vals, vecs = np.linalg.eigh(gram)
-    gh = vecs.T @ g
+    """min ||M r - rhs|| over ||r|| <= 1, when the least-squares r lies outside.
 
-    def norm_at(lam: float) -> float:
-        return float(np.linalg.norm(gh / (vals + lam)))
-
-    lo, hi = 0.0, float(np.linalg.norm(g)) + float(vals[-1]) + 1.0
-    while norm_at(hi) > 1.0:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if norm_at(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    lam = hi
-    r = vecs @ (gh / (vals + lam))
+    r(lam) = (M^T M + lam I)^-1 M^T rhs. Newton's method on the secular
+    equation 1/||r(lam)|| = 1 (More & Sorensen 1983), in the eigenbasis of
+    M^T M, rises monotonically from lam = 0 to the root; it stops when the
+    step is no longer positive or no longer changes lam.
+    """
+    vals, vecs = np.linalg.eigh(m.T @ m)
+    gh = vecs.T @ (m.T @ rhs)
+    lam = 0.0
+    while True:
+        p = gh / (vals + lam)
+        norm = float(np.sqrt(p @ p))
+        step = (norm - 1.0) * norm * norm / float(p @ (p / (vals + lam)))
+        if not step > 0.0 or lam + step == lam:
+            break
+        lam += step
+    r = vecs @ p
     return r, float(np.linalg.norm(m @ r - rhs))
 
 

@@ -9,6 +9,7 @@ or out-of-range errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import re
@@ -33,22 +34,9 @@ def parse_number(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number or fraction: {text!r}") from exc
 
 
-def _report_dict(report: model.VerificationReport) -> dict:
-    return {
-        "classification": report.classification,
-        "fitted_b": report.fitted_b,
-        "k": report.k,
-        "max_violation": report.max_violation,
-        "is_ic": report.is_ic,
-        "all_rank_one": report.all_rank_one,
-        "equiangular": report.equiangular,
-        "trace_classes": [[t, c] for t, c in report.trace_classes],
-    }
-
-
 def _print_report(report: model.VerificationReport, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(_report_dict(report), indent=2))
+        print(json.dumps(dataclasses.asdict(report), indent=2))
         return
     print(f"classification: {report.classification}")
     print(f"fitted_b: {report.fitted_b:.12g}")

@@ -21,10 +21,7 @@ from .textio import open_text, write_json
 def matrix_to_pairs(mat: np.ndarray) -> list[list[list[float]]]:
     """Encode a complex matrix as nested [re, im] pairs."""
     arr = np.asarray(mat, dtype=complex)
-    return [
-        [[float(entry.real), float(entry.imag)] for entry in row]
-        for row in arr
-    ]
+    return np.stack([arr.real, arr.imag], -1).tolist()
 
 
 def pairs_to_matrix(obj, where: str, dim: int) -> np.ndarray:

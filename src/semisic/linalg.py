@@ -22,19 +22,13 @@ TOL_RANK = 1e-10  # eigenvalue cutoff when counting rank, relative to max(1, max
 TOL_COND = 1e-10  # classification gate on the defining-condition violations
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a finite square complex matrix."""
+def as_hermitian(a) -> np.ndarray:
+    """Coerce to a finite square complex matrix, raising if A deviates from A^dagger."""
     mat = np.asarray(a, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {mat.shape}")
     if not (np.all(np.isfinite(mat.real)) and np.all(np.isfinite(mat.imag))):
         raise ValueError("matrix has non-finite entries")
-    return mat
-
-
-def as_hermitian(a) -> np.ndarray:
-    """Coerce to a Hermitian matrix, raising if A deviates from A^dagger."""
-    mat = as_matrix(a)
     scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 1.0)
     dev = float(np.max(np.abs(mat - mat.conj().T)))
     if dev > TOL_HERM * scale:

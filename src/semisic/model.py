@@ -67,7 +67,7 @@ def trace_values(d: int, b: float) -> tuple[float, float]:
             f"b = {b!r} exceeds the maximum 1/(4(d^2-1)) = {1.0 / (4 * (d * d - 1))!r} "
             f"for d = {d} (negative discriminant)"
         )
-    root = np.sqrt(disc)
+    root = float(np.sqrt(disc))
     return (0.5 * (1.0 - root), 0.5 * (1.0 + root))
 
 
@@ -117,8 +117,8 @@ class SemiSicParams:
     """Validated parameter bundle (d, b, k, a-, a+).
 
     The counting identity k a- + (d^2 - k) a+ = d must hold within 1e-12;
-    for d >= 3 that is equivalent to the admissible-k bound, and for d = 2
-    it admits exactly k = 2 (the strict family) and k = 4 (the SIC point).
+    for d >= 3 that is equivalent to the admissible-k bound. For d = 2 it
+    admits k = 2 (the strict family), and every k at the SIC point b = 1/12.
     """
 
     d: int
@@ -155,12 +155,10 @@ class SemiSicParams:
         for a b that verify() fitted under a looser tol_cond.
         """
         b = float(b)
-        if k == d * d:
-            pinned = 1.0 / (d * d * (d + 1))
-        elif d >= 3:
-            pinned = b_from_k(d, k)
-        elif d == 2 and 1.0 / 12.0 < b <= 1.0 / 12.0 + TOL_COND:
-            pinned = 1.0 / 12.0  # the double root 1/(4(d^2 - 1))
+        if d >= 3:
+            pinned = b_from_k(d, k)  # 1/(d^2 (d + 1)) at k = d^2
+        elif k == 4 or 1.0 / 12.0 < b <= 1.0 / 12.0 + TOL_COND:
+            pinned = 1.0 / 12.0  # the qubit SIC point, the double root 1/(4(d^2 - 1))
         else:
             pinned = None
         if pinned is not None:
@@ -248,16 +246,16 @@ class Povm:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Everything verify() measured, plus the resulting classification."""
+    """What verify() measured and the resulting classification, in verify --json's key order."""
 
+    classification: str
+    fitted_b: float
+    k: int
+    max_violation: float
     is_ic: bool
     all_rank_one: bool
     equiangular: bool
-    fitted_b: float
     trace_classes: tuple[tuple[float, int], ...]
-    k: int
-    classification: str
-    max_violation: float
 
 
 def verify(povm: Povm, tol_cond: float = TOL_COND) -> VerificationReport:
@@ -320,12 +318,12 @@ def verify(povm: Povm, tol_cond: float = TOL_COND) -> VerificationReport:
         classification = NOT_SEMI_SIC
 
     return VerificationReport(
+        classification=classification,
+        fitted_b=fitted_b,
+        k=k,
+        max_violation=max_violation,
         is_ic=is_ic,
         all_rank_one=all_rank_one,
         equiangular=equiangular,
-        fitted_b=fitted_b,
         trace_classes=classes,
-        k=k,
-        classification=classification,
-        max_violation=max_violation,
     )

@@ -141,12 +141,8 @@ def canonicalize(povm: Povm) -> tuple[np.ndarray, Povm, float]:
         raise NotQubitSemiSic(f"fitted overlap {report.fitted_b!r} is outside the family") from exc
     gate = max(CANON_TOL, 1e3 * report.max_violation)
 
-    traces = povm.traces()
-    if len(report.trace_classes) == 2:
-        low_mean, high_mean = report.trace_classes[0][0], report.trace_classes[1][0]
-        lows = [x for x in range(4) if abs(traces[x] - low_mean) < abs(traces[x] - high_mean)]
-    else:
-        lows = list(range(4))
+    # the small-trace class as verify() draws it
+    lows = np.flatnonzero(povm.traces() < 0.5) if len(report.trace_classes) == 2 else range(4)
     pairs = [(i, j) for i in lows for j in lows if i != j]
 
     for i1, i2 in pairs:

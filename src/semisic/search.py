@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DimensionTooSmall, InvalidConfig, KOutOfRange
+from .errors import InvalidConfig
 from .documents import povm_document
 from .linalg import TOL_COND
 from .model import Povm, SemiSicParams, b_from_k, verify
@@ -66,10 +66,11 @@ _LINE_FIT = np.linalg.inv(_LINE_S[:, None] ** np.arange(2, 5))
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Validated search parameters. b is resolved at construction:
-    derived from (d, k) when d >= 3, required for d = 2 (except k = 4,
-    which defaults to the SIC point 1/12). Configs over MAX_SEARCH_ENTRIES
-    are refused."""
+    """Validated search parameters. b is admitted at construction by
+    SemiSicParams.from_b (at TOL_COND, and pinned where (d, k) fixes it);
+    left out, it is derived from (d, k) when d >= 3 and required for d = 2
+    except k = 4, which defaults to the SIC point 1/12. Configs over
+    MAX_SEARCH_ENTRIES are refused."""
 
     d: int
     k: int
@@ -102,31 +103,19 @@ class SearchConfig:
         object.__setattr__(self, "b", self._resolve_b())
 
     def _resolve_b(self) -> float:
-        if self.d >= 3:
-            try:
-                pinned = b_from_k(self.d, self.k)
-            except (KOutOfRange, DimensionTooSmall) as exc:
-                raise InvalidConfig(str(exc)) from exc
-            if self.b is not None and abs(float(self.b) - pinned) > 1e-12:
-                raise InvalidConfig(
-                    f"b = {self.b!r} conflicts with the value {pinned!r} pinned by "
-                    f"(d, k) = ({self.d}, {self.k})"
-                )
-            return pinned
-        if self.k not in (2, 4):
-            raise InvalidConfig(f"for d = 2, k must be 2 or 4, got {self.k!r}")
         b = self.b
-        if b is None:
-            if self.k == 2:
-                raise InvalidConfig("for d = 2, k = 2 an explicit b is required")
+        if b is None and self.d == 2:
+            if self.k != 4:
+                raise InvalidConfig(f"for d = 2, k = {self.k} an explicit b is required "
+                                    "(only k = 4 defaults, to the SIC point 1/12)")
             b = 1.0 / 12.0
-        if not (isinstance(b, (int, float)) and np.isfinite(b)):
-            raise InvalidConfig(f"b must be a finite real, got {b!r}")
         try:
-            SemiSicParams.from_b(2, float(b), self.k)
-        except Exception as exc:
-            raise InvalidConfig(f"(b, k) = ({b!r}, {self.k}) is not admissible: {exc}") from exc
-        return float(b)
+            if b is None:
+                b = b_from_k(self.d, self.k)
+            return SemiSicParams.from_b(self.d, b, self.k).b
+        except (TypeError, ValueError) as exc:
+            raise InvalidConfig(f"(d, k, b) = ({self.d}, {self.k}, {self.b!r}) "
+                                f"is not admissible: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -370,13 +359,13 @@ def _initial_vectors(rng: np.random.Generator, d: int) -> np.ndarray:
     return rows * np.sqrt(d / np.sum(np.abs(rows) ** 2))
 
 
-def gradient_check(d: int, b: float, penalty_weight: float = _PENALTY_WEIGHT,
-                   seed: int = 0, points: int = 5, step: float = 1e-6) -> float:
-    """Max relative error of the analytic gradient against central differences,
-    over a few seeded random vector stacks (points). The 4 d^3 perturbed
+def gradient_check(d: int, b: float, seed: int = 0) -> float:
+    """Max relative error of the analytic gradient against central differences
+    (step 1e-6), over five seeded random vector stacks. The 4 d^3 perturbed
     stacks of every point go through stacked objective calls of at most
     max(1, _CHECK_ENTRIES // d^4) stacks, and the analytic gradients of all
     points are one stacked call."""
+    points, step, w = 5, 1e-6, _PENALTY_WEIGHT
     base = np.stack([_initial_vectors(np.random.default_rng(np.random.SeedSequence(
         entropy=seed, spawn_key=(0x67726164, p))), d) for p in range(points)])
     flat = base.reshape(points, -1)
@@ -390,11 +379,11 @@ def gradient_check(d: int, b: float, penalty_weight: float = _PENALTY_WEIGHT,
         part = slice(start, start + chunk)
         stack = flat[point[part]]
         stack[np.arange(len(stack)), entry[part]] += shift[part]
-        values[part] = _objective(stack.reshape((-1,) + base.shape[1:]), b, penalty_weight)
+        values[part] = _objective(stack.reshape((-1,) + base.shape[1:]), b, w)
     diff = (values[0::2] - values[1::2]) / (2.0 * step)
     numeric = (diff[0::2] + 1j * diff[1::2]).reshape(base.shape)
     scale = np.maximum(1.0, np.abs(numeric).max(axis=(1, 2)))
-    error = np.abs(_gradient(base, b, penalty_weight) - numeric).max(axis=(1, 2))
+    error = np.abs(_gradient(base, b, w) - numeric).max(axis=(1, 2))
     return float(np.max(error / scale))
 
 
@@ -420,7 +409,7 @@ def run_search(config: SearchConfig) -> SearchReport:
     rows[better], f[better] = projected[better], f_proj[better]
     best = int(np.argmin(f))
     best_f = float(f[best])
-    check = gradient_check(config.d, b, w, seed=config.seed)
+    check = gradient_check(config.d, b, seed=config.seed)
 
     best_povm = classification = observed_k = None
     if best_f < config.residual_goal:

@@ -116,6 +116,34 @@ def serial_gradient_check(d: int, b: float, penalty_weight: float = 10.0,
     return worst
 
 
+def bisection_ball_residual(m: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Reference for bloch._ball_residual: 200 bisection steps on ||r(lam)|| = 1.
+
+    min ||M r - rhs|| over ||r|| <= 1 for a least-squares solution outside
+    the ball, with r(lam) = (M^T M + lam I)^-1 M^T rhs; lam is bracketed by
+    doubling and the bracket's upper end (||r|| <= 1) is returned.
+    """
+    gram = m.T @ m
+    g = m.T @ rhs
+    vals, vecs = np.linalg.eigh(gram)
+    gh = vecs.T @ g
+
+    def norm_at(lam: float) -> float:
+        return float(np.linalg.norm(gh / (vals + lam)))
+
+    lo, hi = 0.0, float(np.linalg.norm(g)) + float(vals[-1]) + 1.0
+    while norm_at(hi) > 1.0:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if norm_at(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    r = vecs @ (gh / (vals + hi))
+    return r, float(np.linalg.norm(m @ r - rhs))
+
+
 def serial_armijo_steps(rows, grad, f, gnorm2, b, w, step):
     """Reference for search._armijo_steps: one halving per objective call.
 

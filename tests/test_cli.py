@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, documents, and printed output."""
 
 import argparse
+import dataclasses
 import json
 import shlex
 from pathlib import Path
@@ -12,7 +13,7 @@ from helpers import disguise, hermitian_noise, hesse_sic
 from semisic import cli, dual
 from semisic.bloch import bloch_to_probs
 from semisic.documents import parse_povm_document, save_povm
-from semisic.model import Povm
+from semisic.model import Povm, VerificationReport
 from semisic.qubit import construct, family_point
 
 
@@ -65,6 +66,12 @@ def test_construct_verify_cycle(tmp_path, capsys):
     assert report["classification"] == "StrictSemiSIC"
     assert report["k"] == 2
     assert report["fitted_b"] == pytest.approx(0.08, abs=1e-13)
+
+
+def test_verify_json_keys_follow_the_report_fields(tmp_path, capsys):
+    rc, out, _ = run(capsys, "verify", "--in", str(member_path(tmp_path, capsys)), "--json")
+    assert rc == 0
+    assert list(json.loads(out)) == [f.name for f in dataclasses.fields(VerificationReport)]
 
 
 def test_construct_writes_stdout(tmp_path, capsys):

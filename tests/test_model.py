@@ -54,6 +54,15 @@ def test_trace_values_qubit_oracle():
     assert hi == pytest.approx(0.6, abs=1e-15)
 
 
+def test_trace_values_are_python_floats():
+    assert all(type(a) is float for a in trace_values(3, 1.0 / 36.0))
+    assert "np.float64" not in repr(SemiSicParams.from_b(3, 1.0 / 36.0, 9))
+    lo, hi = trace_values(2, 0.07)
+    with pytest.raises(KOutOfRange, match="counting identity") as exc:
+        SemiSicParams(d=2, b=0.07, k=3, a_minus=lo, a_plus=hi)
+    assert "np.float64" not in str(exc.value)
+
+
 def test_trace_values_snap_at_degenerate_overlap():
     # float(1/12) leaves a discriminant of ~6e-17; without the snap the
     # square root would spread the two traces by ~1e-8

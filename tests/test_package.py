@@ -1,11 +1,13 @@
 """The package's public names."""
 
+import inspect
+
 import semisic
 from semisic import errors, linalg, search
 
 DELETED = {
     linalg: ("as_ket", "hs_inner", "outer", "is_psd", "rank", "pauli_decompose",
-             "Tolerances", "DEFAULT_TOL"),
+             "Tolerances", "DEFAULT_TOL", "as_matrix"),
     errors: ("NotNormalized", "NonNegligibleImaginaryPart"),
     search: ("STEP_POLICIES",),
 }
@@ -19,3 +21,7 @@ def test_exports_exist_and_deleted_names_stay_gone():
             assert not hasattr(semisic, name) and name not in semisic.__all__
     for field in ("step_policy", "initial_step", "penalty_weight"):
         assert field not in search.SearchConfig.__dataclass_fields__
+
+
+def test_gradient_check_takes_only_d_b_and_seed():
+    assert list(inspect.signature(search.gradient_check).parameters) == ["d", "b", "seed"]

@@ -56,6 +56,20 @@ def test_config_qubit_rules():
         SearchConfig(d=2, k=2, b=0.3)
 
 
+def test_config_admits_b_through_the_params_rule():
+    # SemiSicParams.from_b admits b within TOL_COND of the pinned overlap and stores the pin
+    assert SearchConfig(d=3, k=9, b=1.0 / 36.0 + 5e-11, restarts=1).b == 1.0 / 36.0
+    assert SearchConfig(d=2, k=2, b=1.0 / 12.0 + 5e-11).b == 1.0 / 12.0
+    for k in (2, 3):
+        with pytest.raises(InvalidConfig, match=f"for d = 2, k = {k} an explicit b is required"):
+            SearchConfig(d=2, k=k)
+    with pytest.raises(InvalidConfig, match="counting identity fails"):
+        SearchConfig(d=2, k=3, b=0.07)
+    for b in (1.0 / 36.0 + 1e-9, float("nan")):
+        with pytest.raises(InvalidConfig, match="does not match the overlap"):
+            SearchConfig(d=3, k=9, b=b)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
