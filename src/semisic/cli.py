@@ -51,7 +51,7 @@ def _print_report(report: model.VerificationReport, as_json: bool) -> None:
 
 def cmd_construct(args) -> int:
     point = qubit.family_point(args.b)
-    povm = qubit.construct(args.b)
+    povm = qubit._member(point)
     meta = {"source": "construct", "r": point.r, "theta": point.theta}
     documents.save_povm(args.out or sys.stdout, povm, b=point.b, k=point.params.k,
                         metadata=meta)

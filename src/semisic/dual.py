@@ -68,11 +68,12 @@ def dual_basis(povm: Povm, params: SemiSicParams) -> DualFrame:
 
     params must agree with a POVM that passes verify() at linalg.TOL_COND:
     the same d, and params.b within TOL_COND of the fitted overlap (else
-    NotSemiSic), which fixes the trace split to params.k small-trace elements.
-    DegenerateCoefficients is raised when a^2 - params.b nearly vanishes at
-    params' roots a-, a+ or at the measured class traces, where the closed
-    form has no coefficients. Verifies duality Tr[E_x F_y] = delta_xy before
-    returning.
+    NotSemiSic). params.k is not checked against the POVM: away from the
+    qubit SIC point b = 1/12, b fixes k, but there every k passes
+    SemiSicParams, and source_k is the caller's k. DegenerateCoefficients
+    is raised when a^2 - params.b nearly vanishes at params' roots a-, a+
+    or at the measured class traces, where the closed form has no
+    coefficients. Verifies duality Tr[E_x F_y] = delta_xy before returning.
     """
     return _dual_frame(povm, params, verify(povm))
 

@@ -169,7 +169,9 @@ class SemiSicParams:
                 )
             b = pinned
         lo, hi = trace_values(d, b)
-        return cls(d=int(d), b=b, k=int(k), a_minus=lo, a_plus=hi)
+        # a numpy integer k is stored as an int; any other k is left to __post_init__
+        k = int(k) if isinstance(k, np.integer) else k
+        return cls(d=int(d), b=b, k=k, a_minus=lo, a_plus=hi)
 
     @classmethod
     def from_k(cls, d: int, k: int) -> "SemiSicParams":

@@ -98,7 +98,11 @@ def family_kets(point: QubitFamilyPoint) -> np.ndarray:
 
 def construct(b: float) -> Povm:
     """Canonical qubit semi-SIC with overlap b, ordered (a-, a-, a+, a+)."""
-    point = family_point(b)
+    return _member(family_point(b))
+
+
+def _member(point: QubitFamilyPoint) -> Povm:
+    """construct() for an already resolved family point."""
     kets = family_kets(point)
     weights = np.array(
         [point.params.a_minus, point.params.a_minus, point.params.a_plus, point.params.a_plus]

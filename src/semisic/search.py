@@ -14,9 +14,7 @@ quartic model to it from phi(0), phi'(0) and samples at h, 2h, 4h along the
 (conjugate) descent direction (in units of h, one fixed 3x3 system) and
 steps to the model's minimum, falling back to Armijo halvings along the
 gradient; only decreasing steps are ever accepted, so the recorded
-objective trace is monotone. A final polar projection of each restart's
-endpoint (SVD retraction onto exact completeness) is kept when it improves
-the objective.
+objective trace is monotone.
 
 One iteration evaluates, for all live restarts at once: f at the three line
 samples (one stacked call), f and the gradient at the model step (one Gram
@@ -25,8 +23,9 @@ restarts whose model step does not lower f, Armijo trials in ladders of
 three halvings per stacked call, then the gradient at the accepted point.
 
 For d >= 3 the target overlap is pinned by (d, k); for d = 2 it is supplied
-(the k = 4 SIC point is the default there). Residuals comfortably below
-1e-12 are reached for d = 2 and for the d = 3, k = 9 case; k in {7, 8}
+(the k = 4 SIC point is the default there); objective, gradient and
+SearchConfig admit b by one rule, and w is always 10. Residuals comfortably
+below 1e-12 are reached for d = 2 and for the d = 3, k = 9 case; k in {7, 8}
 stalls at ~1e-3, consistent with no strict example being known for d >= 3.
 """
 
@@ -100,22 +99,19 @@ class SearchConfig:
         goal = self.residual_goal
         if not (isinstance(goal, (int, float)) and np.isfinite(goal) and goal > 0):
             raise InvalidConfig(f"residual_goal must be positive and finite, got {goal!r}")
-        object.__setattr__(self, "b", self._resolve_b())
+        object.__setattr__(self, "b", _resolve_b(self.d, self.k, self.b))
 
-    def _resolve_b(self) -> float:
-        b = self.b
-        if b is None and self.d == 2:
-            if self.k != 4:
-                raise InvalidConfig(f"for d = 2, k = {self.k} an explicit b is required "
-                                    "(only k = 4 defaults, to the SIC point 1/12)")
-            b = 1.0 / 12.0
-        try:
-            if b is None:
-                b = b_from_k(self.d, self.k)
-            return SemiSicParams.from_b(self.d, b, self.k).b
-        except (TypeError, ValueError) as exc:
-            raise InvalidConfig(f"(d, k, b) = ({self.d}, {self.k}, {self.b!r}) "
-                                f"is not admissible: {exc}") from exc
+
+def _resolve_b(d: int, k: int, b: float | None) -> float:
+    """The search's overlap for (d, k, b), by SearchConfig's rule; else InvalidConfig."""
+    if b is None and d == 2 and k != 4:
+        raise InvalidConfig(f"for d = 2, k = {k} an explicit b is required "
+                            "(only k = 4 defaults, to the SIC point 1/12)")
+    try:
+        target = b if b is not None else 1.0 / 12.0 if d == 2 else b_from_k(d, k)
+        return SemiSicParams.from_b(d, target, k).b
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfig(f"(d, k, b) = ({d}, {k}, {b!r}) is not admissible: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -181,46 +177,36 @@ def _parts(rows: np.ndarray, b: float):
     return gram, dev, delta
 
 
-def _objective(rows: np.ndarray, b: float, w: float) -> np.ndarray:
+def _objective(rows: np.ndarray, b: float) -> np.ndarray:
     """Objective of each (d^2, d) matrix of a (..., d^2, d) stack."""
     _, dev, delta = _parts(rows, b)
-    return _sum2(dev * dev) + w * _sum2(np.abs(delta) ** 2)
+    return _sum2(dev * dev) + _PENALTY_WEIGHT * _sum2(np.abs(delta) ** 2)
 
 
-def _value_and_gradient(rows: np.ndarray, b: float, w: float):
-    """_objective and _gradient of a stack from one Gram per matrix."""
+def _value_and_gradient(rows: np.ndarray, b: float):
+    """_objective and its gradient of a stack from one Gram per matrix."""
     gram, dev, delta = _parts(rows, b)
-    value = _sum2(dev * dev) + w * _sum2(np.abs(delta) ** 2)
+    value = _sum2(dev * dev) + _PENALTY_WEIGHT * _sum2(np.abs(delta) ** 2)
     # Wirtinger gradient scaled so real/imag parts match the real-coordinate
     # partial derivatives (checked against finite differences in the tests)
-    grad = 8.0 * (dev * gram.swapaxes(-1, -2)) @ rows + 4.0 * w * rows @ delta.conj()
+    grad = 8.0 * (dev * gram.swapaxes(-1, -2)) @ rows + 4.0 * _PENALTY_WEIGHT * rows @ delta.conj()
     return value, grad
 
 
-def _gradient(rows: np.ndarray, b: float, w: float) -> np.ndarray:
-    return _value_and_gradient(rows, b, w)[1]
-
-
-def objective(vectors, d: int, k: int, b: float | None = None,
-              penalty_weight: float = _PENALTY_WEIGHT) -> float:
-    """Penalized equiangularity objective at the given vectors.
-
-    Pass b=None to derive the target overlap from (d, k) (d >= 3 only).
-    """
+def objective(vectors, d: int, k: int, b: float | None = None) -> float:
+    """Penalized equiangularity objective at the given vectors, with w = 10 and
+    b admitted as SearchConfig(d=d, k=k, b=b) admits it (InvalidConfig if not)."""
     rows = _coerce_vectors(vectors, d)
-    b = b_from_k(d, k) if b is None else float(b)
-    return float(_objective(rows, b, float(penalty_weight)))
+    return float(_objective(rows, _resolve_b(d, k, b)))
 
 
-def gradient(vectors, d: int, k: int, b: float | None = None,
-             penalty_weight: float = _PENALTY_WEIGHT) -> np.ndarray:
+def gradient(vectors, d: int, k: int, b: float | None = None) -> np.ndarray:
     """Gradient of objective() with respect to the stacked vectors."""
     rows = _coerce_vectors(vectors, d)
-    b = b_from_k(d, k) if b is None else float(b)
-    return _gradient(rows, b, float(penalty_weight))
+    return _value_and_gradient(rows, _resolve_b(d, k, b))[1]
 
 
-def _model_steps(rows, direction, f0, dphi0, b, w, h):
+def _model_steps(rows, direction, f0, dphi0, b, h):
     """Per restart, the minimizer of a quartic model of phi(t) = f(rows - t * direction).
 
     phi is a polynomial of degree 8; the model matches its analytic phi(0)
@@ -231,7 +217,7 @@ def _model_steps(rows, direction, f0, dphi0, b, w, h):
     """
     h, f0 = h[:, None], f0[:, None]
     ts = h * _LINE_S
-    vals = _objective(rows[:, None] - ts[..., None, None] * direction[:, None], b, w)
+    vals = _objective(rows[:, None] - ts[..., None, None] * direction[:, None], b)
     rhs = vals - f0 - dphi0[:, None] * ts
     # coefficients in units of h (c_k h^k), the inverse applied row by row
     coef = np.sum(rhs[:, None, :] * _LINE_FIT, axis=-1)
@@ -255,7 +241,7 @@ def _model_steps(rows, direction, f0, dphi0, b, w, h):
     return np.where(model[pick] < f0[:, 0], t[pick], np.nan)
 
 
-def _armijo_steps(rows, grad, f, gnorm2, b, w, step):
+def _armijo_steps(rows, grad, f, gnorm2, b, step):
     """Halvings along -grad: per restart, the first of step, step/2, ... (at
     most _MAX_HALVINGS trials) that meets the Armijo condition, and the
     objective there; NaN where no trial does. The trials go in ladders of
@@ -263,8 +249,7 @@ def _armijo_steps(rows, grad, f, gnorm2, b, w, step):
     trial, fc, pending = np.full(len(f), np.nan), np.full(len(f), np.nan), np.arange(len(f))
     for m in range(0, _MAX_HALVINGS, _LADDER):
         steps = step[pending, None] * _HALVINGS[m:m + _LADDER]
-        values = _objective(rows[pending, None] - steps[..., None, None] * grad[pending, None],
-                            b, w)
+        values = _objective(rows[pending, None] - steps[..., None, None] * grad[pending, None], b)
         ok = values <= f[pending, None] - _ARMIJO * steps * gnorm2[pending, None]
         hit = ok.any(axis=1)
         first = hit.nonzero()[0], ok[hit].argmax(axis=1)
@@ -275,7 +260,7 @@ def _armijo_steps(rows, grad, f, gnorm2, b, w, step):
     return trial, fc
 
 
-def _descend_batch(rows, b, w, cfg: SearchConfig):
+def _descend_batch(rows, b, cfg: SearchConfig):
     """Advance a (R, d^2, d) stack of restarts together; restart i's result does not
     depend on the rest. Returns per restart the final rows and objective, the
     accepted iterations, the objective trace and the stop reason."""
@@ -283,7 +268,7 @@ def _descend_batch(rows, b, w, cfg: SearchConfig):
     done, reasons = np.zeros(len(rows), dtype=int), np.empty(len(rows), dtype=int)
     stride = max(1, cfg.max_iterations // _TRACE_POINTS)
     live = np.arange(len(rows))
-    f, grad = _value_and_gradient(rows, b, w)
+    f, grad = _value_and_gradient(rows, b)
     gnorm2 = _sum2(np.abs(grad) ** 2)
     direction = grad.copy()
     h = _INITIAL_STEP / (1.0 + np.sqrt(gnorm2))
@@ -303,10 +288,10 @@ def _descend_batch(rows, b, w, cfg: SearchConfig):
         dphi0 = -_sum2((grad * direction.conj()).real)
         reset = dphi0 >= 0.0  # conjugate direction stopped descending
         direction[reset], dphi0[reset] = grad[reset], -gnorm2[reset]
-        t = _model_steps(rows, direction, f, dphi0, b, w, h)
+        t = _model_steps(rows, direction, f, dphi0, b, h)
         j = np.flatnonzero(~np.isnan(t))
         candidate = rows[j] - t[j, None, None] * direction[j]
-        fc, gc = _value_and_gradient(candidate, b, w)
+        fc, gc = _value_and_gradient(candidate, b)
         lower = fc < f[j]
         j = j[lower]
         rows[j], f[j], h[j] = candidate[lower], fc[lower], np.maximum(t[j], 1e-12)
@@ -316,12 +301,12 @@ def _descend_batch(rows, b, w, cfg: SearchConfig):
         stalled = np.zeros(live.size, dtype=bool)
         j = np.flatnonzero(~accepted)
         if j.size:
-            t, fc = _armijo_steps(rows[j], grad[j], f[j], gnorm2[j], b, w, h[j])
+            t, fc = _armijo_steps(rows[j], grad[j], f[j], gnorm2[j], b, h[j])
             stalled[j] = np.isnan(t)
             t, fc, j = t[~stalled[j]], fc[~stalled[j]], j[~stalled[j]]
             rows[j], f[j], h[j] = rows[j] - t[:, None, None] * grad[j], fc, t
             direction[j] = grad[j]
-            new_grad[j] = _gradient(rows[j], b, w)
+            new_grad[j] = _value_and_gradient(rows[j], b)[1]
         done[live[~stalled]] = it + 1
         if (it + 1) % stride == 0:
             for i in np.flatnonzero(~stalled):
@@ -343,12 +328,6 @@ def _descend_batch(rows, b, w, cfg: SearchConfig):
     return out_rows, out_f, done, traces, [STOP_REASONS[r] for r in reasons]
 
 
-def _polar_project(rows: np.ndarray) -> np.ndarray:
-    """Retract each stacked matrix onto exact completeness: nearest co-isometry."""
-    u, _, vh = np.linalg.svd(np.swapaxes(rows, -1, -2), full_matrices=False)
-    return np.swapaxes(u @ vh, -1, -2)
-
-
 def _restart_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
@@ -365,7 +344,7 @@ def gradient_check(d: int, b: float, seed: int = 0) -> float:
     stacks of every point go through stacked objective calls of at most
     max(1, _CHECK_ENTRIES // d^4) stacks, and the analytic gradients of all
     points are one stacked call."""
-    points, step, w = 5, 1e-6, _PENALTY_WEIGHT
+    points, step = 5, 1e-6
     base = np.stack([_initial_vectors(np.random.default_rng(np.random.SeedSequence(
         entropy=seed, spawn_key=(0x67726164, p))), d) for p in range(points)])
     flat = base.reshape(points, -1)
@@ -379,11 +358,11 @@ def gradient_check(d: int, b: float, seed: int = 0) -> float:
         part = slice(start, start + chunk)
         stack = flat[point[part]]
         stack[np.arange(len(stack)), entry[part]] += shift[part]
-        values[part] = _objective(stack.reshape((-1,) + base.shape[1:]), b, w)
+        values[part] = _objective(stack.reshape((-1,) + base.shape[1:]), b)
     diff = (values[0::2] - values[1::2]) / (2.0 * step)
     numeric = (diff[0::2] + 1j * diff[1::2]).reshape(base.shape)
     scale = np.maximum(1.0, np.abs(numeric).max(axis=(1, 2)))
-    error = np.abs(_gradient(base, b, w) - numeric).max(axis=(1, 2))
+    error = np.abs(_value_and_gradient(base, b)[1] - numeric).max(axis=(1, 2))
     return float(np.max(error / scale))
 
 
@@ -399,14 +378,10 @@ def run_search(config: SearchConfig) -> SearchReport:
     """
     if not isinstance(config, SearchConfig):
         raise InvalidConfig(f"expected a SearchConfig, got {type(config).__name__}")
-    b, w = float(config.b), _PENALTY_WEIGHT
+    b = float(config.b)
     rows0 = np.stack([_initial_vectors(_restart_rng(config.seed, i), config.d)
                       for i in range(config.restarts)])
-    rows, f, iterations, traces, reasons = _descend_batch(rows0, b, w, config)
-    projected = _polar_project(rows)
-    f_proj = _objective(projected, b, w)
-    better = f_proj < f
-    rows[better], f[better] = projected[better], f_proj[better]
+    rows, f, iterations, traces, reasons = _descend_batch(rows0, b, config)
     best = int(np.argmin(f))
     best_f = float(f[best])
     check = gradient_check(config.d, b, seed=config.seed)

@@ -3,7 +3,8 @@
 import numpy as np
 
 from semisic.model import Povm, SemiSicParams
-from semisic.search import _ARMIJO, _MAX_HALVINGS, _gradient, _initial_vectors, _objective
+from semisic.search import (_ARMIJO, _MAX_HALVINGS, _initial_vectors, _objective,
+                             _value_and_gradient)
 
 
 def hesse_sic() -> Povm:
@@ -90,8 +91,8 @@ def reference_region_csv(scan) -> str:
     return "p1,p2,p3,f,feasible\n" + "".join(rows)
 
 
-def serial_gradient_check(d: int, b: float, penalty_weight: float = 10.0,
-                          seed: int = 0, points: int = 5, step: float = 1e-6) -> float:
+def serial_gradient_check(d: int, b: float, seed: int = 0, points: int = 5,
+                          step: float = 1e-6) -> float:
     """Reference for search.gradient_check: one objective call per perturbed entry."""
     worst = 0.0
     for p in range(points):
@@ -99,7 +100,7 @@ def serial_gradient_check(d: int, b: float, penalty_weight: float = 10.0,
             np.random.SeedSequence(entropy=seed, spawn_key=(0x67726164, p))
         )
         rows = _initial_vectors(rng, d)
-        analytic = _gradient(rows, b, penalty_weight)
+        analytic = _value_and_gradient(rows, b)[1]
         numeric = np.zeros_like(analytic)
         for x in range(rows.shape[0]):
             for i in range(rows.shape[1]):
@@ -108,8 +109,7 @@ def serial_gradient_check(d: int, b: float, penalty_weight: float = 10.0,
                     fwd[x, i] += step * unit
                     bwd = rows.copy()
                     bwd[x, i] -= step * unit
-                    diff = (_objective(fwd, b, penalty_weight)
-                            - _objective(bwd, b, penalty_weight)) / (2.0 * step)
+                    diff = (_objective(fwd, b) - _objective(bwd, b)) / (2.0 * step)
                     numeric[x, i] += diff * (1.0 if unit == 1.0 else 1.0j)
         scale = max(1.0, float(np.max(np.abs(numeric))))
         worst = max(worst, float(np.max(np.abs(analytic - numeric))) / scale)
@@ -144,7 +144,7 @@ def bisection_ball_residual(m: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray,
     return r, float(np.linalg.norm(m @ r - rhs))
 
 
-def serial_armijo_steps(rows, grad, f, gnorm2, b, w, step):
+def serial_armijo_steps(rows, grad, f, gnorm2, b, step):
     """Reference for search._armijo_steps: one halving per objective call.
 
     Per stacked restart, the first of step, step/2, ... (at most
@@ -153,7 +153,7 @@ def serial_armijo_steps(rows, grad, f, gnorm2, b, w, step):
     """
     trial, fc, pending = step.copy(), np.full(len(f), np.nan), np.arange(len(f))
     for _ in range(_MAX_HALVINGS):
-        values = _objective(rows[pending] - trial[pending, None, None] * grad[pending], b, w)
+        values = _objective(rows[pending] - trial[pending, None, None] * grad[pending], b)
         ok = values <= f[pending] - _ARMIJO * trial[pending] * gnorm2[pending]
         fc[pending[ok]] = values[ok]
         pending = pending[~ok]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import disguise, hermitian_noise, hesse_sic
-from semisic import cli, dual
+from semisic import cli, dual, qubit
 from semisic.bloch import bloch_to_probs
 from semisic.documents import parse_povm_document, save_povm
 from semisic.model import Povm, VerificationReport
@@ -80,6 +80,20 @@ def test_construct_writes_stdout(tmp_path, capsys):
     doc = parse_povm_document(json.loads(out))
     assert doc.povm.dim == 2
     assert len(doc.povm.elements) == 4
+
+
+def test_construct_resolves_the_family_point_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(b):
+        calls.append(b)
+        return family_point(b)
+
+    monkeypatch.setattr(qubit, "family_point", counted)
+    rc, out, _ = run(capsys, "construct", "--b", "2/25")
+    assert rc == 0 and calls == [0.08]
+    doc = parse_povm_document(json.loads(out))
+    assert np.array_equal(doc.povm.elements, construct(0.08).elements)
 
 
 def test_verify_flags_perturbed_member(tmp_path, capsys):

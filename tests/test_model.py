@@ -134,6 +134,15 @@ def test_params_reject_inconsistent_k():
     assert SemiSicParams.from_b(2, 1.0 / 12.0, 4).k == 4
 
 
+def test_from_b_refuses_a_non_integer_k_as_the_constructor_does():
+    for b, k in ((0.07, 2.9), (0.07, 2.0), (1.0 / 12.0, 4.0)):
+        with pytest.raises(KOutOfRange, match="k must lie in"):
+            SemiSicParams.from_b(2, b, k)
+    for k in (np.int64(2), np.int32(2)):
+        assert type(SemiSicParams.from_b(2, 0.07, k).k) is int
+    assert type(SemiSicParams.from_b(3, 1.0 / 36.0, np.int64(9)).k) is int
+
+
 def test_params_reject_tampered_roots():
     with pytest.raises(ValueError):
         SemiSicParams(d=2, b=2.0 / 25.0, k=2, a_minus=0.41, a_plus=0.6)

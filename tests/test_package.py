@@ -25,3 +25,5 @@ def test_exports_exist_and_deleted_names_stay_gone():
 
 def test_gradient_check_takes_only_d_b_and_seed():
     assert list(inspect.signature(search.gradient_check).parameters) == ["d", "b", "seed"]
+    for fn in (search.objective, search.gradient):
+        assert list(inspect.signature(fn).parameters) == ["vectors", "d", "k", "b"]

@@ -8,7 +8,7 @@ import pytest
 from helpers import hesse_sic, serial_armijo_steps, serial_gradient_check
 from semisic import search
 from semisic.documents import parse_povm_document
-from semisic.errors import DimensionTooSmall, InvalidConfig
+from semisic.errors import InvalidConfig
 from semisic.model import STRICT_SEMI_SIC
 from semisic.qubit import family_kets, family_point
 from semisic.search import (
@@ -100,24 +100,46 @@ def test_objective_vanishes_on_exact_solution():
     assert np.max(np.abs(gradient(rows, 2, 2, b=2.0 / 25.0))) < 1e-13
 
 
-def test_objective_derives_b_from_counts():
-    povm = hesse_sic()
+def hesse_rows():
     # rank-one elements: recover vector rows from the top eigenvector
-    rows = np.stack([np.linalg.eigh(e)[1][:, -1] * np.sqrt(np.trace(e).real)
-                     for e in povm.elements])
+    return np.stack([np.linalg.eigh(e)[1][:, -1] * np.sqrt(np.trace(e).real)
+                     for e in hesse_sic().elements])
+
+
+def test_objective_derives_b_from_counts():
+    rows = hesse_rows()
     assert objective(rows, 3, 9) == objective(rows, 3, 9, b=1.0 / 36.0)
-    with pytest.raises(DimensionTooSmall):
+    with pytest.raises(InvalidConfig, match="an explicit b is required"):
         objective(family_rows(0.07), 2, 2)
 
 
-def test_objective_penalty_weight_scaling():
-    rng = np.random.default_rng(47)
-    rows = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
-    delta = np.einsum("xi,xj->ij", rows, rows.conj()) - np.eye(2)
-    gap = 9.0 * float(np.sum(np.abs(delta) ** 2))
-    f1 = objective(rows, 2, 2, b=0.07, penalty_weight=1.0)
-    f10 = objective(rows, 2, 2, b=0.07, penalty_weight=10.0)
-    assert f10 - f1 == pytest.approx(gap, rel=1e-12)
+@pytest.mark.parametrize("d,k,b", [(2, 2, 0.07), (2, 4, None), (3, 9, None), (3, 8, None)])
+def test_objective_matches_numpy_formula(d, k, b):
+    # sum_{x != y} (|<v_x|v_y>|^2 - b)^2 + 10 ||sum_x |v_x><v_x| - I||_F^2, term by term
+    rng = np.random.default_rng(47 + d + k)
+    rows = rng.normal(size=(d * d, d)) + 1j * rng.normal(size=(d * d, d))
+    target = SearchConfig(d=d, k=k, b=b).b
+    expected = 0.0
+    for x in range(d * d):
+        for y in range(d * d):
+            if x != y:
+                expected += (abs(np.vdot(rows[x], rows[y])) ** 2 - target) ** 2
+    frame = sum(np.outer(v, v.conj()) for v in rows)
+    expected += 10.0 * np.linalg.norm(frame - np.eye(d), "fro") ** 2
+    assert objective(rows, d, k, b) == pytest.approx(expected, rel=1e-12)
+
+
+def test_objective_and_gradient_follow_the_config_b_rule():
+    rng = np.random.default_rng(5)
+    qubit_rows = search._initial_vectors(rng, 2)
+    value, grad = search._value_and_gradient(qubit_rows, 1.0 / 12.0)
+    assert objective(qubit_rows, 2, 4) == value
+    assert np.array_equal(gradient(qubit_rows, 2, 4), grad)
+    rows = hesse_rows() + 1e-3 * search._initial_vectors(rng, 3)
+    for fn in (objective, gradient):
+        assert np.array_equal(fn(rows, 3, 9, 1.0 / 36.0 + 5e-11), fn(rows, 3, 9))
+        with pytest.raises(InvalidConfig, match="does not match the overlap"):
+            fn(rows, 3, 9, 1.0 / 36.0 + 1e-9)
 
 
 def test_objective_validates_vectors():
@@ -147,25 +169,27 @@ def test_value_and_gradient_is_objective_and_gradient(d, count):
     rng = np.random.default_rng(d * 10 + count)
     rows = np.stack([search._initial_vectors(rng, d) for _ in range(count)])
     b = 1.0 / (d * d * (d + 1))
-    value, grad = search._value_and_gradient(rows, b, 10.0)
-    assert np.array_equal(value, search._objective(rows, b, 10.0))
-    assert np.array_equal(grad, search._gradient(rows, b, 10.0))
+    value, grad = search._value_and_gradient(rows, b)
+    assert np.array_equal(value, search._objective(rows, b))
+    for i in range(count):
+        assert value[i] == objective(rows[i], d, d * d)
+        assert np.array_equal(grad[i], gradient(rows[i], d, d * d))
 
 
 def test_armijo_ladder_equals_serial_halvings():
-    b, w = 1.0 / 36.0, 10.0
+    b = 1.0 / 36.0
     point = search._initial_vectors(np.random.default_rng(5), 3)
-    f0, g0 = search._value_and_gradient(point, b, w)
+    f0, g0 = search._value_and_gradient(point, b)
     # five descent steps, then one along the ascent direction +g0 that no halving rescues
     step = np.array([1e-3, 3e-2, 0.1, 0.3, 10.0, 1e3])
     rows = np.repeat(point[None], len(step), axis=0)
     grad = np.stack([g0] * 5 + [-g0])
     f = np.full(len(step), f0)
     gnorm2 = np.full(len(step), search._sum2(np.abs(g0) ** 2))
-    expected = serial_armijo_steps(rows, grad, f, gnorm2, b, w, step)
+    expected = serial_armijo_steps(rows, grad, f, gnorm2, b, step)
     halvings = np.log2(step / expected[0])
     assert list(halvings[:5]) == [0, 1, 2, 4, 9] and np.isnan(halvings[5])
-    got = search._armijo_steps(rows, grad, f, gnorm2, b, w, step)
+    got = search._armijo_steps(rows, grad, f, gnorm2, b, step)
     for a, e in zip(got, expected):
         assert np.array_equal(a, e, equal_nan=True)
 
@@ -175,10 +199,9 @@ def test_batched_restarts_match_running_alone(d, k, b):
     cfg = SearchConfig(d=d, k=k, b=b, restarts=5, max_iterations=300, seed=2)
     stack = np.stack([search._initial_vectors(search._restart_rng(cfg.seed, i), d)
                       for i in range(cfg.restarts)])
-    rows, f, iterations, traces, reasons = search._descend_batch(
-        stack, cfg.b, search._PENALTY_WEIGHT, cfg)
+    rows, f, iterations, traces, reasons = search._descend_batch(stack, cfg.b, cfg)
     for i in range(cfg.restarts):
-        alone = search._descend_batch(stack[i:i + 1], cfg.b, search._PENALTY_WEIGHT, cfg)
+        alone = search._descend_batch(stack[i:i + 1], cfg.b, cfg)
         assert alone[1][0] == f[i]
         assert alone[2][0] == iterations[i]
         assert np.array_equal(alone[0][0], rows[i])
@@ -187,8 +210,8 @@ def test_batched_restarts_match_running_alone(d, k, b):
 
 def test_line_fit_without_a_cubic_gives_no_model_step():
     rows = family_rows(0.07)[None]
-    f0 = search._objective(rows, 0.07, 10.0)
-    flat = search._model_steps(rows, np.zeros_like(rows), f0, np.zeros(1), 0.07, 10.0,
+    f0 = search._objective(rows, 0.07)
+    flat = search._model_steps(rows, np.zeros_like(rows), f0, np.zeros(1), 0.07,
                                np.array([1e-3]))
     assert np.isnan(flat).all()
 
