@@ -25,7 +25,6 @@ from .dual import (
     region_grid,
     write_region_csv,
 )
-from .linalg import eig_hermitian, pauli_compose
 from .model import (
     NOT_SEMI_SIC,
     SIC,
@@ -74,7 +73,6 @@ __all__ = [
     "construct",
     "dual_basis",
     "dual_frame_document",
-    "eig_hermitian",
     "family_kets",
     "family_point",
     "feasibility_poly",
@@ -82,7 +80,6 @@ __all__ = [
     "load_povm",
     "objective",
     "parse_povm_document",
-    "pauli_compose",
     "povm_document",
     "probabilities",
     "probs_to_bloch",

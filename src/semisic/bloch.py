@@ -5,7 +5,9 @@ probabilities that are affine in the Bloch vector r:
 
     q_x = (a_x / 2) * (1 + n_x . r)
 
-where a_x is the element's trace and n_x the Bloch vector of its ket:
+where a_x is the element's trace and n_x the Bloch vector
+(2 Re c0* c1, 2 Im c0* c1, |c0|^2 - |c1|^2) of its family ket
+c0 |0> + c1 |1> (qubit.family_kets). In closed form,
 
     n_1 = (0, 0, 1)
     n_2 = (2 r sqrt(1 - r^2), 0, 2 r^2 - 1)
@@ -25,8 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InconsistentProbabilities, LengthMismatch, OutsideBlochBall
-from .linalg import pauli_compose
-from .qubit import QubitFamilyPoint
+from .qubit import QubitFamilyPoint, family_kets
 
 _BALL_SLACK = 1e-9
 _RESIDUAL_GATE = 1e-8
@@ -46,22 +47,15 @@ def _as_bloch(r) -> np.ndarray:
 
 def bloch_to_state(r) -> np.ndarray:
     """Density matrix (I + r . sigma)/2 of a Bloch vector."""
-    vec = _as_bloch(r)
-    return pauli_compose(0.5, 0.5 * vec[0], 0.5 * vec[1], 0.5 * vec[2])
+    x, y, z = _as_bloch(r)
+    return 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]])
 
 
 def _directions(point: QubitFamilyPoint) -> tuple[np.ndarray, np.ndarray]:
     """Per-element trace weights a_x/2 and Bloch directions n_x (rows)."""
-    rr, th = point.r, point.theta
-    c = 2.0 * np.sqrt(2.0) / 3.0
-    dirs = np.array(
-        [
-            [0.0, 0.0, 1.0],
-            [2.0 * rr * np.sqrt(max(0.0, 1.0 - rr * rr)), 0.0, 2.0 * rr * rr - 1.0],
-            [-c * np.cos(th), -c * np.sin(th), -1.0 / 3.0],
-            [-c * np.cos(th), +c * np.sin(th), -1.0 / 3.0],
-        ]
-    )
+    c0, c1 = family_kets(point).T
+    z = 2.0 * c0.conj() * c1
+    dirs = np.array([z.real, z.imag, abs(c0) ** 2 - abs(c1) ** 2]).T
     a = point.params
     weights = 0.5 * np.array([a.a_minus, a.a_minus, a.a_plus, a.a_plus])
     return weights, dirs

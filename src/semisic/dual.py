@@ -68,12 +68,11 @@ def dual_basis(povm: Povm, params: SemiSicParams) -> DualFrame:
 
     params must agree with a POVM that passes verify() at linalg.TOL_COND:
     the same d, and params.b within TOL_COND of the fitted overlap (else
-    NotSemiSic). params.k is not checked against the POVM: away from the
-    qubit SIC point b = 1/12, b fixes k, but there every k passes
-    SemiSicParams, and source_k is the caller's k. DegenerateCoefficients
-    is raised when a^2 - params.b nearly vanishes at params' roots a-, a+
-    or at the measured class traces, where the closed form has no
-    coefficients. Verifies duality Tr[E_x F_y] = delta_xy before returning.
+    NotSemiSic). source_k is the k that verify() measures, not params.k.
+    DegenerateCoefficients is raised when a^2 - params.b nearly vanishes at
+    params' roots a-, a+ or at the measured class traces, where the closed
+    form has no coefficients. Verifies duality Tr[E_x F_y] = delta_xy
+    before returning.
     """
     return _dual_frame(povm, params, verify(povm))
 
@@ -106,7 +105,7 @@ def _dual_frame(povm: Povm, params: SemiSicParams, report: VerificationReport) -
     return DualFrame(
         dim=d,
         duals=duals,
-        source_k=int(params.k),
+        source_k=report.k,
         permutation=tuple(int(x) for x in np.argsort(povm.traces(), kind="stable")),
     )
 

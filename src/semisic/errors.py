@@ -5,10 +5,6 @@ class DimensionMismatch(ValueError):
     """Operands live on Hilbert spaces of different (or wrong) dimensions."""
 
 
-class ConvergenceFailure(RuntimeError):
-    """An eigenvalue or singular value iteration failed to converge."""
-
-
 class BOutOfRange(ValueError):
     """Pairwise overlap b is outside the admissible range for the dimension."""
 

@@ -236,9 +236,6 @@ class Povm:
     def __len__(self) -> int:
         return self.elements.shape[0]
 
-    def __iter__(self):
-        return iter(self.elements)
-
     def __getitem__(self, idx: int) -> np.ndarray:
         return self.elements[idx]
 

@@ -34,7 +34,6 @@ from .errors import (
     KOutOfRange,
     NotQubitSemiSic,
 )
-from .linalg import eig_hermitian
 from .model import NOT_SEMI_SIC, Povm, SemiSicParams, trace_values, verify
 
 B_MIN = 1.0 / 16.0   # open: the family degenerates here
@@ -123,6 +122,7 @@ def canonicalize(povm: Povm) -> tuple[np.ndarray, Povm, float]:
     Returns (u, canonical, b) where canonical is the reordered, rotated
     POVM and u undoes the rotation: u @ canonical[x] @ u^dagger equals the
     input element that canonical slot x came from, to machine precision.
+    u is unique only up to a global phase.
 
     Anchor pairs (which input elements play psi_1, psi_2) are tried in index
     order over the small-trace class (every ordered pair for a SIC, where
@@ -151,7 +151,7 @@ def canonicalize(povm: Povm) -> tuple[np.ndarray, Povm, float]:
 
     for i1, i2 in pairs:
         rest = [x for x in range(4) if x not in (i1, i2)]
-        _, vecs = eig_hermitian(povm[i1])
+        _, vecs = np.linalg.eigh(povm[i1])
         w1 = _completion_unitary(vecs[:, -1])
         z = (w1 @ povm[i2] @ w1.conj().T)[0, 1]
         if abs(z) < 1e-14:

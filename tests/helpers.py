@@ -3,6 +3,7 @@
 import numpy as np
 
 from semisic.model import Povm, SemiSicParams
+from semisic.qubit import QubitFamilyPoint
 from semisic.search import (_ARMIJO, _MAX_HALVINGS, _initial_vectors, _objective,
                              _value_and_gradient)
 
@@ -89,6 +90,28 @@ def reference_region_csv(scan) -> str:
     """
     rows = ["%.17g,%.17g,%.17g,%.17g,%d\n" % row for row in scan.tolist()]
     return "p1,p2,p3,f,feasible\n" + "".join(rows)
+
+
+def closed_form_directions(point: QubitFamilyPoint) -> tuple[np.ndarray, np.ndarray]:
+    """The paper's closed-form Bloch directions of the four family kets.
+
+    Reference for bloch._directions, which takes them from qubit.family_kets.
+    Returns the weights a_x/2 and the directions n_x (rows) of the table in
+    bloch's module docstring.
+    """
+    rr, th = point.r, point.theta
+    c = 2.0 * np.sqrt(2.0) / 3.0
+    dirs = np.array(
+        [
+            [0.0, 0.0, 1.0],
+            [2.0 * rr * np.sqrt(max(0.0, 1.0 - rr * rr)), 0.0, 2.0 * rr * rr - 1.0],
+            [-c * np.cos(th), -c * np.sin(th), -1.0 / 3.0],
+            [-c * np.cos(th), +c * np.sin(th), -1.0 / 3.0],
+        ]
+    )
+    a = point.params
+    weights = 0.5 * np.array([a.a_minus, a.a_minus, a.a_plus, a.a_plus])
+    return weights, dirs
 
 
 def serial_gradient_check(d: int, b: float, seed: int = 0, points: int = 5,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bisection_ball_residual
+from helpers import bisection_ball_residual, closed_form_directions
 from semisic.bloch import (
     _RESIDUAL_GATE,
     _ball_residual,
@@ -135,3 +135,12 @@ def test_newton_ball_step_matches_bisection(b, excess, polar, azimuth, offset):
     want, want_res = bisection_ball_residual(m, rhs)
     assert (res > _RESIDUAL_GATE) == (want_res > _RESIDUAL_GATE)
     assert np.max(np.abs(r - want)) <= 1e-12
+
+
+def test_directions_from_the_kets_match_the_closed_form():
+    for b in np.linspace(1.0 / 16.0 + 1e-12, 1.0 / 12.0, 401):
+        point = family_point(b)
+        weights, dirs = _directions(point)
+        want_weights, want_dirs = closed_form_directions(point)
+        assert np.array_equal(weights, want_weights)
+        assert np.max(np.abs(dirs - want_dirs)) <= 1e-15

@@ -97,6 +97,15 @@ def test_dual_tracks_element_permutation():
     assert np.max(np.abs(prod - np.eye(4))) < 1e-10
 
 
+def test_dual_records_the_measured_k():
+    # at the SIC every k passes SemiSicParams; one trace class measures k = 4
+    sic = construct(1.0 / 12.0)
+    for k in range(1, 5):
+        assert dual_basis(sic, SemiSicParams.from_b(2, 1.0 / 12.0, k)).source_k == 4
+    member = construct(2.0 / 25.0)
+    assert dual_basis(member, SemiSicParams.from_b(2, 2.0 / 25.0, 2)).source_k == 2
+
+
 def test_dual_rejects_mismatched_params():
     povm = construct(2.0 / 25.0)
     with pytest.raises(DimensionMismatch):

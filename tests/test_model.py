@@ -188,6 +188,7 @@ def test_povm_hermitizes_roundoff_and_freezes():
     assert not povm.elements.flags.writeable
     assert len(povm) == 4
     assert np.array_equal(povm[1], povm.elements[1])
+    assert np.array_equal(np.array(list(povm)), povm.elements)
     assert np.allclose(povm.traces(), [0.5, 0.5, 0.5, 0.5], atol=1e-14)
 
 

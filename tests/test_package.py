@@ -7,8 +7,9 @@ from semisic import errors, linalg, search
 
 DELETED = {
     linalg: ("as_ket", "hs_inner", "outer", "is_psd", "rank", "pauli_decompose",
-             "Tolerances", "DEFAULT_TOL", "as_matrix"),
-    errors: ("NotNormalized", "NonNegligibleImaginaryPart"),
+             "Tolerances", "DEFAULT_TOL", "as_matrix", "eig_hermitian", "pauli_compose",
+             "PAULI_X", "PAULI_Y", "PAULI_Z"),
+    errors: ("NotNormalized", "NonNegligibleImaginaryPart", "ConvergenceFailure"),
     search: ("STEP_POLICIES",),
 }
 
