@@ -14,12 +14,12 @@ c0 |0> + c1 |1> (qubit.family_kets). In closed form,
     n_3 = (-(2 sqrt(2)/3) cos t, -(2 sqrt(2)/3) sin t, -1/3)
     n_4 = n_3 with the sign of the y component flipped
 
-(r, t) = (point.r, point.theta). The inverse map solves the affine system
-by least squares and reports a residual; the residual is measured against
-the closest point of the closed unit ball, so probability vectors that are
-only realizable by "states" outside the ball are rejected too. That point
-solves a trust-region subproblem, found by Newton's method on the secular
-equation (More & Sorensen, SIAM J. Sci. Stat. Comput. 4, 553 (1983)).
+(r, t) = (point.r, point.theta). The inverse map takes the point of the
+closed unit ball that best fits the affine system and checks its residual,
+so probability vectors only realizable by "states" outside the ball are
+rejected too. That point solves a trust-region subproblem: Newton's method
+on the secular equation (More & Sorensen, SIAM J. Sci. Stat. Comput. 4, 553
+(1983)), started at the least-squares point.
 """
 
 from __future__ import annotations
@@ -69,12 +69,13 @@ def bloch_to_probs(r, point: QubitFamilyPoint) -> np.ndarray:
 
 
 def _ball_residual(m: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """min ||M r - rhs|| over ||r|| <= 1, when the least-squares r lies outside.
+    """The minimum of ||M r - rhs|| over the closed ball ||r|| <= 1, for any rhs.
 
-    r(lam) = (M^T M + lam I)^-1 M^T rhs. Newton's method on the secular
-    equation 1/||r(lam)|| = 1 (More & Sorensen 1983), in the eigenbasis of
-    M^T M, rises monotonically from lam = 0 to the root; it stops when the
-    step is no longer positive or no longer changes lam.
+    r(lam) = (M^T M + lam I)^-1 M^T rhs, M of full rank. Newton's method on
+    the secular equation 1/||r(lam)|| = 1 (More & Sorensen 1983), in the
+    eigenbasis of M^T M, rises monotonically from the least-squares point at
+    lam = 0 and stops once ||r|| <= 1 (at once if that point is in the ball,
+    rhs = 0 included) or the step no longer changes lam.
     """
     vals, vecs = np.linalg.eigh(m.T @ m)
     gh = vecs.T @ (m.T @ rhs)
@@ -82,8 +83,10 @@ def _ball_residual(m: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     while True:
         p = gh / (vals + lam)
         norm = float(np.sqrt(p @ p))
+        if norm <= 1.0:
+            break
         step = (norm - 1.0) * norm * norm / float(p @ (p / (vals + lam)))
-        if not step > 0.0 or lam + step == lam:
+        if lam + step == lam:
             break
         lam += step
     r = vecs @ p
@@ -93,10 +96,9 @@ def _ball_residual(m: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
 def probs_to_bloch(q, point: QubitFamilyPoint) -> np.ndarray:
     """Invert bloch_to_probs, rejecting vectors no qubit state can produce.
 
-    Solves the 4x3 affine system by least squares. If the residual exceeds
-    1e-8, or the solution lies outside the closed unit ball (in which case
-    the residual is re-measured at the nearest ball point), raises
-    InconsistentProbabilities.
+    Returns the r of the closed unit ball that best fits the 4x3 affine
+    system (the least-squares r when that lies in the ball); if its
+    residual exceeds 1e-8, raises InconsistentProbabilities.
     """
     probs = np.asarray(q, dtype=float)
     if probs.shape != (4,):
@@ -104,20 +106,9 @@ def probs_to_bloch(q, point: QubitFamilyPoint) -> np.ndarray:
     if not np.all(np.isfinite(probs)):
         raise ValueError("probabilities contain non-finite entries")
     weights, dirs = _directions(point)
-    m = weights[:, None] * dirs
-    rhs = probs - weights
-    sol, *_ = np.linalg.lstsq(m, rhs, rcond=None)
-    residual = float(np.linalg.norm(m @ sol - rhs))
+    sol, residual = _ball_residual(weights[:, None] * dirs, probs - weights)
     if residual > _RESIDUAL_GATE:
         raise InconsistentProbabilities(
             f"no Bloch vector reproduces these probabilities (residual {residual:.3e})"
         )
-    norm = float(np.linalg.norm(sol))
-    if norm > 1.0 + _BALL_SLACK:
-        sol, ball_res = _ball_residual(m, rhs)
-        if ball_res > _RESIDUAL_GATE:
-            raise InconsistentProbabilities(
-                f"probabilities require a Bloch vector of norm {norm:.6g}; "
-                f"nearest state leaves residual {ball_res:.3e}"
-            )
     return sol

@@ -72,7 +72,7 @@ def _verified_dual(infile) -> tuple[dual.DualFrame, model.VerificationReport]:
     if report.classification == model.NOT_SEMI_SIC:
         raise NotSemiSic(f"input is not a semi-SIC (max violation {report.max_violation:.3e})")
     params = model.SemiSicParams.from_b(povm.dim, report.fitted_b, report.k)
-    return dual._dual_frame(povm, params, report), report
+    return dual.dual_basis(povm, params), report
 
 
 def cmd_dual(args) -> int:
@@ -96,7 +96,8 @@ def cmd_bloch(args) -> int:
         values = bloch_to_probs(np.array(args.to_probs), point)
     else:
         values = probs_to_bloch(np.array(args.to_bloch), point)
-    print(" ".join(f"{v:.12g}" for v in values))
+    # both maps are accurate to about 1e-10, so magnitudes below 1e-12 are rounding noise
+    print(" ".join(f"{v:.12g}" if abs(v) >= 1e-12 else "0" for v in values))
     return 0
 
 

@@ -32,7 +32,7 @@ from .errors import (
     NotSemiSic,
 )
 from .linalg import TOL_COND, TOL_NORM, TOL_PSD, as_hermitian
-from .model import NOT_SEMI_SIC, Povm, SemiSicParams, VerificationReport, verify
+from .model import NOT_SEMI_SIC, Povm, SemiSicParams, verify
 from .textio import open_text
 
 # Parameter sets whose closed-form divisors a^2 - b fall below this are refused.
@@ -72,13 +72,10 @@ def dual_basis(povm: Povm, params: SemiSicParams) -> DualFrame:
     DegenerateCoefficients is raised when a^2 - params.b nearly vanishes at
     params' roots a-, a+ or at the measured class traces, where the closed
     form has no coefficients. Verifies duality Tr[E_x F_y] = delta_xy
-    before returning.
+    before returning. The verify() report is the one the Povm keeps, so a
+    POVM the caller has already verified is not measured again.
     """
-    return _dual_frame(povm, params, verify(povm))
-
-
-def _dual_frame(povm: Povm, params: SemiSicParams, report: VerificationReport) -> DualFrame:
-    """dual_basis for a POVM whose verify() report the caller already holds."""
+    report = verify(povm)
     if report.classification == NOT_SEMI_SIC:
         raise NotSemiSic(f"verification failed (max violation {report.max_violation:.3e})")
     d = povm.dim

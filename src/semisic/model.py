@@ -16,7 +16,7 @@ for d >= 3, k = d^2 in any d), SemiSicParams.from_b stores the closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -114,7 +114,7 @@ def _check_dk(d: int, k: int) -> None:
 
 @dataclass(frozen=True)
 class SemiSicParams:
-    """Validated parameter bundle (d, b, k, a-, a+).
+    """Validated parameter bundle (d, b, k) with its roots (a_minus, a_plus) = trace_values(d, b).
 
     The counting identity k a- + (d^2 - k) a+ = d must hold within 1e-12;
     for d >= 3 that is equivalent to the admissible-k bound. For d = 2 it
@@ -124,16 +124,13 @@ class SemiSicParams:
     d: int
     b: float
     k: int
-    a_minus: float
-    a_plus: float
+    a_minus: float = field(init=False)
+    a_plus: float = field(init=False)
 
     def __post_init__(self) -> None:
         lo, hi = trace_values(self.d, self.b)
-        if abs(self.a_minus - lo) > _COUNTING_TOL or abs(self.a_plus - hi) > _COUNTING_TOL:
-            raise ValueError(
-                f"trace values ({self.a_minus!r}, {self.a_plus!r}) are not the roots "
-                f"({lo!r}, {hi!r}) for d = {self.d}, b = {self.b!r}"
-            )
+        object.__setattr__(self, "a_minus", lo)
+        object.__setattr__(self, "a_plus", hi)
         n = self.d * self.d
         if not isinstance(self.k, (int, np.integer)) or not 0 < self.k <= n:
             raise KOutOfRange(f"k must lie in 1..{n}, got {self.k!r}")
@@ -168,10 +165,9 @@ class SemiSicParams:
                     f"(d, k) = ({d}, {k})"
                 )
             b = pinned
-        lo, hi = trace_values(d, b)
         # a numpy integer k is stored as an int; any other k is left to __post_init__
         k = int(k) if isinstance(k, np.integer) else k
-        return cls(d=int(d), b=b, k=k, a_minus=lo, a_plus=hi)
+        return cls(d=int(d), b=b, k=k)
 
     @classmethod
     def from_k(cls, d: int, k: int) -> "SemiSicParams":
@@ -205,11 +201,12 @@ class Povm:
 
     elements has shape (d^2, d, d). Structural junk (wrong count, badly
     non-Hermitian, grossly incomplete or negative) raises MalformedPovm at
-    construction; finer defects are verify()'s job.
+    construction; finer defects are verify()'s job, and the Povm keeps its reports.
     """
 
     dim: int
     elements: np.ndarray
+    _reports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
@@ -270,9 +267,16 @@ def verify(povm: Povm, tol_cond: float = TOL_COND) -> VerificationReport:
     max_violation: at most tol_cond means SIC (one trace class) or
     StrictSemiSIC (two), anything more NotSemiSIC; the other gates are fixed
     linalg constants. Structural soundness is the Povm constructor's job.
+    A Povm is measured once per tol_cond; later calls return its stored report.
     """
     if not isinstance(povm, Povm):
         raise MalformedPovm(f"expected a Povm, got {type(povm).__name__}")
+    if tol_cond not in povm._reports:
+        povm._reports[tol_cond] = _measure(povm, tol_cond)
+    return povm._reports[tol_cond]
+
+
+def _measure(povm: Povm, tol_cond: float) -> VerificationReport:
     d = povm.dim
     n = d * d
     stack = povm.elements

@@ -73,7 +73,7 @@ def family_point(b: float) -> QubitFamilyPoint:
         ) from exc
     s = hi - lo  # sqrt(1 - 12 b), exactly zero at the (snapped) SIC endpoint
     k = 4 if s == 0.0 else 2
-    params = SemiSicParams(d=2, b=b, k=k, a_minus=lo, a_plus=hi)
+    params = SemiSicParams(d=2, b=b, k=k)
     r = 2.0 * np.sqrt(b) / (1.0 - s)
     cos_theta = np.sqrt(max(0.0, 1.0 - 8.0 * b - s)) / (4.0 * np.sqrt(b))
     theta = float(np.arccos(min(1.0, cos_theta)))

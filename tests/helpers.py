@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from semisic import model
 from semisic.model import Povm, SemiSicParams
 from semisic.qubit import QubitFamilyPoint
 from semisic.search import (_ARMIJO, _MAX_HALVINGS, _initial_vectors, _objective,
@@ -25,6 +26,19 @@ def hesse_sic() -> Povm:
     ]
     stack = np.array([np.outer(v, v.conj()) / 3.0 for v in kets])
     return Povm(dim=3, elements=stack)
+
+
+def count_measurements(monkeypatch) -> list:
+    """Record the tol_cond of every POVM measurement that model.verify makes."""
+    calls = []
+    measure = model._measure
+
+    def counted(povm, tol_cond):
+        calls.append(tol_cond)
+        return measure(povm, tol_cond)
+
+    monkeypatch.setattr(model, "_measure", counted)
+    return calls
 
 
 def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -142,9 +156,10 @@ def serial_gradient_check(d: int, b: float, seed: int = 0, points: int = 5,
 def bisection_ball_residual(m: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     """Reference for bloch._ball_residual: 200 bisection steps on ||r(lam)|| = 1.
 
-    min ||M r - rhs|| over ||r|| <= 1 for a least-squares solution outside
-    the ball, with r(lam) = (M^T M + lam I)^-1 M^T rhs; lam is bracketed by
-    doubling and the bracket's upper end (||r|| <= 1) is returned.
+    min ||M r - rhs|| over ||r|| <= 1, with r(lam) = (M^T M + lam I)^-1 M^T rhs;
+    lam is bracketed by doubling and the bracket's upper end (||r|| <= 1) is
+    returned. For a least-squares solution inside the ball the bracket
+    shrinks to lam = 2^-200 of its start, which leaves that solution.
     """
     gram = m.T @ m
     g = m.T @ rhs

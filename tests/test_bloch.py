@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import bisection_ball_residual, closed_form_directions
@@ -106,31 +106,36 @@ def test_probs_to_bloch_rejects_inconsistent_input():
 
 @pytest.mark.parametrize("b", [0.0626, 0.07, 2.0 / 25.0, 1.0 / 12.0])
 def test_probabilities_just_outside_the_ball_are_projected(b):
-    # the least-squares r has norm 1 + 1e-8: over the ball slack, but the nearest
-    # ball point reproduces the probabilities within the residual gate
+    # least-squares r of norm 1 + 1e-8 and 1 + 1e-10: the nearest ball point
+    # reproduces the probabilities within the residual gate
     point = family_point(b)
     center = bloch_to_probs(np.zeros(3), point)
     for v in random_ball(np.random.default_rng(37), 8):
         v /= np.linalg.norm(v)
         pure = bloch_to_probs(v, point) - center
-        r = probs_to_bloch(center + (1.0 + 1e-8) * pure, point)
-        assert np.linalg.norm(r) <= 1.0 + 1e-9
-        assert np.max(np.abs(r - v)) < 1e-7
+        for excess in (1e-8, 1e-10):
+            r = probs_to_bloch(center + (1.0 + excess) * pure, point)
+            assert np.linalg.norm(r) <= 1.0 + 1e-15
+            assert np.max(np.abs(r - v)) < 10.0 * excess
         with pytest.raises(InconsistentProbabilities):
             probs_to_bloch(center + 1.05 * pure, point)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(b=st.floats(1.0 / 16.0 + 1e-7, 1.0 / 12.0), excess=st.floats(-9.0, 6.0),
+@given(b=st.floats(1.0 / 16.0 + 1e-7, 1.0 / 12.0),
+       radius=st.one_of(st.floats(0.0, 1.0),
+                        st.floats(-9.0, 6.0).map(lambda e: min(1.0 + 10.0**e, 1e6))),
        polar=st.floats(0.0, np.pi), azimuth=st.floats(0.0, 2.0 * np.pi),
        offset=st.floats(0.0, 2e-8))
-def test_newton_ball_step_matches_bisection(b, excess, polar, azimuth, offset):
-    # an r of norm 1 + 10^excess (up to 1e6), plus an offset off the range of M
+@example(b=0.07, radius=0.0, polar=0.0, azimuth=0.0, offset=0.0)  # rhs = 0
+def test_newton_ball_step_matches_bisection(b, radius, polar, azimuth, offset):
+    # an r inside the ball or of norm 1 + 10^e (up to 1e6), plus an offset off
+    # the range of M
     weights, dirs = _directions(family_point(b))
     m = weights[:, None] * dirs
     u = np.array([np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth),
                   np.cos(polar)])
-    rhs = m @ (min(1.0 + 10.0**excess, 1e6) * u) + offset * np.linalg.svd(m)[0][:, -1]
+    rhs = m @ (radius * u) + offset * np.linalg.svd(m)[0][:, -1]
     r, res = _ball_residual(m, rhs)
     want, want_res = bisection_ball_residual(m, rhs)
     assert (res > _RESIDUAL_GATE) == (want_res > _RESIDUAL_GATE)

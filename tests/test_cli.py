@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import disguise, hermitian_noise, hesse_sic
+from helpers import count_measurements, disguise, hermitian_noise, hesse_sic
 from semisic import cli, dual, qubit
 from semisic.bloch import bloch_to_probs
 from semisic.documents import parse_povm_document, save_povm
+from semisic.linalg import TOL_COND
 from semisic.model import Povm, VerificationReport
 from semisic.qubit import construct, family_point
 
@@ -157,6 +158,14 @@ def test_region_scan(tmp_path, capsys):
     assert "feasible" in err
 
 
+@pytest.mark.parametrize("argv", [["dual"], ["region", "--resolution", "3"]])
+def test_dual_and_region_measure_the_povm_once(tmp_path, capsys, monkeypatch, argv):
+    path = member_path(tmp_path, capsys)
+    calls = count_measurements(monkeypatch)
+    rc, _, _ = run(capsys, argv[0], "--in", str(path), *argv[1:])
+    assert rc == 0 and calls == [TOL_COND]
+
+
 def test_region_over_the_point_cap_exits_2(tmp_path, capsys, monkeypatch):
     path = member_path(tmp_path, capsys)
     monkeypatch.setattr(dual, "MAX_REGION_POINTS", 285)
@@ -182,6 +191,20 @@ def test_bloch_conversions(capsys):
     rc, _, err = run(capsys, "bloch", "--b", "2/25",
                      "--to-bloch", "0.9", "0.05", "0.03", "0.02")
     assert rc == 1 and "error:" in err
+
+
+@pytest.mark.parametrize("argv, want", [
+    # the README example and the maximally mixed state
+    ("--to-bloch 0.4 0.2 0.2 0.2", "0 0 1"),
+    ("--to-bloch 0.2 0.2 0.3 0.3", "0 0 0"),
+    # the pure state opposite n_3 (to 15 digits), whose q_3 is 0
+    ("--to-probs 0.333333333333333 0.881917103688197 0.333333333333333",
+     "0.266666666667 0.266666666667 0 0.466666666667"),
+], ids=["readme", "mixed", "to-probs"])
+def test_bloch_prints_rounding_noise_as_zero(capsys, argv, want):
+    # each zero is about 1e-16 after rounding
+    rc, out, _ = run(capsys, "bloch", "--b", "2/25", *argv.split())
+    assert (rc, out) == (0, want + "\n")
 
 
 def test_search_command(tmp_path, capsys):

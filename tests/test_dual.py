@@ -6,7 +6,8 @@ import io
 import numpy as np
 import pytest
 
-from helpers import block_dual, disguise, hesse_sic, random_density, reference_region_csv
+from helpers import (block_dual, count_measurements, disguise, hesse_sic, random_density,
+                     reference_region_csv)
 from semisic import dual
 from semisic.bloch import _directions
 from semisic.dual import (
@@ -104,6 +105,14 @@ def test_dual_records_the_measured_k():
         assert dual_basis(sic, SemiSicParams.from_b(2, 1.0 / 12.0, k)).source_k == 4
     member = construct(2.0 / 25.0)
     assert dual_basis(member, SemiSicParams.from_b(2, 2.0 / 25.0, 2)).source_k == 2
+
+
+def test_verify_then_dual_basis_measures_the_povm_once(monkeypatch):
+    povm = disguise(np.random.default_rng(3), construct(2.0 / 25.0), 1e-12)
+    calls = count_measurements(monkeypatch)
+    report = verify(povm)
+    frame = dual_basis(povm, SemiSicParams.from_b(2, report.fitted_b, report.k))
+    assert frame.source_k == 2 and len(calls) == 1
 
 
 def test_dual_rejects_mismatched_params():

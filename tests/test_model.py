@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import disguise, hesse_sic
+from helpers import count_measurements, disguise, hesse_sic
 from semisic.dual import dual_basis
 from semisic.errors import (
     BOutOfRange,
@@ -57,9 +57,8 @@ def test_trace_values_qubit_oracle():
 def test_trace_values_are_python_floats():
     assert all(type(a) is float for a in trace_values(3, 1.0 / 36.0))
     assert "np.float64" not in repr(SemiSicParams.from_b(3, 1.0 / 36.0, 9))
-    lo, hi = trace_values(2, 0.07)
     with pytest.raises(KOutOfRange, match="counting identity") as exc:
-        SemiSicParams(d=2, b=0.07, k=3, a_minus=lo, a_plus=hi)
+        SemiSicParams(d=2, b=0.07, k=3)
     assert "np.float64" not in str(exc.value)
 
 
@@ -144,8 +143,13 @@ def test_from_b_refuses_a_non_integer_k_as_the_constructor_does():
 
 
 def test_params_reject_tampered_roots():
-    with pytest.raises(ValueError):
+    # the roots are derived from (d, b), never passed
+    with pytest.raises(TypeError):
         SemiSicParams(d=2, b=2.0 / 25.0, k=2, a_minus=0.41, a_plus=0.6)
+    with pytest.raises(TypeError):
+        SemiSicParams(2, 2.0 / 25.0, 2, 0.4, 0.6)
+    params = SemiSicParams(d=2, b=2.0 / 25.0, k=2)
+    assert (params.a_minus, params.a_plus) == trace_values(2, 2.0 / 25.0)
 
 
 def test_povm_structural_gates():
@@ -250,6 +254,19 @@ def test_verify_classifies_at_the_given_gate():
     assert report.max_violation == pytest.approx(6e-10, rel=0.05)
     loose = verify(povm, tol_cond=1e-6)
     assert (loose.classification, loose.k) == (STRICT_SEMI_SIC, 2)
+
+
+def test_verify_measures_each_povm_once_per_gate(monkeypatch):
+    povm = construct(0.07)
+    calls = count_measurements(monkeypatch)
+    report = verify(povm)
+    assert verify(povm) is report
+    loose = verify(povm, tol_cond=1e-6)
+    assert loose is not report and verify(povm, tol_cond=1e-6) is loose
+    assert calls == [TOL_COND, 1e-6]
+    # an equal Povm is a new object, measured anew
+    assert verify(Povm(dim=2, elements=povm.elements)) == report
+    assert len(calls) == 3
 
 
 def test_verify_rejects_full_rank_elements():
