@@ -8,7 +8,7 @@ the Gram matrix G_xy = Tr[E_x E_y], and dual_basis forms it by one linear
 solve. For a semi-SIC this is the paper's two-block closed form, with
 coefficients 1/(a^2 - b) per trace class; the solve never divides by
 a^2 - b, which vanishes as a qubit b tends to 1/16, so it stays accurate
-there. The parameter set is still refused where those divisors vanish.
+there, and its duality check allows for the conditioning of G.
 
 For a qubit, p comes from a state exactly when det(sum_y p_y F_y) >= 0.
 region_grid scans that test over a simplex lattice into one numpy record
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DegenerateCoefficients,
     DimensionMismatch,
     LengthMismatch,
     NotAState,
@@ -35,20 +34,17 @@ from .linalg import TOL_COND, TOL_NORM, TOL_PSD, as_hermitian
 from .model import NOT_SEMI_SIC, Povm, SemiSicParams, verify
 from .textio import open_text
 
-# Parameter sets whose closed-form divisors a^2 - b fall below this are refused.
-_DEGENERACY_GATE = 1e-12
-
 # Feasibility slack: determinant values above -1e-12 count as reconstructible.
 FEASIBILITY_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualFrame:
     """Dual elements aligned with the source POVM's ordering.
 
     source_k records how many source elements sat on the small trace;
     permutation lists source indices in ascending trace order, so the
-    small-trace block comes first.
+    small-trace block comes first. Equality and hashing are by identity.
     """
 
     dim: int
@@ -69,11 +65,11 @@ def dual_basis(povm: Povm, params: SemiSicParams) -> DualFrame:
     params must agree with a POVM that passes verify() at linalg.TOL_COND:
     the same d, and params.b within TOL_COND of the fitted overlap (else
     NotSemiSic). source_k is the k that verify() measures, not params.k.
-    DegenerateCoefficients is raised when a^2 - params.b nearly vanishes at
-    params' roots a-, a+ or at the measured class traces, where the closed
-    form has no coefficients. Verifies duality Tr[E_x F_y] = delta_xy
-    before returning. The verify() report is the one the Povm keeps, so a
-    POVM the caller has already verified is not measured again.
+    Verifies duality Tr[E_x F_y] = delta_xy before returning, within
+    max(1e-10, 1e3 max_violation, 10 eps cond(G)): the last term is the
+    solve's rounding, which grows as a qubit b nears 1/16. The verify()
+    report is the one the Povm keeps, so a POVM the caller has already
+    verified is not measured again.
     """
     report = verify(povm)
     if report.classification == NOT_SEMI_SIC:
@@ -81,11 +77,6 @@ def dual_basis(povm: Povm, params: SemiSicParams) -> DualFrame:
     d = povm.dim
     if params.d != d:
         raise DimensionMismatch(f"params are for d = {params.d}, POVM has d = {d}")
-    # the closed form's divisors a^2 - b at params' roots and at the measured class traces
-    traces = (params.a_minus, params.a_plus, *(a for a, _ in report.trace_classes))
-    dens = [a * a - params.b for a in traces]
-    if min(map(abs, dens)) < _DEGENERACY_GATE:
-        raise DegenerateCoefficients(f"dual denominators a^2 - b = {dens} vanish")
     if abs(params.b - report.fitted_b) > TOL_COND:
         raise NotSemiSic(f"params have b = {params.b!r}, the POVM fits b = {report.fitted_b!r}")
 
@@ -96,7 +87,9 @@ def dual_basis(povm: Povm, params: SemiSicParams) -> DualFrame:
 
     products = np.einsum("xij,yji->xy", elements, duals)
     duality_dev = float(np.max(np.abs(products - np.eye(len(povm)))))
-    if duality_dev > max(1e-10, 1e3 * report.max_violation):
+    eigs = np.linalg.eigvalsh(gram)  # G is symmetric positive definite
+    rounding = 10.0 * np.finfo(float).eps * float(eigs[-1] / eigs[0])
+    if duality_dev > max(1e-10, 1e3 * report.max_violation, rounding):
         raise NotSemiSic(f"dual frame fails duality check (deviation {duality_dev:.3e})")
 
     return DualFrame(
@@ -126,14 +119,19 @@ def probabilities(rho, povm: Povm) -> np.ndarray:
     return p
 
 
-def reconstruct(p, frame: DualFrame) -> np.ndarray:
-    """Linear reconstruction sum_y p_y F_y (assumes sum(p) = 1 for unit trace)."""
+def _frame_probs(p, frame: DualFrame) -> np.ndarray:
+    """p as a finite float vector of one probability per frame element."""
     probs = np.asarray(p, dtype=float)
     if probs.ndim != 1 or probs.size != len(frame):
         raise LengthMismatch(f"expected {len(frame)} probabilities, got shape {probs.shape}")
     if not np.all(np.isfinite(probs)):
         raise ValueError("probabilities contain non-finite entries")
-    return np.tensordot(probs, frame.duals, axes=1)
+    return probs
+
+
+def reconstruct(p, frame: DualFrame) -> np.ndarray:
+    """Linear reconstruction sum_y p_y F_y (assumes sum(p) = 1 for unit trace)."""
+    return np.tensordot(_frame_probs(p, frame), frame.duals, axes=1)
 
 
 def feasibility_poly(p, frame: DualFrame) -> float:
@@ -146,9 +144,13 @@ def feasibility_poly(p, frame: DualFrame) -> float:
         raise DimensionMismatch(
             f"the determinant feasibility test is qubit-only, got d = {frame.dim}"
         )
-    m = reconstruct(p, frame)
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return float(det.real)
+    return float(_determinants(_frame_probs(p, frame), frame))
+
+
+def _determinants(probs: np.ndarray, frame: DualFrame) -> np.ndarray:
+    """det(sum_y p_y F_y) for p = probs, or for each row p of it, for 2x2 Hermitian duals."""
+    f00, f11, f01 = frame.duals[:, 0, 0].real, frame.duals[:, 1, 1].real, frame.duals[:, 0, 1]
+    return (probs @ f00) * (probs @ f11) - np.abs(probs @ f01) ** 2
 
 
 # Region scans of more lattice points than this are refused (ValueError, exit
@@ -190,13 +192,10 @@ def region_grid(frame: DualFrame, resolution: int) -> np.recarray:
     scan.p2 = np.repeat(j, runs) / n
     scan.p3 = (np.arange(count) - np.repeat(np.cumsum(runs) - runs, runs)) / n
 
-    # vectorized 2x2 determinant of sum_y p_y F_y, a block of rows at a time
-    f00, f11, f01 = frame.duals[:, 0, 0].real, frame.duals[:, 1, 1].real, frame.duals[:, 0, 1]
     for start in range(0, count, _CHUNK):
         rows = slice(start, start + _CHUNK)
         pts = np.column_stack([scan.p1[rows], scan.p2[rows], scan.p3[rows]])
-        probs = np.column_stack([pts, 1.0 - pts.sum(axis=1)])
-        scan.f[rows] = (probs @ f00) * (probs @ f11) - np.abs(probs @ f01) ** 2
+        scan.f[rows] = _determinants(np.column_stack([pts, 1.0 - pts.sum(axis=1)]), frame)
     scan.feasible = scan.f >= -FEASIBILITY_SLACK
     return scan
 

@@ -29,14 +29,6 @@ class NotQubitSemiSic(ValueError):
     """POVM is not a verified qubit semi-SIC."""
 
 
-class AmbiguousCanonicalization(ValueError):
-    """No anchor assignment reproduces the canonical form within tolerance."""
-
-
-class DegenerateCoefficients(ValueError):
-    """Dual-frame denominators vanish for this parameter set."""
-
-
 class NotSemiSic(ValueError):
     """POVM fails semi-SIC verification."""
 

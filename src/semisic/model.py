@@ -118,7 +118,8 @@ class SemiSicParams:
 
     The counting identity k a- + (d^2 - k) a+ = d must hold within 1e-12;
     for d >= 3 that is equivalent to the admissible-k bound. For d = 2 it
-    admits k = 2 (the strict family), and every k at the SIC point b = 1/12.
+    admits k = 2 (the strict family), and every k at the SIC point b = 1/12,
+    so a qubit k must also be 2 or 4 (the strict split or one trace class).
     """
 
     d: int
@@ -139,6 +140,8 @@ class SemiSicParams:
             raise KOutOfRange(
                 f"counting identity fails: k a- + (d^2-k) a+ = {counted!r} != {self.d}"
             )
+        if self.d == 2 and self.k not in (2, 4):
+            raise KOutOfRange(f"a qubit k must be 2 or 4, got {self.k!r}")
 
     @classmethod
     def from_b(cls, d: int, b: float, k: int) -> "SemiSicParams":
@@ -195,18 +198,19 @@ def _validate_povm_stack(dim: int, elements: np.ndarray) -> None:
         raise MalformedPovm(f"element {x} has negative eigenvalue {lows[x]:.3e}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """Ordered stack of d^2 Hermitian effects summing to the identity.
 
     elements has shape (d^2, d, d). Structural junk (wrong count, badly
     non-Hermitian, grossly incomplete or negative) raises MalformedPovm at
     construction; finer defects are verify()'s job, and the Povm keeps its reports.
+    Equality and hashing are by identity.
     """
 
     dim: int
     elements: np.ndarray
-    _reports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _reports: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:

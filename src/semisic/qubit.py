@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AmbiguousCanonicalization,
     BOutOfFamilyRange,
     BOutOfRange,
     KOutOfRange,
@@ -38,9 +37,6 @@ from .model import NOT_SEMI_SIC, Povm, SemiSicParams, trace_values, verify
 
 B_MIN = 1.0 / 16.0   # open: the family degenerates here
 B_MAX = 1.0 / 12.0   # closed: the SIC point
-
-# Matching gate for canonicalize on clean inputs; scaled up for noisy ones.
-CANON_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -124,11 +120,12 @@ def canonicalize(povm: Povm) -> tuple[np.ndarray, Povm, float]:
     input element that canonical slot x came from, to machine precision.
     u is unique only up to a global phase.
 
-    Anchor pairs (which input elements play psi_1, psi_2) are tried in index
-    order over the small-trace class (every ordered pair for a SIC, where
-    the classes merge), and the first assignment matching the family form
-    within the gate wins. Valid assignments agree on the canonical form up
-    to the gate, so this is a deterministic tie-break.
+    The family is unique up to a unitary and a relabelling, so the form is
+    built directly: psi_1 and psi_2 are the first two small-trace elements
+    in index order (elements 0 and 1 when verify() finds one trace class),
+    W sends psi_1 to |0> with <0|W E_2 W^dagger|1> real and positive, and of
+    the other two the one with Im <0|W E W^dagger|1> > 0 is psi_3 (sin theta
+    > 0 on [pi/3, pi/2)).
     """
     if not isinstance(povm, Povm) or povm.dim != 2:
         raise NotQubitSemiSic("canonicalization is defined for qubit POVMs only")
@@ -137,32 +134,19 @@ def canonicalize(povm: Povm) -> tuple[np.ndarray, Povm, float]:
         raise NotQubitSemiSic(
             f"verification failed (max violation {report.max_violation:.3e})"
         )
-
     try:
-        b = SemiSicParams.from_b(2, report.fitted_b, report.k).b
-        target = construct(b).elements
+        b = family_point(SemiSicParams.from_b(2, report.fitted_b, report.k).b).b
     except (BOutOfRange, BOutOfFamilyRange, KOutOfRange) as exc:
         raise NotQubitSemiSic(f"fitted overlap {report.fitted_b!r} is outside the family") from exc
-    gate = max(CANON_TOL, 1e3 * report.max_violation)
 
-    # the small-trace class as verify() draws it
-    lows = np.flatnonzero(povm.traces() < 0.5) if len(report.trace_classes) == 2 else range(4)
-    pairs = [(i, j) for i in lows for j in lows if i != j]
-
-    for i1, i2 in pairs:
-        rest = [x for x in range(4) if x not in (i1, i2)]
-        _, vecs = np.linalg.eigh(povm[i1])
-        w1 = _completion_unitary(vecs[:, -1])
-        z = (w1 @ povm[i2] @ w1.conj().T)[0, 1]
-        if abs(z) < 1e-14:
-            continue  # psi_2 parallel or orthogonal to psi_1: wrong anchor
-        w = np.diag([1.0, z / abs(z)]) @ w1
-        for i3, i4 in ((0, 1), (1, 0)):
-            order = [i1, i2, rest[i3], rest[i4]]
-            mapped = np.einsum("ij,xjk,lk->xil", w, povm.elements[order], w.conj())
-            if float(np.max(np.abs(mapped - target))) <= gate:
-                return w.conj().T, Povm(dim=2, elements=mapped), b
-
-    raise AmbiguousCanonicalization(
-        "no anchor assignment reproduces the family form within tolerance"
-    )
+    # the small-trace pair as verify() draws it (k is 2 or 4 once from_b admits it)
+    i1, i2 = np.flatnonzero(povm.traces() < 0.5) if report.k == 2 else (0, 1)
+    _, vecs = np.linalg.eigh(povm[i1])
+    w1 = _completion_unitary(vecs[:, -1])
+    z = (w1 @ povm[i2] @ w1.conj().T)[0, 1]
+    w = np.diag([1.0, z / abs(z)]) @ w1
+    i3, i4 = [x for x in range(4) if x not in (i1, i2)]
+    if (w @ povm[i3] @ w.conj().T)[0, 1].imag <= 0.0:
+        i3, i4 = i4, i3
+    mapped = np.einsum("ij,xjk,lk->xil", w, povm.elements[[i1, i2, i3, i4]], w.conj())
+    return w.conj().T, Povm(dim=2, elements=mapped), b

@@ -3,8 +3,8 @@
 import numpy as np
 
 from semisic import model
-from semisic.model import Povm, SemiSicParams
-from semisic.qubit import QubitFamilyPoint
+from semisic.model import Povm, SemiSicParams, verify
+from semisic.qubit import QubitFamilyPoint, _completion_unitary, construct
 from semisic.search import (_ARMIJO, _MAX_HALVINGS, _initial_vectors, _objective,
                              _value_and_gradient)
 
@@ -95,6 +95,37 @@ def block_dual(povm: Povm, params: SemiSicParams) -> np.ndarray:
         duals[ys] = (povm.elements[ys] / dens[own]
                      - sums[own] * (dens[other] / (dens[own] * m)) - sums[other] / m)
     return duals
+
+
+def anchor_search_canonicalize(povm: Povm):
+    """Reference for qubit.canonicalize: search the anchor assignments.
+
+    povm must be a verified qubit semi-SIC whose fitted b canonicalize
+    admits. Pairs (psi_1, psi_2) are tried in index order over the
+    small-trace class (every ordered pair for one trace class), then both
+    orders of the other two; the first assignment whose rotated elements
+    lie within max(1e-9, 1e3 max_violation) of construct(b) gives
+    (u, canonical, b). Returns None when none does.
+    """
+    report = verify(povm)
+    b = SemiSicParams.from_b(2, report.fitted_b, report.k).b
+    target = construct(b).elements
+    gate = max(1e-9, 1e3 * report.max_violation)
+    lows = np.flatnonzero(povm.traces() < 0.5) if len(report.trace_classes) == 2 else range(4)
+    for i1, i2 in [(i, j) for i in lows for j in lows if i != j]:
+        rest = [x for x in range(4) if x not in (i1, i2)]
+        _, vecs = np.linalg.eigh(povm[i1])
+        w1 = _completion_unitary(vecs[:, -1])
+        z = (w1 @ povm[i2] @ w1.conj().T)[0, 1]
+        if abs(z) < 1e-14:
+            continue  # psi_2 parallel or orthogonal to psi_1: wrong anchor
+        w = np.diag([1.0, z / abs(z)]) @ w1
+        for i3, i4 in ((0, 1), (1, 0)):
+            order = [i1, i2, rest[i3], rest[i4]]
+            mapped = np.einsum("ij,xjk,lk->xil", w, povm.elements[order], w.conj())
+            if float(np.max(np.abs(mapped - target))) <= gate:
+                return w.conj().T, Povm(dim=2, elements=mapped), b
+    return None
 
 
 def reference_region_csv(scan) -> str:

@@ -94,6 +94,11 @@ def test_bloch_rejections():
         bloch_to_probs([0.0, 0.0], point)
     with pytest.raises(LengthMismatch):
         probs_to_bloch([0.25, 0.25, 0.5], point)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            bloch_to_probs([0.0, bad, 0.0], point)
+        with pytest.raises(ValueError, match="non-finite"):
+            probs_to_bloch([0.4, 0.2, bad, 0.2], point)
 
 
 def test_probs_to_bloch_rejects_inconsistent_input():

@@ -332,3 +332,23 @@ def test_near_sic_member_with_fitted_b_above_the_double_root_dualizes(tmp_path, 
 
     rc, _, err = run(capsys, "dual", "--in", str(path), "--out", str(tmp_path / "frame.json"))
     assert rc == 0, err
+
+
+def test_dual_refuses_a_shifted_document(tmp_path, capsys):
+    path = member_path(tmp_path, capsys)
+    doc = json.loads(path.read_text())
+    doc["elements"][0][0][0][0] += 1e-3
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "dual", "--in", str(path))
+    assert rc == 1 and out == ""
+    assert "input is not a semi-SIC" in err
+
+
+def test_dual_and_region_accept_a_member_1e_10_above_one_sixteenth(tmp_path, capsys):
+    # cond(G) is 3.3e9 here, so the Gram solve's rounding reaches 3e-8
+    path = member_path(tmp_path, capsys, b="0.0625000001")
+    rc, _, err = run(capsys, "dual", "--in", str(path), "--out", str(tmp_path / "f.json"))
+    assert rc == 0, err
+    rc, _, err = run(capsys, "region", "--in", str(path), "--resolution", "10",
+                     "--out", str(tmp_path / "r.csv"))
+    assert rc == 0 and "of 286 grid points feasible" in err

@@ -82,6 +82,7 @@ def broken(mutate):
         (lambda d: d.update(b=True), "b"),
         (lambda d: d.update(k=2.5), "k"),
         (lambda d: d.update(metadata=[1]), "metadata"),
+        (lambda d: d["elements"][2][1].append([0.0, 0.0]), "elements[2][1]: expected 2 entries"),
     ],
 )
 def test_parse_errors_carry_paths(mutate, fragment):

@@ -20,7 +20,6 @@ from semisic.dual import (
     write_region_csv,
 )
 from semisic.errors import (
-    DegenerateCoefficients,
     DimensionMismatch,
     LengthMismatch,
     NotAState,
@@ -61,6 +60,7 @@ def test_dual_coefficients_for_the_frozen_member():
     assert frame.source_k == 2
     assert frame.permutation == (0, 1, 2, 3)
     assert len(frame) == 4
+    assert np.array_equal(frame[3], frame.duals[3])
 
 
 def test_duality_matrix_is_identity():
@@ -99,9 +99,9 @@ def test_dual_tracks_element_permutation():
 
 
 def test_dual_records_the_measured_k():
-    # at the SIC every k passes SemiSicParams; one trace class measures k = 4
+    # at the SIC both qubit k pass SemiSicParams; one trace class measures k = 4
     sic = construct(1.0 / 12.0)
-    for k in range(1, 5):
+    for k in (2, 4):
         assert dual_basis(sic, SemiSicParams.from_b(2, 1.0 / 12.0, k)).source_k == 4
     member = construct(2.0 / 25.0)
     assert dual_basis(member, SemiSicParams.from_b(2, 2.0 / 25.0, 2)).source_k == 2
@@ -122,6 +122,14 @@ def test_dual_rejects_mismatched_params():
     # right dimension, wrong trace split
     with pytest.raises(NotSemiSic):
         dual_basis(povm, SemiSicParams.from_b(2, 1.0 / 12.0, 2))
+    # b at the excluded family endpoint 1/16, where a-^2 = b
+    with pytest.raises(NotSemiSic):
+        dual_basis(povm, SemiSicParams.from_b(2, 1.0 / 16.0 + 1e-15, 2))
+    # b the square of the POVM's measured small trace
+    povm = construct(0.065)
+    a = float(np.sort(povm.traces())[:2].mean())
+    with pytest.raises(NotSemiSic):
+        dual_basis(povm, SemiSicParams.from_b(2, a * a, 2))
 
 
 @pytest.mark.parametrize("gap", [1e-12, 1e-9, 1e-7])
@@ -149,6 +157,17 @@ def test_dual_accepts_disguised_members_near_one_sixteenth(gap, noise):
         assert np.max(np.abs(prod - np.eye(4))) <= 1e-10
 
 
+@pytest.mark.parametrize("gap", [1e-10, 1e-9, 1e-8])
+@pytest.mark.parametrize("noise", [0.0, 1e-12])
+def test_dual_accepts_ill_conditioned_members_near_one_sixteenth(gap, noise):
+    # cond(G) reaches 3e9 here; the duality check allows the solve's rounding, 10 eps cond(G)
+    for seed in range(10):
+        povm = disguise(np.random.default_rng(seed), construct(1.0 / 16.0 + gap), noise)
+        report = verify(povm)
+        frame = dual_basis(povm, SemiSicParams.from_b(2, report.fitted_b, report.k))
+        assert frame.source_k == 2 and len(frame) == 4
+
+
 @pytest.mark.parametrize("b, k", [(0.065, 2), (0.07, 2), (2.0 / 25.0, 2), (1.0 / 12.0, 2),
                                   (1.0 / 12.0, 4), (None, 9)])
 def test_gram_solve_equals_the_block_formula(b, k):
@@ -168,18 +187,6 @@ def test_dual_rejects_broken_povm():
     stack[0, 0, 0] += 1e-3
     with pytest.raises(NotSemiSic):
         dual_basis(Povm(dim=2, elements=stack), SemiSicParams.from_b(2, 2.0 / 25.0, 2))
-
-
-def test_dual_degenerate_denominator():
-    # a- squared equals b exactly at the excluded family endpoint 1/16
-    params = SemiSicParams.from_b(2, 1.0 / 16.0 + 1e-15, 2)
-    with pytest.raises(DegenerateCoefficients):
-        dual_basis(construct(2.0 / 25.0), params)
-    # mismatched params whose b is the square of the POVM's measured small trace
-    povm = construct(0.065)
-    a = float(np.sort(povm.traces())[:2].mean())
-    with pytest.raises(DegenerateCoefficients):
-        dual_basis(povm, SemiSicParams.from_b(2, a * a, 2))
 
 
 def test_probabilities_of_known_states():

@@ -30,6 +30,7 @@ from semisic.model import (
     verify,
 )
 from semisic.qubit import construct, family_kets, family_point
+from semisic.search import SearchConfig, SearchReport
 
 # Random disguises: a Haar unitary, a permutation, and Hermitian noise whose
 # largest entry is at most tol_cond / 10. b = None stands for the Hesse SIC.
@@ -38,9 +39,9 @@ SEEDS = st.integers(0, 2**32 - 1)
 NOISE = st.floats(0.0, TOL_COND / 10.0)
 MEMBERS = st.one_of(st.just(1.0 / 12.0), st.floats(1.0 / 16.0, 1.0 / 12.0, exclude_min=True),
                     st.just(None))
-# The parameter set's divisors a^2 - b vanish at b = 1/16, where the dual
-# refuses it, so strict members for the dual are drawn from 1/16 + 1e-4 up.
-DUAL_MEMBERS = st.one_of(st.just(1.0 / 12.0), st.floats(1.0 / 16.0 + 1e-4, 1.0 / 12.0),
+# Members within about 1e-11 of 1/16 fail verify's IC test, so strict
+# members for the dual are drawn from 1/16 + 1e-9 up.
+DUAL_MEMBERS = st.one_of(st.just(1.0 / 12.0), st.floats(1.0 / 16.0 + 1e-9, 1.0 / 12.0),
                          st.just(None))
 
 
@@ -131,6 +132,10 @@ def test_params_reject_inconsistent_k():
     # both the strict split and the constant-trace convention hold at 1/12
     assert SemiSicParams.from_b(2, 1.0 / 12.0, 2).k == 2
     assert SemiSicParams.from_b(2, 1.0 / 12.0, 4).k == 4
+    # the counting identity holds for every k there, but a qubit k is 2 or 4
+    for k in (1, 3):
+        with pytest.raises(KOutOfRange):
+            SemiSicParams.from_b(2, 1.0 / 12.0, k)
 
 
 def test_from_b_refuses_a_non_integer_k_as_the_constructor_does():
@@ -206,6 +211,22 @@ def test_from_vectors_reproduces_family_elements():
     assert np.allclose(povm.elements, construct(2.0 / 25.0).elements, atol=1e-14)
     with pytest.raises(MalformedPovm):
         Povm.from_vectors(kets[:3])
+    with pytest.raises(MalformedPovm, match="2-D array"):
+        Povm.from_vectors(kets[0])
+
+
+def test_povms_frames_and_reports_compare_by_identity():
+    povm = construct(0.07)
+    copy = Povm(dim=2, elements=povm.elements.copy())
+    assert (povm == copy) is False and povm == povm
+    assert len({povm, povm}) == 1 and len({povm, copy}) == 2
+    frame = dual_basis(povm, SemiSicParams.from_b(2, 0.07, 2))
+    assert hash(frame) == hash(frame) and frame == frame
+    reports = [SearchReport(config=SearchConfig(d=2, k=2, b=0.07), best_residual=0.0,
+                            best_povm=p, restarts_run=1, iterations_per_restart=(1,),
+                            stop_reasons=("goal",), objective_trace=((0, 0.0),),
+                            gradient_check=0.0) for p in (povm, copy)]
+    assert reports[0] != reports[1]
 
 
 def test_verify_family_member():

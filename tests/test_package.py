@@ -3,13 +3,15 @@
 import inspect
 
 import semisic
-from semisic import errors, linalg, search
+from semisic import errors, linalg, qubit, search
 
 DELETED = {
     linalg: ("as_ket", "hs_inner", "outer", "is_psd", "rank", "pauli_decompose",
              "Tolerances", "DEFAULT_TOL", "as_matrix", "eig_hermitian", "pauli_compose",
              "PAULI_X", "PAULI_Y", "PAULI_Z"),
-    errors: ("NotNormalized", "NonNegligibleImaginaryPart", "ConvergenceFailure"),
+    errors: ("NotNormalized", "NonNegligibleImaginaryPart", "ConvergenceFailure",
+             "AmbiguousCanonicalization", "DegenerateCoefficients"),
+    qubit: ("CANON_TOL",),
     search: ("STEP_POLICIES",),
 }
 

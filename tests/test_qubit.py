@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import disguise, haar_unitary, hesse_sic
+from helpers import anchor_search_canonicalize, disguise, haar_unitary, hesse_sic
 from semisic.errors import BOutOfFamilyRange, NotQubitSemiSic
-from semisic.model import SIC, STRICT_SEMI_SIC, Povm, verify
+from semisic.model import NOT_SEMI_SIC, SIC, STRICT_SEMI_SIC, Povm, verify
 from semisic.qubit import (
     B_MAX,
     B_MIN,
@@ -134,3 +136,44 @@ def test_canonicalize_rejects_non_semisic():
 def test_canonicalize_rejects_wrong_dimension():
     with pytest.raises(NotQubitSemiSic):
         canonicalize(hesse_sic())
+
+
+def assert_maps_back(povm, u, canon, bound):
+    # u canonical[x] u^dagger is the input element that slot x came from
+    mapped = np.einsum("ij,xjk,lk->xil", u, canon.elements, u.conj())
+    dist = np.max(np.abs(mapped[:, None] - povm.elements[None]), axis=(2, 3))
+    assert sorted(np.argmin(dist, axis=1)) == [0, 1, 2, 3]
+    assert np.max(np.min(dist, axis=1)) <= bound
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(b=st.one_of(st.just(1.0 / 12.0), st.floats(1.0 / 16.0 + 1e-9, 1.0 / 12.0)),
+       seed=st.integers(0, 2**32 - 1), noise=st.floats(0.0, 1e-11))
+@example(b=1.0 / 16.0 + 1e-9, seed=0, noise=0.0)
+def test_canonicalize_matches_the_anchor_search(b, seed, noise):
+    # the direct construction gives the search's first match, bit for bit
+    povm = disguise(np.random.default_rng(seed), construct(b), noise)
+    if verify(povm).classification == NOT_SEMI_SIC:
+        with pytest.raises(NotQubitSemiSic):
+            canonicalize(povm)
+        return
+    u, canon, got_b = canonicalize(povm)
+    assert_maps_back(povm, u, canon, 1e-14)
+    want = anchor_search_canonicalize(povm)
+    if want is not None:
+        assert np.array_equal(u, want[0])
+        assert np.array_equal(canon.elements, want[1].elements)
+        assert got_b == want[2]
+
+
+@pytest.mark.parametrize("b", [1.0 / 16.0 + 1e-9, 1.0 / 12.0 - 1e-9, 1.0 / 12.0 - 1e-11])
+@pytest.mark.parametrize("noise", [1e-13, 1e-12])
+def test_canonicalize_accepts_verified_members_near_either_end(b, noise):
+    # a match against construct(fitted b) refused most of these: near the ends
+    # a small error in the fitted b moves the closed-form member far
+    for seed in range(20):
+        povm = disguise(np.random.default_rng(seed), construct(b), noise)
+        assert verify(povm).classification == STRICT_SEMI_SIC
+        u, canon, got_b = canonicalize(povm)
+        assert_maps_back(povm, u, canon, 1e-14)
+        assert np.max(np.abs(canon.elements - construct(b).elements)) < 1e-6

@@ -79,11 +79,13 @@ def test_config_admits_b_through_the_params_rule():
         {"seed": -1},
         {"residual_goal": float("inf")},
         {"residual_goal": float("nan")},
+        {"d": 2.0},
+        {"k": 4.0},
     ],
 )
 def test_config_rejects_bad_scalars(kwargs):
     with pytest.raises(InvalidConfig):
-        SearchConfig(d=2, k=4, **kwargs)
+        SearchConfig(**{"d": 2, "k": 4, **kwargs})
 
 
 @pytest.mark.parametrize("kwargs", [{"d": 20, "k": 400}, {"d": 2, "k": 4, "restarts": 10**6}])
