@@ -122,9 +122,13 @@ def test_dual_rejects_mismatched_params():
     # right dimension, wrong trace split
     with pytest.raises(NotSemiSic):
         dual_basis(povm, SemiSicParams.from_b(2, 1.0 / 12.0, 2))
+
+
+def test_dual_degenerate_denominator():
+    # parameter sets where a-^2 - b vanishes have the wrong b, so the b match refuses them
     # b at the excluded family endpoint 1/16, where a-^2 = b
     with pytest.raises(NotSemiSic):
-        dual_basis(povm, SemiSicParams.from_b(2, 1.0 / 16.0 + 1e-15, 2))
+        dual_basis(construct(2.0 / 25.0), SemiSicParams.from_b(2, 1.0 / 16.0 + 1e-15, 2))
     # b the square of the POVM's measured small trace
     povm = construct(0.065)
     a = float(np.sort(povm.traces())[:2].mean())
