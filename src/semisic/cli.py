@@ -20,7 +20,7 @@ import numpy as np
 
 from . import documents, dual, model, qubit, search
 from .bloch import bloch_to_probs, probs_to_bloch
-from .errors import InconsistentProbabilities, NotQubitSemiSic, NotSemiSic
+from .errors import InconsistentProbabilities, NotSemiSic
 
 _FRACTION = re.compile(r"^-?\d+/\d+$")
 
@@ -70,7 +70,7 @@ def _verified_dual(infile) -> tuple[dual.DualFrame, model.VerificationReport]:
     povm = documents.load_povm(infile).povm
     report = model.verify(povm)
     if report.classification == model.NOT_SEMI_SIC:
-        raise NotSemiSic(f"input is not a semi-SIC (max violation {report.max_violation:.3e})")
+        raise NotSemiSic(f"input is not a semi-SIC ({model._refusal(report)})")
     params = model.SemiSicParams.from_b(povm.dim, report.fitted_b, report.k)
     return dual.dual_basis(povm, params), report
 
@@ -209,7 +209,7 @@ def main(argv=None) -> int:
         return args.func(args)
     # semantic negatives first: they subclass ValueError, like every
     # usage, document and range error of the package (exit 2)
-    except (NotSemiSic, NotQubitSemiSic, InconsistentProbabilities) as exc:
+    except (NotSemiSic, InconsistentProbabilities) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:

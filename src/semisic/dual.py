@@ -31,7 +31,7 @@ from .errors import (
     NotSemiSic,
 )
 from .linalg import TOL_COND, TOL_NORM, TOL_PSD, as_hermitian
-from .model import NOT_SEMI_SIC, Povm, SemiSicParams, verify
+from .model import NOT_SEMI_SIC, Povm, SemiSicParams, _refusal, verify
 from .textio import open_text
 
 # Feasibility slack: determinant values above -1e-12 count as reconstructible.
@@ -73,7 +73,7 @@ def dual_basis(povm: Povm, params: SemiSicParams) -> DualFrame:
     """
     report = verify(povm)
     if report.classification == NOT_SEMI_SIC:
-        raise NotSemiSic(f"verification failed (max violation {report.max_violation:.3e})")
+        raise NotSemiSic(f"verification failed ({_refusal(report)})")
     d = povm.dim
     if params.d != d:
         raise DimensionMismatch(f"params are for d = {params.d}, POVM has d = {d}")

@@ -37,6 +37,7 @@ NOT_SEMI_SIC = "NotSemiSIC"
 # Coarse structural gates. Deliberately loose: mildly broken inputs should
 # reach verify() and come back NotSemiSIC with the violation quantified,
 # not explode at construction.
+HERMITIAN_GATE = 1e-8
 COMPLETENESS_GATE = 1e-2
 PSD_GATE = 1e-4
 
@@ -172,55 +173,50 @@ class SemiSicParams:
         k = int(k) if isinstance(k, np.integer) else k
         return cls(d=int(d), b=b, k=k)
 
-    @classmethod
-    def from_k(cls, d: int, k: int) -> "SemiSicParams":
-        return cls.from_b(d, b_from_k(d, k), k)
-
-
-def _validate_povm_stack(dim: int, elements: np.ndarray) -> None:
-    n = dim * dim
-    if elements.shape != (n, dim, dim):
-        raise MalformedPovm(
-            f"expected {n} elements of shape ({dim}, {dim}), got array shape {elements.shape}"
-        )
-    if not (np.all(np.isfinite(elements.real)) and np.all(np.isfinite(elements.imag))):
-        raise MalformedPovm("elements contain non-finite entries")
-    herm_dev = float(np.max(np.abs(elements - elements.conj().transpose(0, 2, 1))))
-    if herm_dev > 1e-8:
-        raise MalformedPovm(f"elements are not Hermitian (max deviation {herm_dev:.3e})")
-    total = elements.sum(axis=0)
-    comp_dev = float(np.max(np.abs(total - np.eye(dim))))
-    if comp_dev > COMPLETENESS_GATE:
-        raise MalformedPovm(f"elements do not sum to the identity (defect {comp_dev:.3e})")
-    lows = np.linalg.eigvalsh(elements)[:, 0]
-    x = int(np.argmin(lows))
-    if lows[x] < -PSD_GATE:
-        raise MalformedPovm(f"element {x} has negative eigenvalue {lows[x]:.3e}")
-
 
 @dataclass(frozen=True, eq=False)
 class Povm:
     """Ordered stack of d^2 Hermitian effects summing to the identity.
 
-    elements has shape (d^2, d, d). Structural junk (wrong count, badly
-    non-Hermitian, grossly incomplete or negative) raises MalformedPovm at
-    construction; finer defects are verify()'s job, and the Povm keeps its reports.
-    Equality and hashing are by identity.
+    elements has shape (d^2, d, d). Construction measures the stack once: the
+    Hermitian deviation of the elements as given, then the completeness defect
+    and eigenvalues of the symmetrized elements it keeps. Junk (wrong shape,
+    non-finite, or past a *_GATE) raises MalformedPovm; verify() classifies the
+    same measurements at tol_cond. Equality and hashing are by identity.
     """
 
     dim: int
     elements: np.ndarray
+    # (herm_dev, comp_dev, eigenvalues of each element), measured once
+    _structure: tuple = field(init=False, repr=False)
     _reports: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
             raise MalformedPovm(f"dimension must be an integer >= 2, got {self.dim!r}")
+        d = int(self.dim)
         stack = np.asarray(self.elements, dtype=complex)
-        _validate_povm_stack(int(self.dim), stack)
-        stack = 0.5 * (stack + stack.conj().transpose(0, 2, 1))
+        if stack.shape != (d * d, d, d):
+            raise MalformedPovm(f"expected {d * d} elements of shape ({d}, {d}), "
+                                f"got array shape {stack.shape}")
+        if not (np.all(np.isfinite(stack.real)) and np.all(np.isfinite(stack.imag))):
+            raise MalformedPovm("elements contain non-finite entries")
+        adjoint = stack.conj().transpose(0, 2, 1)
+        herm_dev = float(np.max(np.abs(stack - adjoint)))
+        stack = 0.5 * (stack + adjoint)
+        comp_dev = float(np.max(np.abs(stack.sum(axis=0) - np.eye(d))))
+        eigs = np.linalg.eigvalsh(stack)
+        if herm_dev > HERMITIAN_GATE:
+            raise MalformedPovm(f"elements are not Hermitian (max deviation {herm_dev:.3e})")
+        if comp_dev > COMPLETENESS_GATE:
+            raise MalformedPovm(f"elements do not sum to the identity (defect {comp_dev:.3e})")
+        x = int(np.argmin(eigs[:, 0]))
+        if eigs[x, 0] < -PSD_GATE:
+            raise MalformedPovm(f"element {x} has negative eigenvalue {eigs[x, 0]:.3e}")
         stack.setflags(write=False)
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", d)
         object.__setattr__(self, "elements", stack)
+        object.__setattr__(self, "_structure", (herm_dev, comp_dev, eigs))
 
     @classmethod
     def from_vectors(cls, vectors) -> "Povm":
@@ -262,16 +258,17 @@ def verify(povm: Povm, tol_cond: float = TOL_COND) -> VerificationReport:
     """Measure how far a POVM is from the defining semi-SIC conditions.
 
     Checks rank-one elements and informational completeness (the elements
-    span the full operator space), then measures equal pairwise overlaps
-    (their mean is fitted_b), the completeness defect, positivity, and the
+    span the full operator space), then takes five deviations: equiangularity
+    (overlaps about their mean, fitted_b), completeness, positivity, the
+    Hermitian deviation max |E - E^dagger| of the elements as given, and the
     trace residual max_x |a_x^2 - a_x + (d^2 - 1) fitted_b|, which vanishes
     exactly when every trace is a root of the trace quadratic. Elements with
     a < 1/2 sit on the small root; when all traces agree within tol_cond
     there is one class, the SIC with k = d^2. The largest deviation is
     max_violation: at most tol_cond means SIC (one trace class) or
-    StrictSemiSIC (two), anything more NotSemiSIC; the other gates are fixed
-    linalg constants. Structural soundness is the Povm constructor's job.
-    A Povm is measured once per tol_cond; later calls return its stored report.
+    StrictSemiSIC (two), anything more NotSemiSIC; the rank and IC cutoffs
+    are linalg constants. Only the Gram matrix and the traces are new work:
+    the rest the Povm constructor measured. Each tol_cond's report is kept.
     """
     if not isinstance(povm, Povm):
         raise MalformedPovm(f"expected a Povm, got {type(povm).__name__}")
@@ -280,22 +277,24 @@ def verify(povm: Povm, tol_cond: float = TOL_COND) -> VerificationReport:
     return povm._reports[tol_cond]
 
 
+def _refusal(report: VerificationReport) -> str:
+    """Why verify() refused a POVM: any failed IC or rank test, then the largest violation."""
+    failed = [why for ok, why in ((report.is_ic, "not informationally complete"),
+                                  (report.all_rank_one, "not rank one")) if not ok]
+    return ", ".join(failed + [f"max violation {report.max_violation:.3e}"])
+
+
 def _measure(povm: Povm, tol_cond: float) -> VerificationReport:
     d = povm.dim
     n = d * d
     stack = povm.elements
+    herm_dev, comp_dev, eig_stack = povm._structure
 
-    gram = np.einsum("aij,bji->ab", stack, stack)
-    imag_dev = float(np.max(np.abs(gram.imag)))
-    gram = gram.real
-
+    gram = np.einsum("aij,bji->ab", stack, stack).real
     off = gram[~np.eye(n, dtype=bool)]
     fitted_b = float(off.mean())
     equi_dev = float(np.max(np.abs(off - fitted_b)))
 
-    comp_dev = float(np.max(np.abs(stack.sum(axis=0) - np.eye(d))))
-
-    eig_stack = np.linalg.eigvalsh(stack)
     psd_dev = float(max(0.0, -np.min(eig_stack)))
     scale = np.maximum(1.0, np.max(np.abs(eig_stack), axis=1))
     ranks = (np.abs(eig_stack) > TOL_RANK * scale[:, None]).sum(axis=1)
@@ -316,7 +315,7 @@ def _measure(povm: Povm, tol_cond: float) -> VerificationReport:
     else:
         classes = ((float(traces[small].mean()), k), (float(traces[~small].mean()), n - k))
 
-    max_violation = max(equi_dev, comp_dev, psd_dev, imag_dev, trace_dev)
+    max_violation = max(equi_dev, comp_dev, psd_dev, herm_dev, trace_dev)
     equiangular = equi_dev <= tol_cond
 
     if is_ic and all_rank_one and max_violation <= tol_cond:

@@ -33,7 +33,7 @@ from .errors import (
     KOutOfRange,
     NotQubitSemiSic,
 )
-from .model import NOT_SEMI_SIC, Povm, SemiSicParams, trace_values, verify
+from .model import NOT_SEMI_SIC, Povm, SemiSicParams, _refusal, trace_values, verify
 
 B_MIN = 1.0 / 16.0   # open: the family degenerates here
 B_MAX = 1.0 / 12.0   # closed: the SIC point
@@ -131,9 +131,7 @@ def canonicalize(povm: Povm) -> tuple[np.ndarray, Povm, float]:
         raise NotQubitSemiSic("canonicalization is defined for qubit POVMs only")
     report = verify(povm)
     if report.classification == NOT_SEMI_SIC:
-        raise NotQubitSemiSic(
-            f"verification failed (max violation {report.max_violation:.3e})"
-        )
+        raise NotQubitSemiSic(f"verification failed ({_refusal(report)})")
     try:
         b = family_point(SemiSicParams.from_b(2, report.fitted_b, report.k).b).b
     except (BOutOfRange, BOutOfFamilyRange, KOutOfRange) as exc:

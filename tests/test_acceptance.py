@@ -28,6 +28,7 @@ from semisic.model import (
     Povm,
     SemiSicParams,
     admissible_k,
+    b_from_k,
     b_from_k_exact,
     verify,
 )
@@ -145,7 +146,7 @@ def test_criterion_5_admissible_trace_splits(capsys):
         assert b_from_k_exact(3, 8) == Fraction(5, 196)
         assert b_from_k_exact(3, 9) == Fraction(1, 36)
         for k in (7, 8, 9):
-            params = SemiSicParams.from_k(3, k)
+            params = SemiSicParams.from_b(3, b_from_k(3, k), k)
             total = k * params.a_minus + (9 - k) * params.a_plus
             assert abs(total - 3.0) < 1e-12
         for d in range(3, 11):

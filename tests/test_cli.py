@@ -344,6 +344,14 @@ def test_dual_refuses_a_shifted_document(tmp_path, capsys):
     assert "input is not a semi-SIC" in err
 
 
+def test_dual_names_the_failed_ic_test(tmp_path, capsys):
+    # 1e-13 above 1/16 the Gram matrix falls under TOL_RANK, at a violation of ~2e-16
+    path = member_path(tmp_path, capsys, b="0.0625000000001")
+    rc, out, err = run(capsys, "dual", "--in", str(path))
+    assert rc == 1 and out == ""
+    assert "informationally complete" in err
+
+
 def test_dual_and_region_accept_a_member_1e_10_above_one_sixteenth(tmp_path, capsys):
     # cond(G) is 3.3e9 here, so the Gram solve's rounding reaches 3e-8
     path = member_path(tmp_path, capsys, b="0.0625000001")

@@ -25,7 +25,7 @@ from semisic.errors import (
     NotAState,
     NotSemiSic,
 )
-from semisic.model import Povm, SemiSicParams, verify
+from semisic.model import Povm, SemiSicParams, b_from_k, verify
 from semisic.qubit import construct, family_point
 
 
@@ -118,7 +118,7 @@ def test_verify_then_dual_basis_measures_the_povm_once(monkeypatch):
 def test_dual_rejects_mismatched_params():
     povm = construct(2.0 / 25.0)
     with pytest.raises(DimensionMismatch):
-        dual_basis(povm, SemiSicParams.from_k(3, 9))
+        dual_basis(povm, SemiSicParams.from_b(3, b_from_k(3, 9), 9))
     # right dimension, wrong trace split
     with pytest.raises(NotSemiSic):
         dual_basis(povm, SemiSicParams.from_b(2, 1.0 / 12.0, 2))

@@ -106,7 +106,7 @@ def test_spectrum_rejects_bad_dk():
 def test_counting_identity_across_dimensions():
     for d in range(3, 8):
         for k in admissible_k(d):
-            p = SemiSicParams.from_k(d, k)
+            p = SemiSicParams.from_b(d, b_from_k(d, k), k)
             counted = k * p.a_minus + (d * d - k) * p.a_plus
             assert counted == pytest.approx(d, abs=1e-12)
             assert 0.0 < p.a_minus <= p.a_plus < 1.0
@@ -261,6 +261,15 @@ def test_verify_flags_perturbation():
     assert report.classification == NOT_SEMI_SIC
     # the reported violation tracks the size of the injected defect
     assert 5e-4 < report.max_violation < 5e-3
+
+    # an anti-Hermitian part delta i(|0><1| + |1><0|) on element 0 counts as 2 delta
+    member = construct(0.07)
+    for delta, expected in ((3e-9, NOT_SEMI_SIC), (1e-12, STRICT_SEMI_SIC)):
+        stack = np.array(member.elements, copy=True)
+        stack[0] += delta * 1j * np.array([[0.0, 1.0], [1.0, 0.0]])
+        report = verify(Povm(dim=2, elements=stack))
+        assert report.classification == expected
+        assert report.max_violation == pytest.approx(2.0 * delta, rel=1e-3)
 
 
 def test_verify_classifies_at_the_given_gate():

@@ -3,7 +3,7 @@
 import inspect
 
 import semisic
-from semisic import errors, linalg, qubit, search
+from semisic import errors, linalg, model, qubit, search
 
 DELETED = {
     linalg: ("as_ket", "hs_inner", "outer", "is_psd", "rank", "pauli_decompose",
@@ -22,6 +22,7 @@ def test_exports_exist_and_deleted_names_stay_gone():
         for name in names:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
             assert not hasattr(semisic, name) and name not in semisic.__all__
+    assert not hasattr(model.SemiSicParams, "from_k")
     for field in ("step_policy", "initial_step", "penalty_weight"):
         assert field not in search.SearchConfig.__dataclass_fields__
 
