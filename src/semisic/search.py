@@ -46,8 +46,7 @@ _GOAL, _CAP, _NO_DESCENT, _ZERO_GRADIENT = range(len(STOP_REASONS))
 # Configs are refused (InvalidConfig, CLI exit 2) before anything is allocated when
 # max(3 restarts, 32) stacks of (d^2, d^2) would exceed this many complex entries (64 MB);
 # d <= 19 is admitted. The line samples and each Armijo ladder stack (restarts, 3, d^2,
-# d^2) Grams; gradient_check's calls stack at most max(2^13, d^4) entries, within the
-# 32-stack floor from d = 4 on and far below the cap under it.
+# d^2) Grams; gradient_check holds five.
 MAX_SEARCH_ENTRIES = 2**22
 _PENALTY_WEIGHT = 10.0  # w of the objective
 _INITIAL_STEP = 1e-2  # first probe step, divided by 1 + |gradient|
@@ -56,7 +55,6 @@ _MAX_HALVINGS = 60
 _LADDER = 3  # Armijo trials per stacked call: (restarts, 3, d^2, d^2) Grams, as the line samples
 _HALVINGS = 0.5 ** np.arange(_MAX_HALVINGS)  # exact, so trials equal repeated halving
 _TRACE_POINTS = 200
-_CHECK_ENTRIES = 2**13  # Gram entries per objective call in gradient_check
 # In units of the probe step h the line samples sit at s = 1, 2, 4, so the
 # quartic model's coefficients of s^2, s^3, s^4 solve one fixed system.
 _LINE_S = np.array([1.0, 2.0, 4.0])
@@ -80,24 +78,21 @@ class SearchConfig:
     residual_goal: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or self.d < 2:
-            raise InvalidConfig(f"d must be an integer >= 2, got {self.d!r}")
-        if not isinstance(self.k, int):
+        if not isinstance(self.k, int) or isinstance(self.k, bool):
             raise InvalidConfig(f"k must be an integer, got {self.k!r}")
-        if not isinstance(self.restarts, int) or self.restarts < 1:
-            raise InvalidConfig(f"restarts must be a positive integer, got {self.restarts!r}")
+        for name, low in (("d", 2), ("restarts", 1), ("max_iterations", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < low:
+                raise InvalidConfig(f"{name} must be an integer >= {low}, got {value!r}")
+        if self.seed >= 2**64:
+            raise InvalidConfig(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         entries = max(3 * self.restarts, 32) * self.d**4
         if entries > MAX_SEARCH_ENTRIES:
             raise InvalidConfig(f"d = {self.d} with {self.restarts} restarts needs {entries} "
                                 f"stacked entries, over the cap {MAX_SEARCH_ENTRIES}")
-        if not isinstance(self.max_iterations, int) or self.max_iterations < 1:
-            raise InvalidConfig(
-                f"max_iterations must be a positive integer, got {self.max_iterations!r}"
-            )
-        if not isinstance(self.seed, int) or not (0 <= self.seed < 2**64):
-            raise InvalidConfig(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         goal = self.residual_goal
-        if not (isinstance(goal, (int, float)) and np.isfinite(goal) and goal > 0):
+        if not (isinstance(goal, (int, float)) and not isinstance(goal, bool)
+                and np.isfinite(goal) and goal > 0):
             raise InvalidConfig(f"residual_goal must be positive and finite, got {goal!r}")
         object.__setattr__(self, "b", _resolve_b(self.d, self.k, self.b))
 
@@ -338,29 +333,31 @@ def _initial_vectors(rng: np.random.Generator, d: int) -> np.ndarray:
     return rows * np.sqrt(d / np.sum(np.abs(rows) ** 2))
 
 
+def _central_differences(base: np.ndarray, b: float, step: float) -> np.ndarray:
+    """(df(h) + i df(ih)) / 2h at every entry v_j[c] of a (points, d^2, d) stack, where
+    df(s) = f(V + s e_jc) - f(V - s e_jc), in closed form: moving v_j[c] changes only
+    row and column j of the Gram G and row and column c of Delta, so, with D = |G|^2 - b
+    and G0 = conj(G) both with a zero diagonal and o the entrywise product,
+    df(s) = 16 Re(conj(s) [(conj(G) o D) V + |s|^2 G0 (V o |V|^2)]_jc)
+            + 8 w Re(s [conj(V) Delta + |s|^2 conj(V)]_jc); three products, O(d^5) a point."""
+    gram, dev, delta = _parts(base, b)
+    n, conj, gram = base.shape[-2], base.conj(), gram.conj()
+    pair = (gram * dev) @ base
+    gram.reshape(-1, n * n)[:, ::n + 1] = 0.0
+    pair += step**2 * (gram @ (base * np.abs(base) ** 2))
+    frame = conj @ delta + step**2 * conj
+    diffs = [16.0 * (np.conj(s) * pair).real + 8.0 * _PENALTY_WEIGHT * (s * frame).real
+             for s in (step, 1j * step)]
+    return (diffs[0] + 1j * diffs[1]) / (2.0 * step)
+
+
 def gradient_check(d: int, b: float, seed: int = 0) -> float:
-    """Max relative error of the analytic gradient against central differences
-    (step 1e-6), over five seeded random vector stacks. The 4 d^3 perturbed
-    stacks of every point go through stacked objective calls of at most
-    max(1, _CHECK_ENTRIES // d^4) stacks, and the analytic gradients of all
-    points are one stacked call."""
+    """Max relative error of the analytic gradient against the central differences
+    of _central_differences (step 1e-6), over five seeded random vector stacks."""
     points, step = 5, 1e-6
     base = np.stack([_initial_vectors(np.random.default_rng(np.random.SeedSequence(
         entropy=seed, spawn_key=(0x67726164, p))), d) for p in range(points)])
-    flat = base.reshape(points, -1)
-    # perturbation 4e + j of a point shifts its entry e by step * (1, -1, i, -i)[j]
-    index = np.arange(4 * base.size)
-    point, entry = np.divmod(index // 4, flat.shape[1])
-    shift = (step * np.array([1.0, -1.0, 1.0j, -1.0j]))[index % 4]
-    chunk = max(1, _CHECK_ENTRIES // d**4)
-    values = np.empty(index.size)
-    for start in range(0, index.size, chunk):
-        part = slice(start, start + chunk)
-        stack = flat[point[part]]
-        stack[np.arange(len(stack)), entry[part]] += shift[part]
-        values[part] = _objective(stack.reshape((-1,) + base.shape[1:]), b)
-    diff = (values[0::2] - values[1::2]) / (2.0 * step)
-    numeric = (diff[0::2] + 1j * diff[1::2]).reshape(base.shape)
+    numeric = _central_differences(base, b, step)
     scale = np.maximum(1.0, np.abs(numeric).max(axis=(1, 2)))
     error = np.abs(_value_and_gradient(base, b)[1] - numeric).max(axis=(1, 2))
     return float(np.max(error / scale))

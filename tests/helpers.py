@@ -5,8 +5,7 @@ import numpy as np
 from semisic import model
 from semisic.model import Povm, SemiSicParams, verify
 from semisic.qubit import QubitFamilyPoint, _completion_unitary, construct
-from semisic.search import (_ARMIJO, _MAX_HALVINGS, _initial_vectors, _objective,
-                             _value_and_gradient)
+from semisic.search import _ARMIJO, _MAX_HALVINGS, _objective
 
 
 def hesse_sic() -> Povm:
@@ -159,29 +158,20 @@ def closed_form_directions(point: QubitFamilyPoint) -> tuple[np.ndarray, np.ndar
     return weights, dirs
 
 
-def serial_gradient_check(d: int, b: float, seed: int = 0, points: int = 5,
-                          step: float = 1e-6) -> float:
-    """Reference for search.gradient_check: one objective call per perturbed entry."""
-    worst = 0.0
-    for p in range(points):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(0x67726164, p))
-        )
-        rows = _initial_vectors(rng, d)
-        analytic = _value_and_gradient(rows, b)[1]
-        numeric = np.zeros_like(analytic)
-        for x in range(rows.shape[0]):
-            for i in range(rows.shape[1]):
-                for unit in (1.0, 1.0j):
-                    fwd = rows.copy()
-                    fwd[x, i] += step * unit
-                    bwd = rows.copy()
-                    bwd[x, i] -= step * unit
-                    diff = (_objective(fwd, b) - _objective(bwd, b)) / (2.0 * step)
-                    numeric[x, i] += diff * (1.0 if unit == 1.0 else 1.0j)
-        scale = max(1.0, float(np.max(np.abs(numeric))))
-        worst = max(worst, float(np.max(np.abs(analytic - numeric))) / scale)
-    return worst
+def serial_central_differences(rows: np.ndarray, b: float, step: float) -> np.ndarray:
+    """Reference for search._central_differences: for every entry of one
+    (d^2, d) matrix, (f(+h) - f(-h)) / 2h + i (f(+ih) - f(-ih)) / 2h from four
+    objective calls on perturbed copies."""
+    numeric = np.zeros_like(rows)
+    for x in range(rows.shape[0]):
+        for i in range(rows.shape[1]):
+            for unit in (1.0, 1.0j):
+                fwd = rows.copy()
+                fwd[x, i] += step * unit
+                bwd = rows.copy()
+                bwd[x, i] -= step * unit
+                numeric[x, i] += unit * (_objective(fwd, b) - _objective(bwd, b)) / (2.0 * step)
+    return numeric
 
 
 def bisection_ball_residual(m: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:

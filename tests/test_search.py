@@ -5,11 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from helpers import hesse_sic, serial_armijo_steps, serial_gradient_check
+from helpers import hesse_sic, serial_armijo_steps, serial_central_differences
 from semisic import search
 from semisic.documents import parse_povm_document
 from semisic.errors import InvalidConfig
-from semisic.model import STRICT_SEMI_SIC
+from semisic.model import STRICT_SEMI_SIC, b_from_k
 from semisic.qubit import family_kets, family_point
 from semisic.search import (
     STOP_REASONS,
@@ -88,6 +88,12 @@ def test_config_rejects_bad_scalars(kwargs):
         SearchConfig(**{"d": 2, "k": 4, **kwargs})
 
 
+@pytest.mark.parametrize("name", ["d", "k", "restarts", "max_iterations", "seed", "residual_goal"])
+def test_config_refuses_booleans(name):
+    with pytest.raises(InvalidConfig, match=f"{name} must be"):
+        SearchConfig(**{"d": 2, "k": 4, name: True})
+
+
 @pytest.mark.parametrize("kwargs", [{"d": 20, "k": 400}, {"d": 2, "k": 4, "restarts": 10**6}])
 def test_config_refuses_searches_over_the_entry_cap(kwargs):
     with pytest.raises(InvalidConfig, match="over the cap"):
@@ -157,12 +163,47 @@ def test_gradient_matches_finite_differences():
     assert gradient_check(3, 1.0 / 36.0, seed=3) < 1e-6
 
 
+def check_points(d, seed):
+    """The five points gradient_check draws for (d, seed)."""
+    return np.stack([search._initial_vectors(np.random.default_rng(np.random.SeedSequence(
+        entropy=seed, spawn_key=(0x67726164, p))), d) for p in range(5)])
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_gradient_check_equals_serial_central_differences(d):
-    # at d = 5 a point's 500 perturbed stacks span several objective calls
+def test_closed_form_differences_equal_serial_central_differences(d):
     b = 2.0 / 25.0 if d == 2 else 1.0 / (d * d * (d + 1))
     for seed in (0, 3):
-        assert gradient_check(d, b, seed=seed) == serial_gradient_check(d, b, seed=seed)
+        base = check_points(d, seed)
+        closed = search._central_differences(base, b, 1e-2)
+        analytic = search._value_and_gradient(base, b)[1]
+        for p in range(len(base)):
+            serial = serial_central_differences(base[p], b, 1e-2)
+            scale = np.abs(serial).max()
+            assert np.abs(closed[p] - serial).max() <= 1e-12 * scale
+            # a finite difference, not the gradient in another form: O(step^2) apart
+            assert np.abs(closed[p] - analytic[p]).max() > 1e-6 * scale
+        assert gradient_check(d, b, seed=seed) < 1e-6
+
+
+def wrong_value_and_gradient(equiangularity, completeness):
+    """search._value_and_gradient with each gradient term scaled."""
+    def value_and_gradient(rows, b):
+        gram, dev, delta = search._parts(rows, b)
+        grad = (equiangularity * 8.0 * (dev * gram.swapaxes(-1, -2)) @ rows
+                + completeness * 4.0 * search._PENALTY_WEIGHT * rows @ delta.conj())
+        return search._objective(rows, b), grad
+    return value_and_gradient
+
+
+@pytest.mark.parametrize("scales", [(1.01, 1.0), (1.0, 0.0)])
+def test_gradient_check_catches_a_wrong_gradient(monkeypatch, scales):
+    assert gradient_check(3, 1.0 / 36.0) < 1e-6
+    monkeypatch.setattr(search, "_value_and_gradient", wrong_value_and_gradient(*scales))
+    assert gradient_check(3, 1.0 / 36.0) > 1e-4
+
+
+def test_gradient_check_at_large_d():
+    assert gradient_check(12, b_from_k(12, 144)) < 1e-6
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
