@@ -19,14 +19,17 @@ objective trace is monotone.
 One iteration evaluates, for all live restarts at once: f at the three line
 samples (one stacked call), f and the gradient at the model step (one Gram
 per restart; the gradient is kept when the step is accepted), and, for the
-restarts whose model step does not lower f, Armijo trials in ladders of
-three halvings per stacked call, then the gradient at the accepted point.
+restarts whose model step does not lower f, Armijo trials in ladders of up
+to twelve halvings per stacked call (most fallbacks need 5-7, so one call),
+then the gradient at the accepted point.
 
 For d >= 3 the target overlap is pinned by (d, k); for d = 2 it is supplied
 (the k = 4 SIC point is the default there); objective, gradient and
 SearchConfig admit b by one rule, and w is always 10. Residuals comfortably
-below 1e-12 are reached for d = 2 and for the d = 3, k = 9 case; k in {7, 8}
-stalls at ~1e-3, consistent with no strict example being known for d >= 3.
+below 1e-12 are reached for d = 2 and for the d = 3, k = 9 case. k in {7, 8}
+stalls (4 restarts x 1500 iterations, seed 0: 1.3426e-3 and 3.6749e-4, just
+under a SIC's 72 (1/36 - 5/196)^2 = 3.7022e-4 at the k = 8 overlap),
+consistent with no strict example being known for d >= 3.
 """
 
 from __future__ import annotations
@@ -45,14 +48,14 @@ STOP_REASONS = ("goal", "cap", "no_descent", "zero_gradient")
 _GOAL, _CAP, _NO_DESCENT, _ZERO_GRADIENT = range(len(STOP_REASONS))
 # Configs are refused (InvalidConfig, CLI exit 2) before anything is allocated when
 # max(3 restarts, 32) stacks of (d^2, d^2) would exceed this many complex entries (64 MB);
-# d <= 19 is admitted. The line samples and each Armijo ladder stack (restarts, 3, d^2,
-# d^2) Grams; gradient_check holds five.
+# d <= 19 is admitted. Line samples stack (restarts, 3, d^2, d^2) Grams, an Armijo ladder
+# (pending, _ladder_width <= 12, d^2, d^2) and gradient_check five, all under the cap.
 MAX_SEARCH_ENTRIES = 2**22
 _PENALTY_WEIGHT = 10.0  # w of the objective
 _INITIAL_STEP = 1e-2  # first probe step, divided by 1 + |gradient|
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
-_LADDER = 3  # Armijo trials per stacked call: (restarts, 3, d^2, d^2) Grams, as the line samples
+_LADDER = 12  # most Armijo trials per stacked call; fallbacks mostly need 5-7 halvings
 _HALVINGS = 0.5 ** np.arange(_MAX_HALVINGS)  # exact, so trials equal repeated halving
 _TRACE_POINTS = 200
 # In units of the probe step h the line samples sit at s = 1, 2, 4, so the
@@ -158,7 +161,7 @@ def _coerce_vectors(vectors, d: int) -> np.ndarray:
 
 def _sum2(x: np.ndarray) -> np.ndarray:
     """Sum over the last two axes, one stacked matrix at a time."""
-    return x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],)).sum(axis=-1)
+    return np.add.reduce(x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],)), axis=-1)
 
 
 def _parts(rows: np.ndarray, b: float):
@@ -191,14 +194,12 @@ def _value_and_gradient(rows: np.ndarray, b: float):
 def objective(vectors, d: int, k: int, b: float | None = None) -> float:
     """Penalized equiangularity objective at the given vectors, with w = 10 and
     b admitted as SearchConfig(d=d, k=k, b=b) admits it (InvalidConfig if not)."""
-    rows = _coerce_vectors(vectors, d)
-    return float(_objective(rows, _resolve_b(d, k, b)))
+    return float(_objective(_coerce_vectors(vectors, d), _resolve_b(d, k, b)))
 
 
 def gradient(vectors, d: int, k: int, b: float | None = None) -> np.ndarray:
     """Gradient of objective() with respect to the stacked vectors."""
-    rows = _coerce_vectors(vectors, d)
-    return _value_and_gradient(rows, _resolve_b(d, k, b))[1]
+    return _value_and_gradient(_coerce_vectors(vectors, d), _resolve_b(d, k, b))[1]
 
 
 def _model_steps(rows, direction, f0, dphi0, b, h):
@@ -215,43 +216,47 @@ def _model_steps(rows, direction, f0, dphi0, b, h):
     vals = _objective(rows[:, None] - ts[..., None, None] * direction[:, None], b)
     rhs = vals - f0 - dphi0[:, None] * ts
     # coefficients in units of h (c_k h^k), the inverse applied row by row
-    coef = np.sum(rhs[:, None, :] * _LINE_FIT, axis=-1)
+    coef = np.add.reduce(rhs[:, None, :] * _LINE_FIT, axis=-1)
     c2, c3, c4 = coef[:, 0:1], coef[:, 1:2], coef[:, 2:3]
     slope = dphi0[:, None] * h
     # companion matrix of the model's derivative x^3 + (3 c3 x^2 + 2 c2 x + slope) / (4 c4)
     companion = np.zeros((len(h), 3, 3))
-    companion[:, (1, 2), (0, 1)] = 1.0
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
     top = companion[:, 0]
     top[:, :2], top[:, 2:] = coef[:, 1::-1] * (3.0, 2.0), slope
     with np.errstate(all="ignore"):
         top /= -4.0 * c4
-    fit = (c4[:, 0] != 0.0) & np.isfinite(top).all(axis=-1)
-    if not fit.all():
-        companion[~fit] = 0.0
+    unfit = ~np.isfinite(top).all(axis=-1)  # c4 is zero, or the fit overflowed
+    if unfit.any():
+        companion[unfit] = 0.0  # all roots 0, so t = 0, which is refused below
     s = np.linalg.eigvals(companion)
     t, x = s.real * h, s.real
     model = f0 + x * (slope + x * (c2 + x * (c3 + x * c4)))
-    model[(np.abs(s.imag) * h >= 1e-12 * (1.0 + np.abs(t))) | (t <= 0.0) | ~fit[:, None]] = np.inf
-    pick = np.arange(len(h)), np.argmin(model, axis=-1)
+    model[(np.abs(s.imag) * h >= 1e-12 * (1.0 + np.abs(t))) | (t <= 0.0)] = np.inf
+    pick = np.arange(len(h)), model.argmin(axis=-1)
     return np.where(model[pick] < f0[:, 0], t[pick], np.nan)
+
+
+def _ladder_width(pending: int, d: int) -> int:
+    """Halvings per Armijo call, up to _LADDER; >= 3 under SearchConfig's entry rule."""
+    return min(_LADDER, MAX_SEARCH_ENTRIES // (pending * d**4))
 
 
 def _armijo_steps(rows, grad, f, gnorm2, b, step):
     """Halvings along -grad: per restart, the first of step, step/2, ... (at
     most _MAX_HALVINGS trials) that meets the Armijo condition, and the
     objective there; NaN where no trial does. The trials go in ladders of
-    _LADDER halvings, one stacked objective call per ladder."""
-    trial, fc, pending = np.full(len(f), np.nan), np.full(len(f), np.nan), np.arange(len(f))
-    for m in range(0, _MAX_HALVINGS, _LADDER):
-        steps = step[pending, None] * _HALVINGS[m:m + _LADDER]
+    _ladder_width halvings, one stacked objective call per ladder."""
+    trial, fc, pending, m = *np.full((2, len(f)), np.nan), np.arange(len(f)), 0
+    while m < _MAX_HALVINGS and pending.size:
+        width = _ladder_width(pending.size, rows.shape[-1])
+        steps = step[pending, None] * _HALVINGS[m:m + width]
         values = _objective(rows[pending, None] - steps[..., None, None] * grad[pending, None], b)
         ok = values <= f[pending, None] - _ARMIJO * steps * gnorm2[pending, None]
         hit = ok.any(axis=1)
         first = hit.nonzero()[0], ok[hit].argmax(axis=1)
         trial[pending[hit]], fc[pending[hit]] = steps[first], values[first]
-        pending = pending[~hit]
-        if not pending.size:
-            break
+        pending, m = pending[~hit], m + width
     return trial, fc
 
 
@@ -259,7 +264,7 @@ def _descend_batch(rows, b, cfg: SearchConfig):
     """Advance a (R, d^2, d) stack of restarts together; restart i's result does not
     depend on the rest. Returns per restart the final rows and objective, the
     accepted iterations, the objective trace and the stop reason."""
-    rows, out_rows, out_f = rows.copy(), np.empty_like(rows), np.empty(len(rows))
+    out_rows, out_f = np.empty_like(rows), np.empty(len(rows))
     done, reasons = np.zeros(len(rows), dtype=int), np.empty(len(rows), dtype=int)
     stride = max(1, cfg.max_iterations // _TRACE_POINTS)
     live = np.arange(len(rows))
@@ -279,23 +284,20 @@ def _descend_batch(rows, b, cfg: SearchConfig):
         return [a[~mask] for a in state]
 
     for it in range(cfg.max_iterations):
-        accepted = np.zeros(live.size, dtype=bool)
         dphi0 = -_sum2((grad * direction.conj()).real)
         reset = dphi0 >= 0.0  # conjugate direction stopped descending
-        direction[reset], dphi0[reset] = grad[reset], -gnorm2[reset]
+        if reset.any():
+            direction[reset], dphi0[reset] = grad[reset], -gnorm2[reset]
         t = _model_steps(rows, direction, f, dphi0, b, h)
-        j = np.flatnonzero(~np.isnan(t))
-        candidate = rows[j] - t[j, None, None] * direction[j]
-        fc, gc = _value_and_gradient(candidate, b)
-        lower = fc < f[j]
-        j = j[lower]
-        rows[j], f[j], h[j] = candidate[lower], fc[lower], np.maximum(t[j], 1e-12)
-        new_grad = np.zeros_like(grad)  # stays zero for stalled restarts, which retire
-        new_grad[j] = gc[lower]
-        accepted[j] = True
-        stalled = np.zeros(live.size, dtype=bool)
-        j = np.flatnonzero(~accepted)
-        if j.size:
+        # the whole live stack, NaN rows where there is no model step; NaN never lowers f
+        candidate = rows - t[:, None, None] * direction
+        fc, new_grad = _value_and_gradient(candidate, b)
+        accepted, stalled = fc < f, np.zeros(live.size, dtype=bool)
+        rows = np.where(accepted[:, None, None], candidate, rows)
+        f, h = np.where(accepted, fc, f), np.where(accepted, np.maximum(t, 1e-12), h)
+        if not accepted.all():
+            j = np.flatnonzero(~accepted)
+            new_grad[j] = 0.0  # stays zero for stalled restarts, which retire
             t, fc = _armijo_steps(rows[j], grad[j], f[j], gnorm2[j], b, h[j])
             stalled[j] = np.isnan(t)
             t, fc, j = t[~stalled[j]], fc[~stalled[j]], j[~stalled[j]]
@@ -304,8 +306,8 @@ def _descend_batch(rows, b, cfg: SearchConfig):
             new_grad[j] = _value_and_gradient(rows[j], b)[1]
         done[live[~stalled]] = it + 1
         if (it + 1) % stride == 0:
-            for i in np.flatnonzero(~stalled):
-                traces[live[i]].append((it + 1, float(f[i])))
+            for i, value in zip(live[~stalled].tolist(), f[~stalled].tolist()):
+                traces[i].append((it + 1, value))
         # Polak-Ribiere+ conjugate update (first-order momentum)
         beta = np.maximum(0.0, _sum2((new_grad.conj() * (new_grad - grad)).real) / gnorm2)
         direction = new_grad + beta[:, None, None] * direction
@@ -328,8 +330,7 @@ def _restart_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _initial_vectors(rng: np.random.Generator, d: int) -> np.ndarray:
-    n = d * d
-    rows = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    rows = rng.standard_normal((d * d, d)) + 1j * rng.standard_normal((d * d, d))
     return rows * np.sqrt(d / np.sum(np.abs(rows) ** 2))
 
 
@@ -355,8 +356,8 @@ def gradient_check(d: int, b: float, seed: int = 0) -> float:
     """Max relative error of the analytic gradient against the central differences
     of _central_differences (step 1e-6), over five seeded random vector stacks."""
     points, step = 5, 1e-6
-    base = np.stack([_initial_vectors(np.random.default_rng(np.random.SeedSequence(
-        entropy=seed, spawn_key=(0x67726164, p))), d) for p in range(points)])
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x67726164,)))
+    base = np.stack([_initial_vectors(rng, d) for _ in range(points)])
     numeric = _central_differences(base, b, step)
     scale = np.maximum(1.0, np.abs(numeric).max(axis=(1, 2)))
     error = np.abs(_value_and_gradient(base, b)[1] - numeric).max(axis=(1, 2))
@@ -381,7 +382,6 @@ def run_search(config: SearchConfig) -> SearchReport:
     rows, f, iterations, traces, reasons = _descend_batch(rows0, b, config)
     best = int(np.argmin(f))
     best_f = float(f[best])
-    check = gradient_check(config.d, b, seed=config.seed)
 
     best_povm = classification = observed_k = None
     if best_f < config.residual_goal:
@@ -397,7 +397,7 @@ def run_search(config: SearchConfig) -> SearchReport:
         iterations_per_restart=tuple(int(n) for n in iterations),
         stop_reasons=tuple(reasons),
         objective_trace=tuple((int(i), float(f)) for i, f in traces[best]),
-        gradient_check=check,
+        gradient_check=gradient_check(config.d, b, seed=config.seed),
         classification=classification,
         observed_k=observed_k,
     )

@@ -164,9 +164,9 @@ def test_gradient_matches_finite_differences():
 
 
 def check_points(d, seed):
-    """The five points gradient_check draws for (d, seed)."""
-    return np.stack([search._initial_vectors(np.random.default_rng(np.random.SeedSequence(
-        entropy=seed, spawn_key=(0x67726164, p))), d) for p in range(5)])
+    """The five points gradient_check draws for (d, seed), in turn from one generator."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x67726164,)))
+    return np.stack([search._initial_vectors(rng, d) for _ in range(5)])
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -182,7 +182,10 @@ def test_closed_form_differences_equal_serial_central_differences(d):
             assert np.abs(closed[p] - serial).max() <= 1e-12 * scale
             # a finite difference, not the gradient in another form: O(step^2) apart
             assert np.abs(closed[p] - analytic[p]).max() > 1e-6 * scale
-        assert gradient_check(d, b, seed=seed) < 1e-6
+        numeric = search._central_differences(base, b, 1e-6)
+        error = np.abs(analytic - numeric).max(axis=(1, 2)) / np.maximum(
+            1.0, np.abs(numeric).max(axis=(1, 2)))
+        assert gradient_check(d, b, seed=seed) == error.max() < 1e-6
 
 
 def wrong_value_and_gradient(equiangularity, completeness):
@@ -223,21 +226,39 @@ def test_armijo_ladder_equals_serial_halvings():
     b = 1.0 / 36.0
     point = search._initial_vectors(np.random.default_rng(5), 3)
     f0, g0 = search._value_and_gradient(point, b)
-    # five descent steps, then one along the ascent direction +g0 that no halving rescues
-    step = np.array([1e-3, 3e-2, 0.1, 0.3, 10.0, 1e3])
+    # descent steps, two of them settled only in a second and a third ladder of halvings,
+    # then one along the ascent direction +g0 that no halving rescues
+    step = np.array([1e-3, 3e-2, 0.1, 0.3, 10.0, 1e4, 1e6, 1e3])
     rows = np.repeat(point[None], len(step), axis=0)
-    grad = np.stack([g0] * 5 + [-g0])
+    grad = np.stack([g0] * 7 + [-g0])
     f = np.full(len(step), f0)
     gnorm2 = np.full(len(step), search._sum2(np.abs(g0) ** 2))
     expected = serial_armijo_steps(rows, grad, f, gnorm2, b, step)
     halvings = np.log2(step / expected[0])
-    assert list(halvings[:5]) == [0, 1, 2, 4, 9] and np.isnan(halvings[5])
+    assert list(halvings[:7]) == [0, 1, 2, 4, 9, 19, 26] and np.isnan(halvings[7])
+    assert search._LADDER < halvings[5] < 2 * search._LADDER < halvings[6]
     got = search._armijo_steps(rows, grad, f, gnorm2, b, step)
     for a, e in zip(got, expected):
         assert np.array_equal(a, e, equal_nan=True)
 
 
-@pytest.mark.parametrize("d,k,b", [(3, 9, None), (2, 2, 2.0 / 25.0), (4, 16, None)])
+def test_armijo_ladder_stays_under_the_entry_cap():
+    # each d at its largest admitted restart count; a ladder narrows as more restarts are
+    # pending, so both ends are checked
+    for d in range(2, 20):
+        restarts = search.MAX_SEARCH_ENTRIES // d**4 // 3
+        assert SearchConfig(d=d, k=d * d, restarts=restarts).restarts == restarts
+        with pytest.raises(InvalidConfig, match="over the cap"):
+            SearchConfig(d=d, k=d * d, restarts=restarts + 1)
+        for pending in (1, restarts):
+            width = search._ladder_width(pending, d)
+            assert 3 <= width <= search._LADDER
+            assert pending * width * d**4 <= search.MAX_SEARCH_ENTRIES
+    assert search._ladder_width(10, 19) == 3 and search._ladder_width(4, 3) == search._LADDER
+
+
+@pytest.mark.parametrize("d,k,b", [(3, 9, None), (2, 2, 2.0 / 25.0), (4, 16, None),
+                                   (3, 8, None)])
 def test_batched_restarts_match_running_alone(d, k, b):
     cfg = SearchConfig(d=d, k=k, b=b, restarts=5, max_iterations=300, seed=2)
     stack = np.stack([search._initial_vectors(search._restart_rng(cfg.seed, i), d)
