@@ -22,14 +22,12 @@ from . import documents, dual, model, qubit, search
 from .bloch import bloch_to_probs, probs_to_bloch
 from .errors import InconsistentProbabilities, NotSemiSic
 
-_FRACTION = re.compile(r"^-?\d+/\d+$")
-
 
 def parse_number(text: str) -> float:
-    """Accept plain floats and exact fractions like 2/25."""
+    """Accept decimals like 0.07 or 8e-2 and exact fractions like 2/25, rounded once."""
     text = text.strip()
     try:
-        return float(Fraction(text)) if _FRACTION.match(text) else float(text)
+        return float(Fraction(text))
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(f"not a number or fraction: {text!r}") from exc
 

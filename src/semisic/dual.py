@@ -68,8 +68,8 @@ def dual_basis(povm: Povm, params: SemiSicParams) -> DualFrame:
     Verifies duality Tr[E_x F_y] = delta_xy before returning, within
     max(1e-10, 1e3 max_violation, 10 eps cond(G)): the last term is the
     solve's rounding, which grows as a qubit b nears 1/16. The verify()
-    report is the one the Povm keeps, so a POVM the caller has already
-    verified is not measured again.
+    report and the Gram matrix G with its eigenvalues are the ones the Povm
+    keeps, so a POVM the caller has already verified is not measured again.
     """
     report = verify(povm)
     if report.classification == NOT_SEMI_SIC:
@@ -81,13 +81,11 @@ def dual_basis(povm: Povm, params: SemiSicParams) -> DualFrame:
         raise NotSemiSic(f"params have b = {params.b!r}, the POVM fits b = {report.fitted_b!r}")
 
     # G symmetric, so row y of G^-1 E is F_y = sum_x (G^-1)_{xy} E_x
-    elements = povm.elements
-    gram = np.einsum("xij,yji->xy", elements, elements).real
+    elements, (gram, eigs) = povm.elements, povm._gram
     duals = np.linalg.solve(gram, elements.reshape(len(povm), -1)).reshape(elements.shape)
 
     products = np.einsum("xij,yji->xy", elements, duals)
     duality_dev = float(np.max(np.abs(products - np.eye(len(povm)))))
-    eigs = np.linalg.eigvalsh(gram)  # G is symmetric positive definite
     rounding = 10.0 * np.finfo(float).eps * float(eigs[-1] / eigs[0])
     if duality_dev > max(1e-10, 1e3 * report.max_violation, rounding):
         raise NotSemiSic(f"dual frame fails duality check (deviation {duality_dev:.3e})")

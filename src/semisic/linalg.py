@@ -24,7 +24,7 @@ def as_hermitian(a) -> np.ndarray:
     mat = np.asarray(a, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {mat.shape}")
-    if not (np.all(np.isfinite(mat.real)) and np.all(np.isfinite(mat.imag))):
+    if not np.isfinite(mat).all():
         raise ValueError("matrix has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 1.0)
     dev = float(np.max(np.abs(mat - mat.conj().T)))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -199,7 +200,7 @@ class Povm:
         if stack.shape != (d * d, d, d):
             raise MalformedPovm(f"expected {d * d} elements of shape ({d}, {d}), "
                                 f"got array shape {stack.shape}")
-        if not (np.all(np.isfinite(stack.real)) and np.all(np.isfinite(stack.imag))):
+        if not np.isfinite(stack).all():
             raise MalformedPovm("elements contain non-finite entries")
         adjoint = stack.conj().transpose(0, 2, 1)
         herm_dev = float(np.max(np.abs(stack - adjoint)))
@@ -239,6 +240,12 @@ class Povm:
     def traces(self) -> np.ndarray:
         return np.real(np.trace(self.elements, axis1=1, axis2=2))
 
+    @cached_property
+    def _gram(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Gram matrix G_xy = Tr[E_x E_y] and its eigenvalues, computed once."""
+        gram = np.einsum("xij,yji->xy", self.elements, self.elements).real
+        return gram, np.linalg.eigvalsh(gram)
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -267,8 +274,9 @@ def verify(povm: Povm, tol_cond: float = TOL_COND) -> VerificationReport:
     there is one class, the SIC with k = d^2. The largest deviation is
     max_violation: at most tol_cond means SIC (one trace class) or
     StrictSemiSIC (two), anything more NotSemiSIC; the rank and IC cutoffs
-    are linalg constants. Only the Gram matrix and the traces are new work:
-    the rest the Povm constructor measured. Each tol_cond's report is kept.
+    are linalg constants. Only the Gram matrix (kept on the Povm, where
+    dual_basis reads it) and the traces are new work: the rest the Povm
+    constructor measured. Each tol_cond's report is kept.
     """
     if not isinstance(povm, Povm):
         raise MalformedPovm(f"expected a Povm, got {type(povm).__name__}")
@@ -287,10 +295,9 @@ def _refusal(report: VerificationReport) -> str:
 def _measure(povm: Povm, tol_cond: float) -> VerificationReport:
     d = povm.dim
     n = d * d
-    stack = povm.elements
     herm_dev, comp_dev, eig_stack = povm._structure
 
-    gram = np.einsum("aij,bji->ab", stack, stack).real
+    gram, gram_eigs = povm._gram
     off = gram[~np.eye(n, dtype=bool)]
     fitted_b = float(off.mean())
     equi_dev = float(np.max(np.abs(off - fitted_b)))
@@ -300,7 +307,6 @@ def _measure(povm: Povm, tol_cond: float) -> VerificationReport:
     ranks = (np.abs(eig_stack) > TOL_RANK * scale[:, None]).sum(axis=1)
     all_rank_one = bool(np.all(ranks == 1))
 
-    gram_eigs = np.linalg.eigvalsh(gram)
     ic_scale = max(1.0, float(np.max(np.abs(gram_eigs))))
     is_ic = bool(np.min(gram_eigs) > TOL_RANK * ic_scale)
 

@@ -158,22 +158,6 @@ def closed_form_directions(point: QubitFamilyPoint) -> tuple[np.ndarray, np.ndar
     return weights, dirs
 
 
-def serial_central_differences(rows: np.ndarray, b: float, step: float) -> np.ndarray:
-    """Reference for search._central_differences: for every entry of one
-    (d^2, d) matrix, (f(+h) - f(-h)) / 2h + i (f(+ih) - f(-ih)) / 2h from four
-    objective calls on perturbed copies."""
-    numeric = np.zeros_like(rows)
-    for x in range(rows.shape[0]):
-        for i in range(rows.shape[1]):
-            for unit in (1.0, 1.0j):
-                fwd = rows.copy()
-                fwd[x, i] += step * unit
-                bwd = rows.copy()
-                bwd[x, i] -= step * unit
-                numeric[x, i] += unit * (_objective(fwd, b) - _objective(bwd, b)) / (2.0 * step)
-    return numeric
-
-
 def bisection_ball_residual(m: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     """Reference for bloch._ball_residual: 200 bisection steps on ||r(lam)|| = 1.
 

@@ -39,6 +39,17 @@ def test_parse_number():
         cli.parse_number("abc")
 
 
+@pytest.mark.parametrize("text,code", [("2/25", 0), ("-2/25", 2), ("8e-2", 0), (".5", 2),
+                                       ("1/0", 2), ("inf", 2), ("nan", 2), ("1e400", 2),
+                                       ("abc", 2)])
+def test_construct_b_exit_codes(tmp_path, text, code):
+    try:
+        rc = cli.main(["construct", "--b", text, "--out", str(tmp_path / "m.json")])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == code
+
+
 def test_zero_denominator_is_a_usage_error(capsys):
     for text in ("1/0", "-3/0", "1" + "0" * 400 + "/1"):
         with pytest.raises(argparse.ArgumentTypeError):

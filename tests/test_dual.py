@@ -115,6 +115,29 @@ def test_verify_then_dual_basis_measures_the_povm_once(monkeypatch):
     assert frame.source_k == 2 and len(calls) == 1
 
 
+@pytest.mark.parametrize("make", [lambda: construct(2.0 / 25.0), lambda: construct(1.0 / 12.0),
+                                  hesse_sic])
+def test_dual_basis_reads_the_gram_that_verify_computed(monkeypatch, make):
+    povm = make()
+    report = verify(povm)
+    elements = povm.elements
+    gram = np.einsum("xij,yji->xy", elements, elements).real
+    expected = np.linalg.solve(gram, elements.reshape(len(povm), -1)).reshape(elements.shape)
+    einsum = np.einsum
+
+    def einsum_without_gram(subscripts, *operands, **kwargs):
+        assert not all(op is elements for op in operands), "a second Gram matrix"
+        return einsum(subscripts, *operands, **kwargs)
+
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("a second Gram spectrum")
+
+    monkeypatch.setattr(np, "einsum", einsum_without_gram)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    frame = dual_basis(povm, SemiSicParams.from_b(povm.dim, report.fitted_b, report.k))
+    assert np.array_equal(frame.duals, expected)
+
+
 def test_dual_rejects_mismatched_params():
     povm = construct(2.0 / 25.0)
     with pytest.raises(DimensionMismatch):

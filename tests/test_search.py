@@ -4,8 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import hesse_sic, serial_armijo_steps, serial_central_differences
+from helpers import hesse_sic, serial_armijo_steps
 from semisic import search
 from semisic.documents import parse_povm_document
 from semisic.errors import InvalidConfig
@@ -164,28 +166,32 @@ def test_gradient_matches_finite_differences():
 
 
 def check_points(d, seed):
-    """The five points gradient_check draws for (d, seed), in turn from one generator."""
+    """The stacks V and directions D that gradient_check draws for (d, seed), (2, 5, d^2, d)."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x67726164,)))
-    return np.stack([search._initial_vectors(rng, d) for _ in range(5)])
+    draws = rng.standard_normal((2, 5, d * d, 2 * d)).view(complex)
+    norms2 = np.add.reduce((np.abs(draws) ** 2).reshape(2, 5, -1), axis=-1)
+    return draws * np.sqrt(d / norms2)[..., None, None]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_closed_form_differences_equal_serial_central_differences(d):
-    b = 2.0 / 25.0 if d == 2 else 1.0 / (d * d * (d + 1))
+def test_gradient_check_is_the_directional_error_of_objective_and_gradient(d):
+    # recomputed from the public objective() and gradient(), one point at a time
+    k, b = (2, 2.0 / 25.0) if d == 2 else (d * d, 1.0 / (d * d * (d + 1)))
+    step = 1e-6
     for seed in (0, 3):
-        base = check_points(d, seed)
-        closed = search._central_differences(base, b, 1e-2)
-        analytic = search._value_and_gradient(base, b)[1]
-        for p in range(len(base)):
-            serial = serial_central_differences(base[p], b, 1e-2)
-            scale = np.abs(serial).max()
-            assert np.abs(closed[p] - serial).max() <= 1e-12 * scale
-            # a finite difference, not the gradient in another form: O(step^2) apart
-            assert np.abs(closed[p] - analytic[p]).max() > 1e-6 * scale
-        numeric = search._central_differences(base, b, 1e-6)
-        error = np.abs(analytic - numeric).max(axis=(1, 2)) / np.maximum(
-            1.0, np.abs(numeric).max(axis=(1, 2)))
-        assert gradient_check(d, b, seed=seed) == error.max() < 1e-6
+        errors = []
+        for v, u in zip(*check_points(d, seed)):
+            numeric = (objective(v + step * u, d, k, b)
+                       - objective(v - step * u, d, k, b)) / (2.0 * step)
+            analytic = np.add.reduce((gradient(v, d, k, b) * u.conj()).real.ravel())
+            errors.append(abs(analytic - numeric) / max(1.0, abs(numeric)))
+        assert gradient_check(d, b, seed=seed) == max(errors) < 1e-6
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 5), seed=st.integers(0, 2**64 - 1))
+def test_gradient_check_holds_at_any_seed(d, seed):
+    assert gradient_check(d, SearchConfig(d=d, k=d * d).b, seed=seed) < 1e-6
 
 
 def wrong_value_and_gradient(equiangularity, completeness):
@@ -206,7 +212,8 @@ def test_gradient_check_catches_a_wrong_gradient(monkeypatch, scales):
 
 
 def test_gradient_check_at_large_d():
-    assert gradient_check(12, b_from_k(12, 144)) < 1e-6
+    for d in (12, 19):
+        assert gradient_check(d, b_from_k(d, d * d)) < 1e-6
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
