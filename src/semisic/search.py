@@ -6,22 +6,26 @@ penalized least-squares objective
 
     f(V) = sum_{x != y} (|<v_x|v_y>|^2 - b)^2  +  w ||sum_x |v_x><v_x| - I||_F^2
 
-minimized by multi-start first-order descent. All restarts advance as one
+minimized by multi-start L-BFGS descent. All restarts advance as one
 batch, computed per restart, so a restart's result does not depend on the
-batch. Along a line the objective is a polynomial of degree 8 in the step
-(each |<v_x|v_y>|^2 is a quartic, and f squares it). Each step fits a
-quartic model to it from phi(0), phi'(0) and samples at h, 2h, 4h along the
-(conjugate) descent direction (in units of h, one fixed 3x3 system) and
-steps to the model's minimum, falling back to Armijo halvings along the
-gradient; only decreasing steps are ever accepted, so the recorded
-objective trace is monotone.
+batch. Each restart keeps its last m = 5 pairs s = change of the vectors
+and y = change of the gradient, with inner products Re<a, b> (the real
+coordinates of the vectors); a pair is kept only when Re<s, y> > 0. Its
+direction r = H grad f comes from the two-loop recursion with H0 = gamma I,
+gamma = Re<s, y> / <y, y> of the newest pair. The step is the first of
+1, 1/2, 1/4, ... along -r that meets the Armijo condition for the slope
+Re<grad f, r>, tried in ladders of three per stacked objective call. A
+restart with no pair, or whose r does not descend, or whose ladder fails
+along r, clears its pairs and steps along gamma0 grad f with
+gamma0 = 1e-2 / (1 + |grad f|); it stops as no_descent only when no Armijo
+halving along the gradient lowers f. Only steps that do not raise f are
+accepted, so the recorded objective trace is monotone.
 
-One iteration evaluates, for all live restarts at once: f at the three line
-samples (one stacked call), f and the gradient at the model step (one Gram
-per restart; the gradient is kept when the step is accepted), and, for the
-restarts whose model step does not lower f, Armijo trials in ladders of up
-to twelve halvings per stacked call (most fallbacks need 5-7, so one call),
-then the gradient at the accepted point.
+One iteration evaluates, for all live restarts at once, f at three trial
+steps (one stacked call; a further call of three for each restart still
+pending, most quasi-Newton steps taking the first), then the gradient at
+the accepted points (one Gram per restart). A restart's pairs hold m d^3
+complex entries for s and as many for y, fewer than the 3 d^4 of a ladder.
 
 Every report carries gradient_check: at five seeded random stacks V, each
 along its own seeded random direction D, the largest relative error of the
@@ -54,21 +58,18 @@ STOP_REASONS = ("goal", "cap", "no_descent", "zero_gradient")
 _GOAL, _CAP, _NO_DESCENT, _ZERO_GRADIENT = range(len(STOP_REASONS))
 # Configs are refused (InvalidConfig, CLI exit 2) before anything is allocated when
 # max(3 restarts, 32) stacks of (d^2, d^2) would exceed this many complex entries (64 MB);
-# d <= 19 is admitted. Line samples stack (restarts, 3, d^2, d^2) Grams, an Armijo ladder
-# (pending, _ladder_width <= 12, d^2, d^2), and gradient_check 10 for its objective call
-# and 5 for its gradients, all under the cap.
+# d <= 19 is admitted. An Armijo ladder stacks (pending, _LADDER = 3, d^2, d^2) Grams, each
+# L-BFGS history (restarts, _MEMORY, d^2, d) with _MEMORY d^3 <= 3 d^4, and gradient_check
+# 10 for its objective call and 5 for its gradients, all under the cap.
 MAX_SEARCH_ENTRIES = 2**22
 _PENALTY_WEIGHT = 10.0  # w of the objective
-_INITIAL_STEP = 1e-2  # first probe step, divided by 1 + |gradient|
+_INITIAL_STEP = 1e-2  # gradient steps start at this, divided by 1 + |gradient|
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
-_LADDER = 12  # most Armijo trials per stacked call; fallbacks mostly need 5-7 halvings
+_LADDER = 3  # Armijo trials per stacked call; quasi-Newton steps mostly take the first
 _HALVINGS = 0.5 ** np.arange(_MAX_HALVINGS)  # exact, so trials equal repeated halving
+_MEMORY = 5  # L-BFGS pairs kept per restart
 _TRACE_POINTS = 200
-# In units of the probe step h the line samples sit at s = 1, 2, 4, so the
-# quartic model's coefficients of s^2, s^3, s^4 solve one fixed system.
-_LINE_S = np.array([1.0, 2.0, 4.0])
-_LINE_FIT = np.linalg.inv(_LINE_S[:, None] ** np.arange(2, 5))
 
 
 @dataclass(frozen=True)
@@ -209,62 +210,44 @@ def gradient(vectors, d: int, k: int, b: float | None = None) -> np.ndarray:
     return _value_and_gradient(_coerce_vectors(vectors, d), _resolve_b(d, k, b))[1]
 
 
-def _model_steps(rows, direction, f0, dphi0, b, h):
-    """Per restart, the minimizer of a quartic model of phi(t) = f(rows - t * direction).
-
-    phi is a polynomial of degree 8; the model matches its analytic phi(0)
-    and phi'(0) and three samples at h, 2h, 4h, and the step is the best
-    positive root of the model's cubic derivative. NaN where there is none
-    or the cubic's leading coefficient is zero or non-finite; the caller
-    re-evaluates f at the other steps.
-    """
-    h, f0 = h[:, None], f0[:, None]
-    ts = h * _LINE_S
-    vals = _objective(rows[:, None] - ts[..., None, None] * direction[:, None], b)
-    rhs = vals - f0 - dphi0[:, None] * ts
-    # coefficients in units of h (c_k h^k), the inverse applied row by row
-    coef = np.add.reduce(rhs[:, None, :] * _LINE_FIT, axis=-1)
-    c2, c3, c4 = coef[:, 0:1], coef[:, 1:2], coef[:, 2:3]
-    slope = dphi0[:, None] * h
-    # companion matrix of the model's derivative x^3 + (3 c3 x^2 + 2 c2 x + slope) / (4 c4)
-    companion = np.zeros((len(h), 3, 3))
-    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
-    top = companion[:, 0]
-    top[:, :2], top[:, 2:] = coef[:, 1::-1] * (3.0, 2.0), slope
-    with np.errstate(all="ignore"):
-        top /= -4.0 * c4
-    unfit = ~np.isfinite(top).all(axis=-1)  # c4 is zero, or the fit overflowed
-    if unfit.any():
-        companion[unfit] = 0.0  # all roots 0, so t = 0, which is refused below
-    s = np.linalg.eigvals(companion)
-    t, x = s.real * h, s.real
-    model = f0 + x * (slope + x * (c2 + x * (c3 + x * c4)))
-    model[(np.abs(s.imag) * h >= 1e-12 * (1.0 + np.abs(t))) | (t <= 0.0)] = np.inf
-    pick = np.arange(len(h)), model.argmin(axis=-1)
-    return np.where(model[pick] < f0[:, 0], t[pick], np.nan)
-
-
-def _ladder_width(pending: int, d: int) -> int:
-    """Halvings per Armijo call, up to _LADDER; >= 3 under SearchConfig's entry rule."""
-    return min(_LADDER, MAX_SEARCH_ENTRIES // (pending * d**4))
-
-
-def _armijo_steps(rows, grad, f, gnorm2, b, step):
-    """Halvings along -grad: per restart, the first of step, step/2, ... (at
-    most _MAX_HALVINGS trials) that meets the Armijo condition, and the
-    objective there; NaN where no trial does. The trials go in ladders of
-    _ladder_width halvings, one stacked objective call per ladder."""
+def _armijo_steps(rows, direction, f, slope, b):
+    """Halvings along -direction: per restart, the first of the steps 1, 1/2, ...
+    (at most _MAX_HALVINGS trials) that meets the Armijo condition for the slope
+    Re<grad f, direction>, and the objective there; NaN where no trial does. The
+    trials go in ladders of _LADDER halvings, one stacked objective call per ladder."""
     trial, fc, pending, m = *np.full((2, len(f)), np.nan), np.arange(len(f)), 0
     while m < _MAX_HALVINGS and pending.size:
-        width = _ladder_width(pending.size, rows.shape[-1])
-        steps = step[pending, None] * _HALVINGS[m:m + width]
-        values = _objective(rows[pending, None] - steps[..., None, None] * grad[pending, None], b)
-        ok = values <= f[pending, None] - _ARMIJO * steps * gnorm2[pending, None]
+        steps = _HALVINGS[m:m + _LADDER]
+        trials = rows[pending, None] - steps[:, None, None] * direction[pending, None]
+        values = _objective(trials, b)
+        ok = values <= f[pending, None] - _ARMIJO * steps * slope[pending, None]
         hit = ok.any(axis=1)
         first = hit.nonzero()[0], ok[hit].argmax(axis=1)
-        trial[pending[hit]], fc[pending[hit]] = steps[first], values[first]
-        pending, m = pending[~hit], m + width
+        trial[pending[hit]], fc[pending[hit]] = steps[first[1]], values[first]
+        pending, m = pending[~hit], m + _LADDER
     return trial, fc
+
+
+def _lbfgs_directions(grad, s, y, rho, gamma0):
+    """Per restart, H grad by the L-BFGS two-loop recursion, in real coordinates.
+
+    grad is an (R, d^2, 2d) real view of the gradients, and s, y are the
+    (R, _MEMORY, d^2, 2d) pairs, oldest first, with rho = 1 / <s, y>; a slot
+    with rho = 0 is empty and leaves H unchanged. H0 = gamma I with
+    gamma = <s, y> / <y, y> of the newest pair (the last slot), or gamma0
+    where that slot is empty.
+    """
+    q, alpha = grad.copy(), np.zeros(rho.shape)
+    used = np.flatnonzero(rho.any(axis=0))  # slots empty in every restart are skipped
+    for i in used[::-1]:
+        alpha[:, i] = rho[:, i] * _sum2(s[:, i] * q)
+        q -= alpha[:, i, None, None] * y[:, i]
+    newest = rho[:, -1]
+    gamma = np.divide(1.0, newest * _sum2(y[:, -1] ** 2), out=gamma0.copy(), where=newest > 0)
+    r = gamma[:, None, None] * q
+    for i in used:
+        r += (alpha[:, i] - rho[:, i] * _sum2(y[:, i] * r))[:, None, None] * s[:, i]
+    return r
 
 
 def _descend_batch(rows, b, cfg: SearchConfig):
@@ -277,13 +260,14 @@ def _descend_batch(rows, b, cfg: SearchConfig):
     live = np.arange(len(rows))
     f, grad = _value_and_gradient(rows, b)
     gnorm2 = _sum2(np.abs(grad) ** 2)
-    direction = grad.copy()
-    h = _INITIAL_STEP / (1.0 + np.sqrt(gnorm2))
+    # the last _MEMORY steps and gradient changes, oldest first, as real (d^2, 2d) views
+    s_hist, y_hist = np.zeros((2, len(rows), _MEMORY) + grad.view(float).shape[1:])
+    rho = np.zeros((len(rows), _MEMORY))
     traces = [[(0, float(v))] for v in f]
 
     def retire(stop):
         """Stop codes index STOP_REASONS; -1 keeps a restart live."""
-        state, mask = (live, rows, f, grad, direction, gnorm2, h), stop >= 0
+        state, mask = (live, rows, f, grad, gnorm2, s_hist, y_hist, rho), stop >= 0
         if not mask.any():
             return state
         gone = live[mask]
@@ -291,38 +275,47 @@ def _descend_batch(rows, b, cfg: SearchConfig):
         return [a[~mask] for a in state]
 
     for it in range(cfg.max_iterations):
-        dphi0 = -_sum2((grad * direction.conj()).real)
-        reset = dphi0 >= 0.0  # conjugate direction stopped descending
-        if reset.any():
-            direction[reset], dphi0[reset] = grad[reset], -gnorm2[reset]
-        t = _model_steps(rows, direction, f, dphi0, b, h)
-        # the whole live stack, NaN rows where there is no model step; NaN never lowers f
-        candidate = rows - t[:, None, None] * direction
-        fc, new_grad = _value_and_gradient(candidate, b)
-        accepted, stalled = fc < f, np.zeros(live.size, dtype=bool)
-        rows = np.where(accepted[:, None, None], candidate, rows)
-        f, h = np.where(accepted, fc, f), np.where(accepted, np.maximum(t, 1e-12), h)
-        if not accepted.all():
-            j = np.flatnonzero(~accepted)
-            new_grad[j] = 0.0  # stays zero for stalled restarts, which retire
-            t, fc = _armijo_steps(rows[j], grad[j], f[j], gnorm2[j], b, h[j])
-            stalled[j] = np.isnan(t)
-            t, fc, j = t[~stalled[j]], fc[~stalled[j]], j[~stalled[j]]
-            rows[j], f[j], h[j] = rows[j] - t[:, None, None] * grad[j], fc, t
-            direction[j] = grad[j]
-            new_grad[j] = _value_and_gradient(rows[j], b)[1]
+        g = grad.view(float)
+        gamma0 = _INITIAL_STEP / (1.0 + np.sqrt(gnorm2))
+        direction = _lbfgs_directions(g, s_hist, y_hist, rho, gamma0)
+        slope = _sum2(g * direction)
+
+        def along_gradient(j):
+            """Clear the histories of restarts j and point them along gamma0 grad."""
+            rho[j] = 0.0
+            direction[j] = gamma0[j, None, None] * g[j]
+            slope[j] = gamma0[j] * gnorm2[j]
+
+        uphill = ~(slope > 0.0)  # not a descent direction, or not finite
+        if uphill.any():
+            along_gradient(uphill)
+        t, fc = _armijo_steps(rows, direction.view(complex), f, slope, b)
+        # a failed quasi-Newton step is retried along the gradient
+        retry = np.flatnonzero(np.isnan(t) & (rho[:, -1] > 0))
+        if retry.size:
+            along_gradient(retry)
+            t[retry], fc[retry] = _armijo_steps(rows[retry], direction[retry].view(complex),
+                                                f[retry], slope[retry], b)
+        # stalled restarts keep their rows and retire below
+        stalled = np.isnan(t)
+        step = t[:, None, None] * direction.view(complex)
+        new_rows = np.where(stalled[:, None, None], rows, rows - step)
+        new_grad = _value_and_gradient(new_rows, b)[1]
+        s, y = (new_rows - rows).view(float), (new_grad - grad).view(float)
+        sy = _sum2(s * y)
+        keep = sy > 0.0
+        for hist, pair in ((s_hist, s[keep]), (y_hist, y[keep]), (rho, 1.0 / sy[keep])):
+            hist[keep, :-1] = hist[keep, 1:]
+            hist[keep, -1] = pair
+        rows, f, grad = new_rows, np.where(stalled, f, fc), new_grad
+        gnorm2 = _sum2(np.abs(grad) ** 2)
         done[live[~stalled]] = it + 1
         if (it + 1) % stride == 0:
             for i, value in zip(live[~stalled].tolist(), f[~stalled].tolist()):
                 traces[i].append((it + 1, value))
-        # Polak-Ribiere+ conjugate update (first-order momentum)
-        beta = np.maximum(0.0, _sum2((new_grad.conj() * (new_grad - grad)).real) / gnorm2)
-        direction = new_grad + beta[:, None, None] * direction
-        grad = new_grad
-        gnorm2 = _sum2(np.abs(grad) ** 2)
         stop = np.where(stalled, _NO_DESCENT, np.where(
             f < cfg.residual_goal * 1e-3, _GOAL, np.where(gnorm2 == 0.0, _ZERO_GRADIENT, -1)))
-        live, rows, f, grad, direction, gnorm2, h = retire(stop)
+        live, rows, f, grad, gnorm2, s_hist, y_hist, rho = retire(stop)
         if not live.size:
             break
     retire(np.full(live.size, _CAP))

@@ -187,17 +187,17 @@ def bisection_ball_residual(m: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray,
     return r, float(np.linalg.norm(m @ r - rhs))
 
 
-def serial_armijo_steps(rows, grad, f, gnorm2, b, step):
+def serial_armijo_steps(rows, direction, f, slope, b):
     """Reference for search._armijo_steps: one halving per objective call.
 
-    Per stacked restart, the first of step, step/2, ... (at most
-    _MAX_HALVINGS trials) that meets the Armijo condition along -grad, and
-    the objective there; NaN where no trial does.
+    Per stacked restart, the first of the steps 1, 1/2, ... (at most
+    _MAX_HALVINGS trials) along -direction that meets the Armijo condition
+    for the given slope, and the objective there; NaN where no trial does.
     """
-    trial, fc, pending = step.copy(), np.full(len(f), np.nan), np.arange(len(f))
+    trial, fc, pending = np.ones(len(f)), np.full(len(f), np.nan), np.arange(len(f))
     for _ in range(_MAX_HALVINGS):
-        values = _objective(rows[pending] - trial[pending, None, None] * grad[pending], b)
-        ok = values <= f[pending] - _ARMIJO * trial[pending] * gnorm2[pending]
+        values = _objective(rows[pending] - trial[pending, None, None] * direction[pending], b)
+        ok = values <= f[pending] - _ARMIJO * trial[pending] * slope[pending]
         fc[pending[ok]] = values[ok]
         pending = pending[~ok]
         if not pending.size:
@@ -205,3 +205,23 @@ def serial_armijo_steps(rows, grad, f, gnorm2, b, step):
         trial[pending] *= 0.5
     trial[pending] = np.nan
     return trial, fc
+
+
+def dense_lbfgs_direction(grad, s, y, rho, gamma0):
+    """Reference for search._lbfgs_directions, one restart in real coordinates.
+
+    Builds the inverse Hessian H densely from H0 = gamma I by the update
+    H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T for each stored pair,
+    oldest first, skipping empty slots (rho = 0); gamma = <s, y> / <y, y> of
+    the newest pair (the last slot), or gamma0 when that slot is empty.
+    Returns H grad.
+    """
+    n = grad.size
+    gamma = gamma0 if rho[-1] == 0 else float(s[-1] @ y[-1] / (y[-1] @ y[-1]))
+    h = gamma * np.eye(n)
+    for si, yi, ri in zip(s, y, rho):
+        if ri == 0:
+            continue
+        left = np.eye(n) - ri * np.outer(si, yi)
+        h = left @ h @ left.T + ri * np.outer(si, si)
+    return h @ grad

@@ -209,6 +209,13 @@ def test_gram_solve_equals_the_block_formula(b, k):
         assert np.max(np.abs(frame.duals - block_dual(povm, params))) < 1e-12
 
 
+def test_dual_refuses_a_solve_that_fails_duality(monkeypatch):
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-6)
+    with pytest.raises(NotSemiSic, match="dual frame fails duality check"):
+        dual_basis(construct(2.0 / 25.0), SemiSicParams.from_b(2, 2.0 / 25.0, 2))
+
+
 def test_dual_rejects_broken_povm():
     stack = np.array(construct(2.0 / 25.0).elements, copy=True)
     stack[0, 0, 0] += 1e-3
@@ -234,6 +241,13 @@ def test_probabilities_reject_non_states():
         probabilities(np.diag([1.5, -0.5]), povm)
     with pytest.raises(DimensionMismatch):
         probabilities(np.eye(3) / 3.0, povm)
+    # shift eps |psi><psi| from element 0, which has psi in its kernel, to element 1:
+    # complete, and -eps is inside the PSD gate, so Povm accepts it, but p_0 = -eps
+    eps, psi = 1e-6, np.linalg.eigh(povm[0])[1][:, 0]
+    shift = eps * np.outer(psi, psi.conj())
+    shifted = Povm(dim=2, elements=povm.elements + np.stack([-shift, shift, 0 * shift, 0 * shift]))
+    with pytest.raises(NotAState, match="negative outcome probability"):
+        probabilities(np.outer(psi, psi.conj()), shifted)
 
 
 def test_reconstruct_roundtrip_random_states():

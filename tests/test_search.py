@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import hesse_sic, serial_armijo_steps
+from helpers import dense_lbfgs_direction, hesse_sic, serial_armijo_steps
 from semisic import search
 from semisic.documents import parse_povm_document
 from semisic.errors import InvalidConfig
@@ -83,6 +83,7 @@ def test_config_admits_b_through_the_params_rule():
         {"residual_goal": float("nan")},
         {"d": 2.0},
         {"k": 4.0},
+        {"seed": 2**64},
     ],
 )
 def test_config_rejects_bad_scalars(kwargs):
@@ -233,35 +234,56 @@ def test_armijo_ladder_equals_serial_halvings():
     b = 1.0 / 36.0
     point = search._initial_vectors(np.random.default_rng(5), 3)
     f0, g0 = search._value_and_gradient(point, b)
-    # descent steps, two of them settled only in a second and a third ladder of halvings,
-    # then one along the ascent direction +g0 that no halving rescues
-    step = np.array([1e-3, 3e-2, 0.1, 0.3, 10.0, 1e4, 1e6, 1e3])
-    rows = np.repeat(point[None], len(step), axis=0)
-    grad = np.stack([g0] * 7 + [-g0])
-    f = np.full(len(step), f0)
-    gnorm2 = np.full(len(step), search._sum2(np.abs(g0) ** 2))
-    expected = serial_armijo_steps(rows, grad, f, gnorm2, b, step)
-    halvings = np.log2(step / expected[0])
-    assert list(halvings[:7]) == [0, 1, 2, 4, 9, 19, 26] and np.isnan(halvings[7])
-    assert search._LADDER < halvings[5] < 2 * search._LADDER < halvings[6]
-    got = search._armijo_steps(rows, grad, f, gnorm2, b, step)
+    # descent directions, two of them settled only in a second and a third ladder of
+    # halvings, then one along the ascent direction +g0 that no halving rescues
+    scale = np.array([1e-3, 3e-2, 0.1, 0.3, 2.0, 10.0, 1e4, 1e6, -1e3])
+    rows = np.repeat(point[None], len(scale), axis=0)
+    direction = scale[:, None, None] * g0
+    f = np.full(len(scale), f0)
+    slope = scale * search._sum2(np.abs(g0) ** 2)
+    expected = serial_armijo_steps(rows, direction, f, slope, b)
+    halvings = -np.log2(expected[0])
+    assert list(halvings[:8]) == [0, 1, 2, 4, 7, 9, 19, 26] and np.isnan(halvings[8])
+    assert search._LADDER == 3 and [h // search._LADDER for h in halvings[3:5]] == [1, 2]
+    got = search._armijo_steps(rows, direction, f, slope, b)
     for a, e in zip(got, expected):
         assert np.array_equal(a, e, equal_nan=True)
 
 
 def test_armijo_ladder_stays_under_the_entry_cap():
-    # each d at its largest admitted restart count; a ladder narrows as more restarts are
-    # pending, so both ends are checked
+    # each d at its largest admitted restart count: every Armijo ladder, and each
+    # L-BFGS history array of (restarts, _MEMORY, d^2, d) complex entries, fits the cap
     for d in range(2, 20):
         restarts = search.MAX_SEARCH_ENTRIES // d**4 // 3
         assert SearchConfig(d=d, k=d * d, restarts=restarts).restarts == restarts
         with pytest.raises(InvalidConfig, match="over the cap"):
             SearchConfig(d=d, k=d * d, restarts=restarts + 1)
-        for pending in (1, restarts):
-            width = search._ladder_width(pending, d)
-            assert 3 <= width <= search._LADDER
-            assert pending * width * d**4 <= search.MAX_SEARCH_ENTRIES
-    assert search._ladder_width(10, 19) == 3 and search._ladder_width(4, 3) == search._LADDER
+        assert search._LADDER * restarts * d**4 <= search.MAX_SEARCH_ENTRIES
+        assert restarts * search._MEMORY * d**3 <= search.MAX_SEARCH_ENTRIES
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_two_loop_direction_equals_the_dense_update(d):
+    rng = np.random.default_rng(40 + d)
+    restarts, n = 6, 2 * d**3
+    grad = rng.standard_normal((restarts, d * d, 2 * d))
+    s, y = rng.standard_normal((2, restarts, search._MEMORY, d * d, 2 * d))
+    y += 2.0 * s
+    rho = 1.0 / search._sum2(s * y)
+    assert (rho > 0).all()
+    rho[0] = 0.0  # no pair: the direction is gamma0 grad
+    rho[1, :3] = rho[2, :1] = rho[3, 2] = 0.0  # empty slots, the newest kept
+    gamma0 = rng.uniform(1e-3, 1e-2, restarts)
+    got = search._lbfgs_directions(grad, s, y, rho, gamma0)
+    for i in range(restarts):
+        expected = dense_lbfgs_direction(grad[i].ravel(), s[i].reshape(-1, n),
+                                         y[i].reshape(-1, n), rho[i], gamma0[i])
+        assert np.linalg.norm(got[i].ravel() - expected) <= 1e-12 * np.linalg.norm(expected)
+        # alone, a restart's empty slots are skipped; the direction is unchanged
+        one = slice(i, i + 1)
+        alone = search._lbfgs_directions(grad[one], s[one], y[one], rho[one], gamma0[one])
+        assert np.array_equal(alone[0], got[i])
+    assert np.array_equal(got[0], gamma0[0] * grad[0])
 
 
 @pytest.mark.parametrize("d,k,b", [(3, 9, None), (2, 2, 2.0 / 25.0), (4, 16, None),
@@ -277,14 +299,6 @@ def test_batched_restarts_match_running_alone(d, k, b):
         assert alone[2][0] == iterations[i]
         assert np.array_equal(alone[0][0], rows[i])
         assert (alone[3][0], alone[4][0]) == (traces[i], reasons[i])
-
-
-def test_line_fit_without_a_cubic_gives_no_model_step():
-    rows = family_rows(0.07)[None]
-    f0 = search._objective(rows, 0.07)
-    flat = search._model_steps(rows, np.zeros_like(rows), f0, np.zeros(1), 0.07,
-                               np.array([1e-3]))
-    assert np.isnan(flat).all()
 
 
 def test_stop_reasons_are_reported_per_restart():
