@@ -14,18 +14,19 @@ coordinates of the vectors); a pair is kept only when Re<s, y> > 0. Its
 direction r = H grad f comes from the two-loop recursion with H0 = gamma I,
 gamma = Re<s, y> / <y, y> of the newest pair. The step is the first of
 1, 1/2, 1/4, ... along -r that meets the Armijo condition for the slope
-Re<grad f, r>, tried in ladders of three per stacked objective call. A
-restart with no pair, or whose r does not descend, or whose ladder fails
-along r, clears its pairs and steps along gamma0 grad f with
+Re<grad f, r>. A restart with no pair, or whose r does not descend, or whose
+halvings fail along r, clears its pairs and steps along gamma0 grad f with
 gamma0 = 1e-2 / (1 + |grad f|); it stops as no_descent only when no Armijo
 halving along the gradient lowers f. Only steps that do not raise f are
 accepted, so the recorded objective trace is monotone.
 
-One iteration evaluates, for all live restarts at once, f at three trial
-steps (one stacked call; a further call of three for each restart still
-pending, most quasi-Newton steps taking the first), then the gradient at
-the accepted points (one Gram per restart). A restart's pairs hold m d^3
-complex entries for s and as many for y, fewer than the 3 d^4 of a ladder.
+One iteration evaluates f and its gradient at the full step for all live
+restarts at once (one Gram each), as most quasi-Newton steps pass there
+(Nocedal and Wright, Numerical Optimization, 3.1); the rest try halvings from
+1/2 on, three per stacked objective call, then f and gradient at their step.
+A restart's pairs are one real (m, 2, 2 d^3) array. One that stored no pair
+and kept its vectors, f and pairs bitwise would repeat that iteration until
+the cap: it retires there at once, with the trace points it would have added.
 
 Every report carries gradient_check: at five seeded random stacks V, each
 along its own seeded random direction D, the largest relative error of the
@@ -58,9 +59,9 @@ STOP_REASONS = ("goal", "cap", "no_descent", "zero_gradient")
 _GOAL, _CAP, _NO_DESCENT, _ZERO_GRADIENT = range(len(STOP_REASONS))
 # Configs are refused (InvalidConfig, CLI exit 2) before anything is allocated when
 # max(3 restarts, 32) stacks of (d^2, d^2) would exceed this many complex entries (64 MB);
-# d <= 19 is admitted. An Armijo ladder stacks (pending, _LADDER = 3, d^2, d^2) Grams, each
-# L-BFGS history (restarts, _MEMORY, d^2, d) with _MEMORY d^3 <= 3 d^4, and gradient_check
-# 10 for its objective call and 5 for its gradients, all under the cap.
+# d <= 19 is admitted. Under the cap: the full step's (restarts, d^2, d^2) Grams, a ladder's
+# (pending, _LADDER = 3, d^2, d^2), gradient_check's 10 and 5, and each half (s, y) of the
+# L-BFGS history (restarts, _MEMORY, 2, 2 d^3): _MEMORY d^3 <= 3 d^4 complex entries' worth.
 MAX_SEARCH_ENTRIES = 2**22
 _PENALTY_WEIGHT = 10.0  # w of the objective
 _INITIAL_STEP = 1e-2  # gradient steps start at this, divided by 1 + |gradient|
@@ -210,12 +211,12 @@ def gradient(vectors, d: int, k: int, b: float | None = None) -> np.ndarray:
     return _value_and_gradient(_coerce_vectors(vectors, d), _resolve_b(d, k, b))[1]
 
 
-def _armijo_steps(rows, direction, f, slope, b):
-    """Halvings along -direction: per restart, the first of the steps 1, 1/2, ...
-    (at most _MAX_HALVINGS trials) that meets the Armijo condition for the slope
-    Re<grad f, direction>, and the objective there; NaN where no trial does. The
-    trials go in ladders of _LADDER halvings, one stacked objective call per ladder."""
-    trial, fc, pending, m = *np.full((2, len(f)), np.nan), np.arange(len(f)), 0
+def _armijo_steps(rows, direction, f, slope, b, start=0):
+    """Halvings along -direction: per restart, the first of the steps 2^-start, 2^-(start+1),
+    ... (up to halving _MAX_HALVINGS - 1) meeting the Armijo condition for the slope
+    Re<grad f, direction>, and the objective there; NaN where no trial does. The trials
+    go in ladders of _LADDER halvings, one stacked objective call per ladder."""
+    trial, fc, pending, m = *np.full((2, len(f)), np.nan), np.arange(len(f)), start
     while m < _MAX_HALVINGS and pending.size:
         steps = _HALVINGS[m:m + _LADDER]
         trials = rows[pending, None] - steps[:, None, None] * direction[pending, None]
@@ -228,25 +229,27 @@ def _armijo_steps(rows, direction, f, slope, b):
     return trial, fc
 
 
-def _lbfgs_directions(grad, s, y, rho, gamma0):
+def _lbfgs_directions(grad, pairs, rho, gamma0):
     """Per restart, H grad by the L-BFGS two-loop recursion, in real coordinates.
 
-    grad is an (R, d^2, 2d) real view of the gradients, and s, y are the
-    (R, _MEMORY, d^2, 2d) pairs, oldest first, with rho = 1 / <s, y>; a slot
-    with rho = 0 is empty and leaves H unchanged. H0 = gamma I with
-    gamma = <s, y> / <y, y> of the newest pair (the last slot), or gamma0
-    where that slot is empty.
+    grad is an (R, 2d^3) real view of the gradients, and pairs the
+    (R, _MEMORY, 2, 2d^3) history of s (index 0) and y (index 1), oldest
+    first, with rho = 1 / <s, y>; a slot with rho = 0 is empty and leaves H
+    unchanged. H0 = gamma I with gamma = <s, y> / <y, y> of the newest pair
+    (the last slot), or gamma0 where that slot is empty.
     """
+    s, y = pairs[:, :, 0], pairs[:, :, 1]
     q, alpha = grad.copy(), np.zeros(rho.shape)
     used = np.flatnonzero(rho.any(axis=0))  # slots empty in every restart are skipped
     for i in used[::-1]:
-        alpha[:, i] = rho[:, i] * _sum2(s[:, i] * q)
-        q -= alpha[:, i, None, None] * y[:, i]
+        alpha[:, i] = rho[:, i] * np.add.reduce(s[:, i] * q, axis=-1)
+        q -= alpha[:, i, None] * y[:, i]
     newest = rho[:, -1]
-    gamma = np.divide(1.0, newest * _sum2(y[:, -1] ** 2), out=gamma0.copy(), where=newest > 0)
-    r = gamma[:, None, None] * q
+    gamma = np.divide(1.0, newest * np.add.reduce(y[:, -1] ** 2, axis=-1), out=gamma0.copy(),
+                      where=newest > 0)
+    r = gamma[:, None] * q
     for i in used:
-        r += (alpha[:, i] - rho[:, i] * _sum2(y[:, i] * r))[:, None, None] * s[:, i]
+        r += (alpha[:, i] - rho[:, i] * np.add.reduce(y[:, i] * r, axis=-1))[:, None] * s[:, i]
     return r
 
 
@@ -260,14 +263,14 @@ def _descend_batch(rows, b, cfg: SearchConfig):
     live = np.arange(len(rows))
     f, grad = _value_and_gradient(rows, b)
     gnorm2 = _sum2(np.abs(grad) ** 2)
-    # the last _MEMORY steps and gradient changes, oldest first, as real (d^2, 2d) views
-    s_hist, y_hist = np.zeros((2, len(rows), _MEMORY) + grad.view(float).shape[1:])
+    # the last _MEMORY steps s and gradient changes y, oldest first, as flat real vectors
+    pairs = np.zeros((len(rows), _MEMORY, 2, 2 * rows[0].size))
     rho = np.zeros((len(rows), _MEMORY))
     traces = [[(0, float(v))] for v in f]
 
     def retire(stop):
         """Stop codes index STOP_REASONS; -1 keeps a restart live."""
-        state, mask = (live, rows, f, grad, gnorm2, s_hist, y_hist, rho), stop >= 0
+        state, mask = (live, rows, f, grad, gnorm2, pairs, rho), stop >= 0
         if not mask.any():
             return state
         gone = live[mask]
@@ -275,38 +278,49 @@ def _descend_batch(rows, b, cfg: SearchConfig):
         return [a[~mask] for a in state]
 
     for it in range(cfg.max_iterations):
-        g = grad.view(float)
+        g, held = grad.view(float).reshape(len(grad), -1), rho.copy()
         gamma0 = _INITIAL_STEP / (1.0 + np.sqrt(gnorm2))
-        direction = _lbfgs_directions(g, s_hist, y_hist, rho, gamma0)
-        slope = _sum2(g * direction)
+        direction = _lbfgs_directions(g, pairs, rho, gamma0)
+        slope = np.add.reduce(g * direction, axis=-1)
 
         def along_gradient(j):
             """Clear the histories of restarts j and point them along gamma0 grad."""
             rho[j] = 0.0
-            direction[j] = gamma0[j, None, None] * g[j]
+            direction[j] = gamma0[j, None] * g[j]
             slope[j] = gamma0[j] * gnorm2[j]
 
         uphill = ~(slope > 0.0)  # not a descent direction, or not finite
         if uphill.any():
             along_gradient(uphill)
-        t, fc = _armijo_steps(rows, direction.view(complex), f, slope, b)
-        # a failed quasi-Newton step is retried along the gradient
-        retry = np.flatnonzero(np.isnan(t) & (rho[:, -1] > 0))
-        if retry.size:
+        step = direction.view(complex).reshape(rows.shape)
+        # the full step first, with its gradient: most quasi-Newton steps take it
+        new_rows = rows - step
+        fc, new_grad = _value_and_gradient(new_rows, b)
+        t = np.where(fc <= f - _ARMIJO * slope, 1.0, np.nan)
+        rest = np.flatnonzero(np.isnan(t))
+        if rest.size:
+            t[rest], fc[rest] = _armijo_steps(rows[rest], step[rest], f[rest], slope[rest], b, 1)
+            # a failed quasi-Newton step is retried along the gradient
+            retry = rest[np.isnan(t[rest]) & (rho[rest, -1] > 0)]
             along_gradient(retry)
-            t[retry], fc[retry] = _armijo_steps(rows[retry], direction[retry].view(complex),
-                                                f[retry], slope[retry], b)
-        # stalled restarts keep their rows and retire below
+            t[retry], fc[retry] = _armijo_steps(rows[retry], step[retry], f[retry], slope[retry], b)
+            # stalled restarts keep their rows and retire below
+            new_rows[rest] = np.where(np.isnan(t[rest])[:, None, None], rows[rest],
+                                      rows[rest] - t[rest, None, None] * step[rest])
+            new_grad[rest] = _value_and_gradient(new_rows[rest], b)[1]
         stalled = np.isnan(t)
-        step = t[:, None, None] * direction.view(complex)
-        new_rows = np.where(stalled[:, None, None], rows, rows - step)
-        new_grad = _value_and_gradient(new_rows, b)[1]
-        s, y = (new_rows - rows).view(float), (new_grad - grad).view(float)
-        sy = _sum2(s * y)
-        keep = sy > 0.0
-        for hist, pair in ((s_hist, s[keep]), (y_hist, y[keep]), (rho, 1.0 / sy[keep])):
+        pair = np.stack((new_rows - rows, new_grad - grad), 1).view(float).reshape(len(g), 2, -1)
+        sy = np.add.reduce(pair[:, 0] * pair[:, 1], axis=-1)
+        keep, fixed = sy > 0.0, None
+        if keep.all():
+            keep = slice(None)  # shifts the histories without copying them out first
+        else:
+            # no pair stored and rows, f and rho unchanged: a fixed point, retired at the cap
+            fixed = (~keep & (fc == f) & (rho == held).all(axis=1)
+                     & (new_rows == rows).all(axis=(1, 2)))
+        for hist, new in ((pairs, pair[keep]), (rho, 1.0 / sy[keep])):
             hist[keep, :-1] = hist[keep, 1:]
-            hist[keep, -1] = pair
+            hist[keep, -1] = new
         rows, f, grad = new_rows, np.where(stalled, f, fc), new_grad
         gnorm2 = _sum2(np.abs(grad) ** 2)
         done[live[~stalled]] = it + 1
@@ -315,7 +329,13 @@ def _descend_batch(rows, b, cfg: SearchConfig):
                 traces[i].append((it + 1, value))
         stop = np.where(stalled, _NO_DESCENT, np.where(
             f < cfg.residual_goal * 1e-3, _GOAL, np.where(gnorm2 == 0.0, _ZERO_GRADIENT, -1)))
-        live, rows, f, grad, gnorm2, s_hist, y_hist, rho = retire(stop)
+        if fixed is not None:
+            fixed &= stop < 0
+            stop[fixed], done[live[fixed]] = _CAP, cfg.max_iterations
+            for i, value in zip(live[fixed].tolist(), f[fixed].tolist()):
+                traces[i] += [(n, value) for n in range((it + 1) // stride * stride + stride,
+                                                        cfg.max_iterations + 1, stride)]
+        live, rows, f, grad, gnorm2, pairs, rho = retire(stop)
         if not live.size:
             break
     retire(np.full(live.size, _CAP))

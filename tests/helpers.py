@@ -187,15 +187,16 @@ def bisection_ball_residual(m: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray,
     return r, float(np.linalg.norm(m @ r - rhs))
 
 
-def serial_armijo_steps(rows, direction, f, slope, b):
+def serial_armijo_steps(rows, direction, f, slope, b, start=0):
     """Reference for search._armijo_steps: one halving per objective call.
 
-    Per stacked restart, the first of the steps 1, 1/2, ... (at most
-    _MAX_HALVINGS trials) along -direction that meets the Armijo condition
-    for the given slope, and the objective there; NaN where no trial does.
+    Per stacked restart, the first of the steps 2^-start, 2^-(start+1), ...
+    (up to halving _MAX_HALVINGS - 1) along -direction that meets the Armijo
+    condition for the given slope, and the objective there; NaN where no
+    trial does.
     """
-    trial, fc, pending = np.ones(len(f)), np.full(len(f), np.nan), np.arange(len(f))
-    for _ in range(_MAX_HALVINGS):
+    trial, fc, pending = np.full(len(f), 0.5**start), np.full(len(f), np.nan), np.arange(len(f))
+    for _ in range(start, _MAX_HALVINGS):
         values = _objective(rows[pending] - trial[pending, None, None] * direction[pending], b)
         ok = values <= f[pending] - _ARMIJO * trial[pending] * slope[pending]
         fc[pending[ok]] = values[ok]

@@ -248,11 +248,18 @@ def test_armijo_ladder_equals_serial_halvings():
     got = search._armijo_steps(rows, direction, f, slope, b)
     for a, e in zip(got, expected):
         assert np.array_equal(a, e, equal_nan=True)
+    # a ladder from halving 1, as taken after a failed full step: 1, 2, 3 first
+    expected = serial_armijo_steps(rows, direction, f, slope, b, start=1)
+    halvings = -np.log2(expected[0])
+    assert list(halvings[:8]) == [1, 1, 2, 4, 7, 9, 19, 26] and np.isnan(halvings[8])
+    got = search._armijo_steps(rows, direction, f, slope, b, start=1)
+    for a, e in zip(got, expected):
+        assert np.array_equal(a, e, equal_nan=True)
 
 
 def test_armijo_ladder_stays_under_the_entry_cap():
-    # each d at its largest admitted restart count: every Armijo ladder, and each
-    # L-BFGS history array of (restarts, _MEMORY, d^2, d) complex entries, fits the cap
+    # each d at its largest admitted restart count: every Armijo ladder, and the s and
+    # the y half of the L-BFGS history (restarts, _MEMORY, 2, 2 d^3), fit the cap
     for d in range(2, 20):
         restarts = search.MAX_SEARCH_ENTRIES // d**4 // 3
         assert SearchConfig(d=d, k=d * d, restarts=restarts).restarts == restarts
@@ -266,22 +273,22 @@ def test_armijo_ladder_stays_under_the_entry_cap():
 def test_two_loop_direction_equals_the_dense_update(d):
     rng = np.random.default_rng(40 + d)
     restarts, n = 6, 2 * d**3
-    grad = rng.standard_normal((restarts, d * d, 2 * d))
-    s, y = rng.standard_normal((2, restarts, search._MEMORY, d * d, 2 * d))
-    y += 2.0 * s
-    rho = 1.0 / search._sum2(s * y)
+    grad = rng.standard_normal((restarts, n))
+    pairs = rng.standard_normal((restarts, search._MEMORY, 2, n))
+    pairs[:, :, 1] += 2.0 * pairs[:, :, 0]
+    rho = 1.0 / np.add.reduce(pairs[:, :, 0] * pairs[:, :, 1], axis=-1)
     assert (rho > 0).all()
     rho[0] = 0.0  # no pair: the direction is gamma0 grad
     rho[1, :3] = rho[2, :1] = rho[3, 2] = 0.0  # empty slots, the newest kept
     gamma0 = rng.uniform(1e-3, 1e-2, restarts)
-    got = search._lbfgs_directions(grad, s, y, rho, gamma0)
+    got = search._lbfgs_directions(grad, pairs, rho, gamma0)
     for i in range(restarts):
-        expected = dense_lbfgs_direction(grad[i].ravel(), s[i].reshape(-1, n),
-                                         y[i].reshape(-1, n), rho[i], gamma0[i])
-        assert np.linalg.norm(got[i].ravel() - expected) <= 1e-12 * np.linalg.norm(expected)
+        expected = dense_lbfgs_direction(grad[i], pairs[i, :, 0], pairs[i, :, 1], rho[i],
+                                         gamma0[i])
+        assert np.linalg.norm(got[i] - expected) <= 1e-12 * np.linalg.norm(expected)
         # alone, a restart's empty slots are skipped; the direction is unchanged
         one = slice(i, i + 1)
-        alone = search._lbfgs_directions(grad[one], s[one], y[one], rho[one], gamma0[one])
+        alone = search._lbfgs_directions(grad[one], pairs[one], rho[one], gamma0[one])
         assert np.array_equal(alone[0], got[i])
     assert np.array_equal(got[0], gamma0[0] * grad[0])
 
@@ -313,6 +320,26 @@ def test_stop_reasons_are_reported_per_restart():
     best = [i for i, n in enumerate(solved.iterations_per_restart) if n == last]
     assert len(best) == 1 and solved.stop_reasons[best[0]] == "goal"
     assert solved.to_dict()["stop_reasons"] == list(solved.stop_reasons)
+
+
+def test_restarts_at_a_fixed_point_retire_at_the_cap(monkeypatch):
+    # both restarts reach a state their iterations no longer change (at iterations 883
+    # and 1040); they report the cap, its iterations and every trace point, unevaluated
+    evaluated = []
+
+    def counting(rows, b):
+        evaluated.append(len(rows))
+        return value_and_gradient(rows, b)
+
+    value_and_gradient = search._value_and_gradient
+    monkeypatch.setattr(search, "_value_and_gradient", counting)
+    report = run_search(SearchConfig(d=3, k=8, restarts=2, max_iterations=1200, seed=0))
+    assert report.stop_reasons == ("cap", "cap")
+    assert report.iterations_per_restart == (1200, 1200)
+    assert [n for n, _ in report.objective_trace] == list(range(0, 1201, 6))
+    assert report.objective_trace[-1][1] == report.best_residual
+    # a live restart is evaluated at least once per iteration
+    assert sum(evaluated) < 2 * 1200
 
 
 def test_search_finds_qubit_member():
