@@ -22,11 +22,15 @@ accepted, so the recorded objective trace is monotone.
 
 One iteration evaluates f and its gradient at the full step for all live
 restarts at once (one Gram each), as most quasi-Newton steps pass there
-(Nocedal and Wright, Numerical Optimization, 3.1); the rest try halvings from
-1/2 on, three per stacked objective call, then f and gradient at their step.
-A restart's pairs are one real (m, 2, 2 d^3) array. One that stored no pair
-and kept its vectors, f and pairs bitwise would repeat that iteration until
-the cap: it retires there at once, with the trace points it would have added.
+(Nocedal and Wright, Numerical Optimization, 3.1). When every restart passes,
+that is the iteration's only evaluation. Only the restarts that fail try
+halvings from 1/2 on, three per stacked objective call, then, where those
+fail too, the retry along the gradient, and f and gradient once more at the
+step they take; no ladder or evaluation runs on zero restarts. Inner products
+are batched (R, 1, n) @ (R, n, 1) matmuls. A restart's pairs are one real
+(m, 2, 2 d^3) array. One that stored no pair and kept its vectors, f and pairs
+bitwise would repeat that iteration until the cap: it retires there at once,
+with the trace points it would have added.
 
 Every report carries gradient_check: at five seeded random stacks V, each
 along its own seeded random direction D, the largest relative error of the
@@ -229,6 +233,11 @@ def _armijo_steps(rows, direction, f, slope, b, start=0):
     return trial, fc
 
 
+def _dot(a, b):
+    """Per restart, <a, b> of two (R, n) real arrays as one batched (R, 1, n) @ (R, n, 1)."""
+    return (a[:, None] @ b[..., None])[:, 0, 0]
+
+
 def _lbfgs_directions(grad, pairs, rho, gamma0):
     """Per restart, H grad by the L-BFGS two-loop recursion, in real coordinates.
 
@@ -236,52 +245,62 @@ def _lbfgs_directions(grad, pairs, rho, gamma0):
     (R, _MEMORY, 2, 2d^3) history of s (index 0) and y (index 1), oldest
     first, with rho = 1 / <s, y>; a slot with rho = 0 is empty and leaves H
     unchanged. H0 = gamma I with gamma = <s, y> / <y, y> of the newest pair
-    (the last slot), or gamma0 where that slot is empty.
+    (the last slot), or gamma0 where that slot is empty. Vectors are kept as
+    (R, n, 1) columns and inner products taken as batched matmuls.
     """
-    s, y = pairs[:, :, 0], pairs[:, :, 1]
-    q, alpha = grad.copy(), np.zeros(rho.shape)
-    used = np.flatnonzero(rho.any(axis=0))  # slots empty in every restart are skipped
+    used = rho.any(axis=0).nonzero()[0]  # slots empty in every restart are skipped
+    as_rows, as_cols, rho = pairs[:, :, :, None], pairs[..., None], rho[:, :, None, None]
+    q, alpha = grad[..., None].copy(), {}
     for i in used[::-1]:
-        alpha[:, i] = rho[:, i] * np.add.reduce(s[:, i] * q, axis=-1)
-        q -= alpha[:, i, None] * y[:, i]
+        alpha[i] = rho[:, i] * (as_rows[:, i, 0] @ q)
+        q -= alpha[i] * as_cols[:, i, 1]
     newest = rho[:, -1]
-    gamma = np.divide(1.0, newest * np.add.reduce(y[:, -1] ** 2, axis=-1), out=gamma0.copy(),
-                      where=newest > 0)
-    r = gamma[:, None] * q
+    gamma = np.divide(1.0, newest * (as_rows[:, -1, 1] @ as_cols[:, -1, 1]),
+                      out=gamma0[:, None, None].copy(), where=newest > 0)
+    r = gamma * q
     for i in used:
-        r += (alpha[:, i] - rho[:, i] * np.add.reduce(y[:, i] * r, axis=-1))[:, None] * s[:, i]
-    return r
+        r += (alpha[i] - rho[:, i] * (as_rows[:, i, 1] @ r)) * as_cols[:, i, 0]
+    return r[..., 0]
 
 
 def _descend_batch(rows, b, cfg: SearchConfig):
     """Advance a (R, d^2, d) stack of restarts together; restart i's result does not
     depend on the rest. Returns per restart the final rows and objective, the
-    accepted iterations, the objective trace and the stop reason."""
+    accepted iterations, the objective trace and the stop reason.
+
+    An iteration evaluates f and its gradient at the full step of every live restart
+    in one stacked call. Only the restarts that fail Armijo there run the ladder, the
+    retry along the gradient and a second evaluation; stop codes are built only in an
+    iteration where some restart stops."""
     out_rows, out_f = np.empty_like(rows), np.empty(len(rows))
     done, reasons = np.zeros(len(rows), dtype=int), np.empty(len(rows), dtype=int)
     stride = max(1, cfg.max_iterations // _TRACE_POINTS)
     live = np.arange(len(rows))
     f, grad = _value_and_gradient(rows, b)
-    gnorm2 = _sum2(np.abs(grad) ** 2)
+    g = grad.view(float).reshape(len(rows), -1)
+    gnorm2 = _dot(g, g)
     # the last _MEMORY steps s and gradient changes y, oldest first, as flat real vectors
-    pairs = np.zeros((len(rows), _MEMORY, 2, 2 * rows[0].size))
+    pairs = np.zeros((len(rows), _MEMORY, 2, g.shape[1]))
     rho = np.zeros((len(rows), _MEMORY))
     traces = [[(0, float(v))] for v in f]
+    goal = cfg.residual_goal * 1e-3
 
-    def retire(stop):
-        """Stop codes index STOP_REASONS; -1 keeps a restart live."""
-        state, mask = (live, rows, f, grad, gnorm2, pairs, rho), stop >= 0
+    def retire(stop, it):
+        """Stop codes index STOP_REASONS; -1 keeps a restart live. A restart stopped in
+        iteration it accepted it unless it stalled there; one stopped at the cap ran to it."""
+        state, mask = (live, rows, f, g, gnorm2, pairs, rho), stop >= 0
         if not mask.any():
             return state
-        gone = live[mask]
-        out_rows[gone], out_f[gone], reasons[gone] = rows[mask], f[mask], stop[mask]
+        gone, code = live[mask], stop[mask]
+        out_rows[gone], out_f[gone], reasons[gone] = rows[mask], f[mask], code
+        done[gone] = np.where(code == _CAP, cfg.max_iterations, it + (code != _NO_DESCENT))
         return [a[~mask] for a in state]
 
     for it in range(cfg.max_iterations):
-        g, held = grad.view(float).reshape(len(grad), -1), rho.copy()
+        held = rho.copy()
         gamma0 = _INITIAL_STEP / (1.0 + np.sqrt(gnorm2))
         direction = _lbfgs_directions(g, pairs, rho, gamma0)
-        slope = np.add.reduce(g * direction, axis=-1)
+        slope = _dot(g, direction)
 
         def along_gradient(j):
             """Clear the histories of restarts j and point them along gamma0 grad."""
@@ -289,29 +308,36 @@ def _descend_batch(rows, b, cfg: SearchConfig):
             direction[j] = gamma0[j, None] * g[j]
             slope[j] = gamma0[j] * gnorm2[j]
 
-        uphill = ~(slope > 0.0)  # not a descent direction, or not finite
-        if uphill.any():
-            along_gradient(uphill)
+        descends = slope > 0.0  # false where r does not descend, or is not finite
+        if not descends.all():
+            along_gradient(~descends)
         step = direction.view(complex).reshape(rows.shape)
         # the full step first, with its gradient: most quasi-Newton steps take it
         new_rows = rows - step
         fc, new_grad = _value_and_gradient(new_rows, b)
-        t = np.where(fc <= f - _ARMIJO * slope, 1.0, np.nan)
-        rest = np.flatnonzero(np.isnan(t))
+        new_g, fixed = new_grad.view(float).reshape(g.shape), None
+        # stalled stays this empty array when every restart passes at the full step
+        stalled = rest = (~(fc <= f - _ARMIJO * slope)).nonzero()[0]
         if rest.size:
-            t[rest], fc[rest] = _armijo_steps(rows[rest], step[rest], f[rest], slope[rest], b, 1)
+            t, fc[rest] = _armijo_steps(rows[rest], step[rest], f[rest], slope[rest], b, 1)
             # a failed quasi-Newton step is retried along the gradient
-            retry = rest[np.isnan(t[rest]) & (rho[rest, -1] > 0)]
-            along_gradient(retry)
-            t[retry], fc[retry] = _armijo_steps(rows[retry], step[retry], f[retry], slope[retry], b)
-            # stalled restarts keep their rows and retire below
-            new_rows[rest] = np.where(np.isnan(t[rest])[:, None, None], rows[rest],
-                                      rows[rest] - t[rest, None, None] * step[rest])
-            new_grad[rest] = _value_and_gradient(new_rows[rest], b)[1]
-        stalled = np.isnan(t)
-        pair = np.stack((new_rows - rows, new_grad - grad), 1).view(float).reshape(len(g), 2, -1)
-        sy = np.add.reduce(pair[:, 0] * pair[:, 1], axis=-1)
-        keep, fixed = sy > 0.0, None
+            retry = np.isnan(t) & (rho[rest, -1] > 0)
+            if retry.any():
+                j = rest[retry]
+                along_gradient(j)
+                t[retry], fc[j] = _armijo_steps(rows[j], step[j], f[j], slope[j], b)
+            moved = ~np.isnan(t)
+            # stalled restarts keep their state and retire below
+            stalled, j = rest[~moved], rest[moved]
+            new_rows[stalled], fc[stalled], new_g[stalled] = rows[stalled], f[stalled], g[stalled]
+            if j.size:
+                new_rows[j] = rows[j] - t[moved, None, None] * step[j]
+                new_grad[j] = _value_and_gradient(new_rows[j], b)[1]
+        pair = np.empty((len(g), 2, g.shape[1]))
+        np.subtract(new_rows, rows, out=pair[:, 0].view(complex).reshape(rows.shape))
+        np.subtract(new_g, g, out=pair[:, 1])
+        sy = _dot(pair[:, 0], pair[:, 1])
+        keep = sy > 0.0
         if keep.all():
             keep = slice(None)  # shifts the histories without copying them out first
         else:
@@ -321,24 +347,23 @@ def _descend_batch(rows, b, cfg: SearchConfig):
         for hist, new in ((pairs, pair[keep]), (rho, 1.0 / sy[keep])):
             hist[keep, :-1] = hist[keep, 1:]
             hist[keep, -1] = new
-        rows, f, grad = new_rows, np.where(stalled, f, fc), new_grad
-        gnorm2 = _sum2(np.abs(grad) ** 2)
-        done[live[~stalled]] = it + 1
+        rows, f, g, gnorm2 = new_rows, fc, new_g, _dot(new_g, new_g)
+        if len(stalled) or fixed is not None or (f < goal).any() or (gnorm2 == 0.0).any():
+            stop = np.where(f < goal, _GOAL, np.where(gnorm2 == 0.0, _ZERO_GRADIENT, -1))
+            stop[stalled] = _NO_DESCENT
+            if fixed is not None:
+                fixed &= stop < 0
+                stop[fixed] = _CAP
+                first = -(-(it + 1) // stride) * stride
+                for i, value in zip(live[fixed].tolist(), f[fixed].tolist()):
+                    traces[i] += [(n, value) for n in range(first, cfg.max_iterations + 1, stride)]
+            live, rows, f, g, gnorm2, pairs, rho = retire(stop, it)
+            if not live.size:
+                break
         if (it + 1) % stride == 0:
-            for i, value in zip(live[~stalled].tolist(), f[~stalled].tolist()):
+            for i, value in zip(live.tolist(), f.tolist()):
                 traces[i].append((it + 1, value))
-        stop = np.where(stalled, _NO_DESCENT, np.where(
-            f < cfg.residual_goal * 1e-3, _GOAL, np.where(gnorm2 == 0.0, _ZERO_GRADIENT, -1)))
-        if fixed is not None:
-            fixed &= stop < 0
-            stop[fixed], done[live[fixed]] = _CAP, cfg.max_iterations
-            for i, value in zip(live[fixed].tolist(), f[fixed].tolist()):
-                traces[i] += [(n, value) for n in range((it + 1) // stride * stride + stride,
-                                                        cfg.max_iterations + 1, stride)]
-        live, rows, f, grad, gnorm2, pairs, rho = retire(stop)
-        if not live.size:
-            break
-    retire(np.full(live.size, _CAP))
+    retire(np.full(live.size, _CAP), cfg.max_iterations)
     for i, trace in enumerate(traces):
         if trace[-1][0] != done[i]:
             trace.append((int(done[i]), float(out_f[i])))

@@ -323,8 +323,8 @@ def test_stop_reasons_are_reported_per_restart():
 
 
 def test_restarts_at_a_fixed_point_retire_at_the_cap(monkeypatch):
-    # both restarts reach a state their iterations no longer change (at iterations 883
-    # and 1040); they report the cap, its iterations and every trace point, unevaluated
+    # both restarts reach a state their iterations no longer change (at iterations 1032
+    # and 1054); they report the cap, its iterations and every trace point, unevaluated
     evaluated = []
 
     def counting(rows, b):
@@ -340,6 +340,38 @@ def test_restarts_at_a_fixed_point_retire_at_the_cap(monkeypatch):
     assert report.objective_trace[-1][1] == report.best_residual
     # a live restart is evaluated at least once per iteration
     assert sum(evaluated) < 2 * 1200
+
+
+def test_stalled_and_gradient_free_restarts_stop_at_once(monkeypatch):
+    # no Armijo halving passes, so a restart with a gradient stalls in its first
+    # iteration; V = 0 has an exactly zero gradient, and its zero step passes
+    monkeypatch.setattr(search, "_ARMIJO", 1e200)
+    cfg = SearchConfig(d=3, k=9, restarts=2, max_iterations=50)
+    stack = np.stack([search._initial_vectors(np.random.default_rng(3), 3),
+                      np.zeros((9, 3), dtype=complex)])
+    f0, f1 = search._objective(stack, cfg.b).tolist()
+    rows, f, iterations, traces, reasons = search._descend_batch(stack, cfg.b, cfg)
+    assert reasons == ["no_descent", "zero_gradient"]
+    assert list(iterations) == [0, 1]
+    assert np.array_equal(rows[0], stack[0]) and f[0] == f0
+    assert traces == [[(0, f0)], [(0, f1), (1, f1)]]
+    for i in range(2):
+        alone = search._descend_batch(stack[i:i + 1], cfg.b, cfg)
+        assert np.array_equal(alone[0][0], rows[i]) and alone[1][0] == f[i]
+        assert (alone[2][0], alone[3][0], alone[4][0]) == (iterations[i], traces[i], reasons[i])
+
+
+def test_armijo_ladders_run_only_on_failed_steps(monkeypatch):
+    sizes = []
+
+    def counting(rows, *args):
+        sizes.append(len(rows))
+        return armijo_steps(rows, *args)
+
+    armijo_steps = search._armijo_steps
+    monkeypatch.setattr(search, "_armijo_steps", counting)
+    run_search(SearchConfig(d=2, k=2, b=0.07, restarts=4, max_iterations=20, seed=13))
+    assert sizes and 0 not in sizes
 
 
 def test_search_finds_qubit_member():
