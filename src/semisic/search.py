@@ -12,25 +12,25 @@ batch. Each restart keeps its last m = 5 pairs s = change of the vectors
 and y = change of the gradient, with inner products Re<a, b> (the real
 coordinates of the vectors); a pair is kept only when Re<s, y> > 0. Its
 direction r = H grad f comes from the two-loop recursion with H0 = gamma I,
-gamma = Re<s, y> / <y, y> of the newest pair. The step is the first of
-1, 1/2, 1/4, ... along -r that meets the Armijo condition for the slope
-Re<grad f, r>. A restart with no pair, or whose r does not descend, or whose
-halvings fail along r, clears its pairs and steps along gamma0 grad f with
-gamma0 = 1e-2 / (1 + |grad f|); it stops as no_descent only when no Armijo
-halving along the gradient lowers f. Only steps that do not raise f are
-accepted, so the recorded objective trace is monotone.
+gamma = Re<s, y> / <y, y> of the newest pair, or gamma0 = 1e-2 / (1 + |grad f|)
+with none. The step is the first of 1, 1/2, 1/4, ... along -r that meets the
+Armijo condition for the slope Re<grad f, r>. One rule covers a restart that
+finds no step (r does not descend, or no halving passes): it keeps its vectors,
+f and gradient in that iteration, which counts toward the cap, and clears its
+pairs, so its next r is gamma0 grad f; with no pair to clear it stops as
+no_descent, as no Armijo halving along gamma0 grad f lowers f. Only steps that
+do not raise f are accepted, so the recorded objective trace is monotone.
 
 One iteration evaluates f and its gradient at the full step for all live
 restarts at once (one Gram each), as most quasi-Newton steps pass there
 (Nocedal and Wright, Numerical Optimization, 3.1). When every restart passes,
 that is the iteration's only evaluation. Only the restarts that fail try
-halvings from 1/2 on, three per stacked objective call, then, where those
-fail too, the retry along the gradient, and f and gradient once more at the
-step they take; no ladder or evaluation runs on zero restarts. Inner products
-are batched (R, 1, n) @ (R, n, 1) matmuls. A restart's pairs are one real
-(m, 2, 2 d^3) array. One that stored no pair and kept its vectors, f and pairs
-bitwise would repeat that iteration until the cap: it retires there at once,
-with the trace points it would have added.
+halvings from 1/2 on, three per stacked objective call, and evaluate f and
+gradient once more at the step they take; no ladder or evaluation runs on
+zero restarts. Inner products are batched (R, 1, n) @ (R, n, 1) matmuls. A
+restart's pairs are one real (m, 2, 2 d^3) array. One that stored no pair and
+kept its vectors, f and pairs bitwise would repeat that iteration until the
+cap: it retires there at once, with the trace points it would have added.
 
 Every report carries gradient_check: at five seeded random stacks V, each
 along its own seeded random direction D, the largest relative error of the
@@ -215,12 +215,13 @@ def gradient(vectors, d: int, k: int, b: float | None = None) -> np.ndarray:
     return _value_and_gradient(_coerce_vectors(vectors, d), _resolve_b(d, k, b))[1]
 
 
-def _armijo_steps(rows, direction, f, slope, b, start=0):
-    """Halvings along -direction: per restart, the first of the steps 2^-start, 2^-(start+1),
-    ... (up to halving _MAX_HALVINGS - 1) meeting the Armijo condition for the slope
-    Re<grad f, direction>, and the objective there; NaN where no trial does. The trials
-    go in ladders of _LADDER halvings, one stacked objective call per ladder."""
-    trial, fc, pending, m = *np.full((2, len(f)), np.nan), np.arange(len(f)), start
+def _armijo_steps(rows, direction, f, slope, b):
+    """Halvings along -direction after a failed full step: per restart, the first of the
+    steps 1/2, 1/4, ... (up to halving _MAX_HALVINGS - 1) meeting the Armijo condition for
+    the slope Re<grad f, direction>, and the objective there; NaN where no trial does, and
+    at once, with no objective call, where the slope is not positive. The trials go in
+    ladders of _LADDER halvings, one stacked objective call per ladder."""
+    trial, fc, pending, m = *np.full((2, len(f)), np.nan), (slope > 0).nonzero()[0], 1
     while m < _MAX_HALVINGS and pending.size:
         steps = _HALVINGS[m:m + _LADDER]
         trials = rows[pending, None] - steps[:, None, None] * direction[pending, None]
@@ -268,10 +269,10 @@ def _descend_batch(rows, b, cfg: SearchConfig):
     depend on the rest. Returns per restart the final rows and objective, the
     accepted iterations, the objective trace and the stop reason.
 
-    An iteration evaluates f and its gradient at the full step of every live restart
-    in one stacked call. Only the restarts that fail Armijo there run the ladder, the
-    retry along the gradient and a second evaluation; stop codes are built only in an
-    iteration where some restart stops."""
+    An iteration evaluates f and its gradient at the full step of every live restart in
+    one stacked call; only those that fail Armijo there run the ladder and evaluate again.
+    One that finds no step keeps its state and clears its pairs, or stops as no_descent if
+    it holds none; stop codes are built only in an iteration where some restart stops."""
     out_rows, out_f = np.empty_like(rows), np.empty(len(rows))
     done, reasons = np.zeros(len(rows), dtype=int), np.empty(len(rows), dtype=int)
     stride = max(1, cfg.max_iterations // _TRACE_POINTS)
@@ -301,35 +302,21 @@ def _descend_batch(rows, b, cfg: SearchConfig):
         gamma0 = _INITIAL_STEP / (1.0 + np.sqrt(gnorm2))
         direction = _lbfgs_directions(g, pairs, rho, gamma0)
         slope = _dot(g, direction)
-
-        def along_gradient(j):
-            """Clear the histories of restarts j and point them along gamma0 grad."""
-            rho[j] = 0.0
-            direction[j] = gamma0[j, None] * g[j]
-            slope[j] = gamma0[j] * gnorm2[j]
-
-        descends = slope > 0.0  # false where r does not descend, or is not finite
-        if not descends.all():
-            along_gradient(~descends)
         step = direction.view(complex).reshape(rows.shape)
         # the full step first, with its gradient: most quasi-Newton steps take it
         new_rows = rows - step
         fc, new_grad = _value_and_gradient(new_rows, b)
         new_g, fixed = new_grad.view(float).reshape(g.shape), None
         # stalled stays this empty array when every restart passes at the full step
-        stalled = rest = (~(fc <= f - _ARMIJO * slope)).nonzero()[0]
+        stalled = rest = (~((fc <= f - _ARMIJO * slope) & (slope >= 0))).nonzero()[0]
         if rest.size:
-            t, fc[rest] = _armijo_steps(rows[rest], step[rest], f[rest], slope[rest], b, 1)
-            # a failed quasi-Newton step is retried along the gradient
-            retry = np.isnan(t) & (rho[rest, -1] > 0)
-            if retry.any():
-                j = rest[retry]
-                along_gradient(j)
-                t[retry], fc[j] = _armijo_steps(rows[j], step[j], f[j], slope[j], b)
+            t, fc[rest] = _armijo_steps(rows[rest], step[rest], f[rest], slope[rest], b)
             moved = ~np.isnan(t)
-            # stalled restarts keep their state and retire below
-            stalled, j = rest[~moved], rest[moved]
-            new_rows[stalled], fc[stalled], new_g[stalled] = rows[stalled], f[stalled], g[stalled]
+            # a restart with no step keeps its state; it clears its pairs, or stops if none
+            failed, j = rest[~moved], rest[moved]
+            new_rows[failed], fc[failed], new_g[failed] = rows[failed], f[failed], g[failed]
+            stalled = failed[rho[failed, -1] == 0.0]
+            rho[failed] = 0.0
             if j.size:
                 new_rows[j] = rows[j] - t[moved, None, None] * step[j]
                 new_grad[j] = _value_and_gradient(new_rows[j], b)[1]

@@ -208,14 +208,23 @@ def test_bloch_conversions(capsys):
     # the README example and the maximally mixed state
     ("--to-bloch 0.4 0.2 0.2 0.2", "0 0 1"),
     ("--to-bloch 0.2 0.2 0.3 0.3", "0 0 0"),
+    # the README example in fractions
+    ("--to-bloch 2/5 1/5 1/5 1/5", "0 0 1"),
     # the pure state opposite n_3 (to 15 digits), whose q_3 is 0
     ("--to-probs 0.333333333333333 0.881917103688197 0.333333333333333",
      "0.266666666667 0.266666666667 0 0.466666666667"),
-], ids=["readme", "mixed", "to-probs"])
+], ids=["readme", "mixed", "fractions", "to-probs"])
 def test_bloch_prints_rounding_noise_as_zero(capsys, argv, want):
     # each zero is about 1e-16 after rounding
     rc, out, _ = run(capsys, "bloch", "--b", "2/25", *argv.split())
     assert (rc, out) == (0, want + "\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400", "1/0"])
+def test_bloch_refuses_non_finite_numbers(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bloch", "--b", "2/25", "--to-probs", "0", value, "0"])
+    assert exc.value.code == 2 and "not a number or fraction" in capsys.readouterr().err
 
 
 def test_search_command(tmp_path, capsys):

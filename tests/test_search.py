@@ -230,31 +230,32 @@ def test_value_and_gradient_is_objective_and_gradient(d, count):
         assert np.array_equal(grad[i], gradient(rows[i], d, d * d))
 
 
-def test_armijo_ladder_equals_serial_halvings():
+def test_armijo_ladder_equals_serial_halvings(monkeypatch):
     b = 1.0 / 36.0
     point = search._initial_vectors(np.random.default_rng(5), 3)
     f0, g0 = search._value_and_gradient(point, b)
     # descent directions, two of them settled only in a second and a third ladder of
-    # halvings, then one along the ascent direction +g0 that no halving rescues
-    scale = np.array([1e-3, 3e-2, 0.1, 0.3, 2.0, 10.0, 1e4, 1e6, -1e3])
+    # halvings, then one along the ascent direction +g0 that no halving rescues, and
+    # one whose slope is NaN
+    scale = np.array([1e-3, 3e-2, 0.1, 0.3, 2.0, 10.0, 1e4, 1e6, -1e3, 1.0])
     rows = np.repeat(point[None], len(scale), axis=0)
     direction = scale[:, None, None] * g0
     f = np.full(len(scale), f0)
     slope = scale * search._sum2(np.abs(g0) ** 2)
-    expected = serial_armijo_steps(rows, direction, f, slope, b)
-    halvings = -np.log2(expected[0])
-    assert list(halvings[:8]) == [0, 1, 2, 4, 7, 9, 19, 26] and np.isnan(halvings[8])
-    assert search._LADDER == 3 and [h // search._LADDER for h in halvings[3:5]] == [1, 2]
-    got = search._armijo_steps(rows, direction, f, slope, b)
-    for a, e in zip(got, expected):
-        assert np.array_equal(a, e, equal_nan=True)
+    slope[-1] = np.nan
     # a ladder from halving 1, as taken after a failed full step: 1, 2, 3 first
     expected = serial_armijo_steps(rows, direction, f, slope, b, start=1)
     halvings = -np.log2(expected[0])
-    assert list(halvings[:8]) == [1, 1, 2, 4, 7, 9, 19, 26] and np.isnan(halvings[8])
-    got = search._armijo_steps(rows, direction, f, slope, b, start=1)
+    assert list(halvings[:8]) == [1, 1, 2, 4, 7, 9, 19, 26] and np.isnan(halvings[8:]).all()
+    assert search._LADDER == 3 and [(h - 1) // search._LADDER for h in halvings[3:5]] == [1, 2]
+    got = search._armijo_steps(rows, direction, f, slope, b)
     for a, e in zip(got, expected):
         assert np.array_equal(a, e, equal_nan=True)
+    # negative, NaN and zero slopes get NaN at once, with no objective call
+    calls = []
+    monkeypatch.setattr(search, "_objective", lambda *args: calls.append(args))
+    got = search._armijo_steps(rows[:3], direction[:3], f[:3], np.array([-1.0, np.nan, 0.0]), b)
+    assert np.isnan(got).all() and not calls
 
 
 def test_armijo_ladder_stays_under_the_entry_cap():
@@ -359,6 +360,29 @@ def test_stalled_and_gradient_free_restarts_stop_at_once(monkeypatch):
         alone = search._descend_batch(stack[i:i + 1], cfg.b, cfg)
         assert np.array_equal(alone[0][0], rows[i]) and alone[1][0] == f[i]
         assert (alone[2][0], alone[3][0], alone[4][0]) == (iterations[i], traces[i], reasons[i])
+
+
+def test_a_restart_with_no_step_clears_its_pairs(monkeypatch):
+    # every direction built from pairs is turned uphill, so it finds no step: the restart
+    # keeps its state, clears its pairs and steps along gamma0 grad f in the next iteration
+    def uphill(grad, pairs, rho, gamma0):
+        r = lbfgs_directions(grad, pairs, rho, gamma0)
+        r[rho[:, -1] > 0] *= -1.0
+        return r
+
+    lbfgs_directions = search._lbfgs_directions
+    monkeypatch.setattr(search, "_lbfgs_directions", uphill)
+    cfg = SearchConfig(d=3, k=9, restarts=3, max_iterations=20, seed=4)
+    stack = np.stack([search._initial_vectors(search._restart_rng(cfg.seed, i), 3)
+                      for i in range(cfg.restarts)])
+    rows, f, iterations, traces, reasons = search._descend_batch(stack, cfg.b, cfg)
+    assert reasons == ["cap"] * 3 and list(iterations) == [20] * 3
+    assert (f < search._objective(stack, cfg.b)).all()
+    for i, trace in enumerate(traces):
+        values = [v for _, v in trace]
+        assert all(b <= a for a, b in zip(values, values[1:])) and len(set(values)) > 8
+        alone = search._descend_batch(stack[i:i + 1], cfg.b, cfg)
+        assert np.array_equal(alone[0][0], rows[i]) and alone[1][0] == f[i]
 
 
 def test_armijo_ladders_run_only_on_failed_steps(monkeypatch):
