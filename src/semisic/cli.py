@@ -9,7 +9,6 @@ or out-of-range errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import re
@@ -37,7 +36,7 @@ def parse_number(text: str) -> float:
 
 def _print_report(report: model.VerificationReport, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(dataclasses.asdict(report), indent=2))
+        print(json.dumps(vars(report)))  # one line, fields in declaration order
         return
     print(f"classification: {report.classification}")
     print(f"fitted_b: {report.fitted_b:.12g}")

@@ -1,8 +1,8 @@
 """JSON interchange for POVMs and dual frames.
 
-Matrix entries are encoded as [re, im] pairs so documents stay valid JSON;
-floats go through Python's shortest-repr serializer, which round-trips
-bit-identically. Parse errors carry the JSON path of the offending entry.
+Documents are one line of JSON. Matrix entries are [re, im] pairs, and floats
+go through Python's shortest repr, which round-trips bit-identically. Parse
+errors carry the JSON path of the first defect.
 """
 
 from __future__ import annotations
@@ -18,28 +18,34 @@ from .model import Povm
 from .textio import open_text, write_json
 
 
-def matrix_to_pairs(mat: np.ndarray) -> list[list[list[float]]]:
-    """Encode a complex matrix as nested [re, im] pairs."""
+def matrix_to_pairs(mat: np.ndarray) -> list:
+    """Encode a complex matrix, or a stack of them, as nested [re, im] pairs."""
     arr = np.asarray(mat, dtype=complex)
     return np.stack([arr.real, arr.imag], -1).tolist()
 
 
+def _pair_of_reals(entry) -> bool:
+    return (isinstance(entry, list) and len(entry) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry))
+
+
 def pairs_to_matrix(obj, where: str, dim: int) -> np.ndarray:
-    """Decode one dim x dim matrix, raising DocumentError with locations."""
+    """Decode one dim x dim matrix of [re, im] pairs of ints or floats (float subclasses
+    too, never bools) in one np.array call, raising DocumentError with locations."""
     if not isinstance(obj, list) or len(obj) != dim:
         raise DocumentError(f"{where}: expected {dim} rows")
-    out = np.empty((dim, dim), dtype=complex)
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != dim:
             raise DocumentError(f"{where}[{i}]: expected {dim} entries")
-        for j, entry in enumerate(row):
-            spot = f"{where}[{i}][{j}]"
-            if (not isinstance(entry, list) or len(entry) != 2
-                    or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                               for v in entry)):
-                raise DocumentError(f"{spot}: expected a [re, im] pair of reals")
-            out[i, j] = complex(float(entry[0]), float(entry[1]))
-    return out
+        for j, entry in enumerate(row):  # plain floats and ints pass the first test
+            if not (isinstance(entry, list) and len(entry) == 2
+                    and type(entry[0]) in (float, int) and type(entry[1]) in (float, int)
+                    or _pair_of_reals(entry)):
+                raise DocumentError(f"{where}[{i}][{j}]: expected a [re, im] pair of reals")
+    try:
+        return np.array(obj, dtype=float).view(complex)[..., 0]
+    except OverflowError:
+        raise DocumentError(f"{where}: an entry is too large for a float") from None
 
 
 @dataclass(frozen=True)
@@ -57,7 +63,7 @@ def povm_document(povm: Povm, b: float | None = None, k: int | None = None,
     """JSON-ready dict for a POVM."""
     doc = {
         "dim": int(povm.dim),
-        "elements": [matrix_to_pairs(e) for e in povm.elements],
+        "elements": matrix_to_pairs(povm.elements),
         "metadata": dict(metadata or {}),
     }
     if b is not None:
@@ -84,16 +90,19 @@ def parse_povm_document(doc) -> PovmDocument:
             f"elements: expected a list of {dim * dim} matrices, got "
             f"{len(elements) if isinstance(elements, list) else type(elements).__name__}"
         )
-    stack = np.stack(
-        [pairs_to_matrix(e, f"elements[{x}]", dim) for x, e in enumerate(elements)]
-    )
+    stack = np.stack([pairs_to_matrix(e, f"elements[{x}]", dim)
+                      for x, e in enumerate(elements)])
 
     b = doc.get("b")
     if b is not None and (not isinstance(b, (int, float)) or isinstance(b, bool)):
         raise DocumentError(f"b: expected a real number, got {b!r}")
+    if b is not None and not abs(b) <= float(np.finfo(float).max):  # NaN, inf, 10**400
+        raise DocumentError(f"b: expected a finite real number, got {b!r}")
     k = doc.get("k")
     if k is not None and (not isinstance(k, int) or isinstance(k, bool)):
         raise DocumentError(f"k: expected an integer, got {k!r}")
+    if k is not None and not 1 <= k <= dim * dim:
+        raise DocumentError(f"k: expected an integer in 1..{dim * dim}, got {k!r}")
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise DocumentError(f"metadata: expected an object, got {type(metadata).__name__}")
@@ -115,7 +124,7 @@ def load_povm(path) -> PovmDocument:
     try:
         with open_text(path) as handle:
             doc = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
         raise DocumentError(f"invalid JSON: {exc}") from exc
     return parse_povm_document(doc)
 
@@ -127,7 +136,7 @@ def dual_frame_document(frame: DualFrame, metadata: dict | None = None) -> dict:
     return {
         "dim": int(frame.dim),
         "k": int(frame.source_k),
-        "elements": [matrix_to_pairs(f) for f in frame.duals],
+        "elements": matrix_to_pairs(frame.duals),
         "metadata": meta,
     }
 

@@ -204,7 +204,8 @@ class Povm:
             raise MalformedPovm("elements contain non-finite entries")
         adjoint = stack.conj().transpose(0, 2, 1)
         herm_dev = float(np.max(np.abs(stack - adjoint)))
-        stack = 0.5 * (stack + adjoint)
+        # + 0.0 stores every zero as +0.0, so a reloaded stack keeps every bit
+        stack = 0.5 * (stack + adjoint) + 0.0
         comp_dev = float(np.max(np.abs(stack.sum(axis=0) - np.eye(d))))
         eigs = np.linalg.eigvalsh(stack)
         if herm_dev > HERMITIAN_GATE:
@@ -238,7 +239,7 @@ class Povm:
         return self.elements[idx]
 
     def traces(self) -> np.ndarray:
-        return np.real(np.trace(self.elements, axis1=1, axis2=2))
+        return self.elements.trace(axis1=1, axis2=2).real
 
     @cached_property
     def _gram(self) -> tuple[np.ndarray, np.ndarray]:
@@ -300,21 +301,22 @@ def _measure(povm: Povm, tol_cond: float) -> VerificationReport:
     gram, gram_eigs = povm._gram
     off = gram[~np.eye(n, dtype=bool)]
     fitted_b = float(off.mean())
-    equi_dev = float(np.max(np.abs(off - fitted_b)))
+    equi_dev = float(np.abs(off - fitted_b).max())
 
-    psd_dev = float(max(0.0, -np.min(eig_stack)))
-    scale = np.maximum(1.0, np.max(np.abs(eig_stack), axis=1))
-    ranks = (np.abs(eig_stack) > TOL_RANK * scale[:, None]).sum(axis=1)
-    all_rank_one = bool(np.all(ranks == 1))
+    psd_dev = max(0.0, -float(eig_stack.min()))
+    abs_eigs = np.abs(eig_stack)
+    scale = np.maximum(1.0, abs_eigs.max(axis=1))
+    ranks = (abs_eigs > TOL_RANK * scale[:, None]).sum(axis=1)
+    all_rank_one = bool((ranks == 1).all())
 
-    ic_scale = max(1.0, float(np.max(np.abs(gram_eigs))))
-    is_ic = bool(np.min(gram_eigs) > TOL_RANK * ic_scale)
+    ic_scale = max(1.0, float(np.abs(gram_eigs).max()))
+    is_ic = bool(gram_eigs.min() > TOL_RANK * ic_scale)
 
     traces = povm.traces()
-    trace_dev = float(np.max(np.abs(traces * traces - traces + (n - 1) * fitted_b)))
+    trace_dev = float(np.abs(traces * traces - traces + (n - 1) * fitted_b).max())
     small = traces < 0.5
     k = int(np.count_nonzero(small))
-    if k in (0, n) or float(np.ptp(traces)) <= tol_cond:
+    if k in (0, n) or float(traces.max() - traces.min()) <= tol_cond:
         # one trace class: the constant-trace (SIC) convention is k = d^2
         k = n
         classes = ((float(traces.mean()), n),)

@@ -18,7 +18,7 @@ def open_text(target, mode: str = "r", **kwargs):
 
 
 def write_json(target, doc) -> None:
-    """Write doc as indented JSON and a final newline."""
+    """Write doc as one line of JSON and a final newline, in one write (json.dumps
+    without indent is the C encoder; floats are float.__repr__, which round-trips)."""
     with open_text(target, "w") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
+        handle.write(json.dumps(doc) + "\n")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import count_measurements, disguise, hermitian_noise, hesse_sic
-from semisic import cli, dual, qubit
+from semisic import cli, dual, model, qubit
 from semisic.bloch import bloch_to_probs
 from semisic.documents import parse_povm_document, save_povm
 from semisic.linalg import TOL_COND
@@ -81,9 +81,34 @@ def test_construct_verify_cycle(tmp_path, capsys):
 
 
 def test_verify_json_keys_follow_the_report_fields(tmp_path, capsys):
-    rc, out, _ = run(capsys, "verify", "--in", str(member_path(tmp_path, capsys)), "--json")
+    path = member_path(tmp_path, capsys)
+    rc, out, _ = run(capsys, "verify", "--in", str(path), "--json")
     assert rc == 0
     assert list(json.loads(out)) == [f.name for f in dataclasses.fields(VerificationReport)]
+    # one line, whose values are the report's fields
+    assert out.endswith("}\n") and out.count("\n") == 1
+    report = model.verify(parse_povm_document(json.loads(path.read_text())).povm)
+    fields = dataclasses.asdict(report)
+    fields["trace_classes"] = [list(c) for c in report.trace_classes]
+    assert json.loads(out) == fields
+
+
+def test_documents_are_one_line(tmp_path, capsys):
+    path = member_path(tmp_path, capsys)
+    frame = tmp_path / "frame.json"
+    assert run(capsys, "dual", "--in", str(path), "--out", str(frame))[0] == 0
+    for written in (path, frame):
+        assert written.read_text().count("\n") == 1
+
+
+def test_verify_refuses_an_oversized_integer_entry(tmp_path, capsys):
+    doc = json.loads(member_path(tmp_path, capsys).read_text())
+    doc["elements"][2][0][1][0] = 10**400
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc))
+    rc, _, err = run(capsys, "verify", "--in", str(huge))
+    assert rc == 2
+    assert err.startswith("error: elements[2]: ") and "Traceback" not in err
 
 
 def test_construct_writes_stdout(tmp_path, capsys):

@@ -5,6 +5,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from semisic.documents import (
     dual_frame_document,
@@ -18,8 +21,15 @@ from semisic.documents import (
 )
 from semisic.dual import dual_basis
 from semisic.errors import DocumentError, MalformedPovm
-from semisic.model import SemiSicParams
+from semisic.model import Povm, SemiSicParams
 from semisic.qubit import construct
+from semisic.textio import write_json
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+# every finite double: hypothesis draws -0.0, subnormals and magnitudes near 1e308 too
+REALS = st.floats(allow_nan=False, allow_infinity=False)
+TINY = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310])
+HUGE = st.sampled_from([1e308, -1.7976931348623157e308, 8.98846567431158e307])
 
 
 def sample_doc():
@@ -83,6 +93,13 @@ def broken(mutate):
         (lambda d: d.update(k=2.5), "k"),
         (lambda d: d.update(metadata=[1]), "metadata"),
         (lambda d: d["elements"][2][1].append([0.0, 0.0]), "elements[2][1]: expected 2 entries"),
+        (lambda d: d["elements"][0][1][0].__setitem__(0, None), "elements[0][1][0]: expected"),
+        (lambda d: d["elements"][1][0][1].__setitem__(1, "0.5"), "elements[1][0][1]: expected"),
+        (
+            lambda d: d["elements"][3][1].__setitem__(1, [[0.0, 0.0], [0.0, 0.0]]),
+            "elements[3][1][1]: expected",
+        ),
+        (lambda d: d["elements"][3][0][0].__setitem__(1, [0.0]), "elements[3][0][0]: expected"),
     ],
 )
 def test_parse_errors_carry_paths(mutate, fragment):
@@ -90,6 +107,102 @@ def test_parse_errors_carry_paths(mutate, fragment):
     with pytest.raises(DocumentError) as err:
         parse_povm_document(doc)
     assert fragment in str(err.value)
+
+
+def test_numpy_float_and_int_leaves_are_accepted():
+    doc = sample_doc()
+    doc["elements"] = [
+        [[[0, 0] if pair == [0.0, 0.0] else [np.float64(v) for v in pair] for pair in row]
+         for row in matrix]
+        for matrix in doc["elements"]
+    ]
+    assert [0, 0] in doc["elements"][0][1]
+    parsed = parse_povm_document(doc)
+    assert parsed.povm.elements.tobytes() == construct(2.0 / 25.0).elements.tobytes()
+
+
+def test_oversized_integer_entry_names_its_matrix(tmp_path):
+    doc = sample_doc()
+    doc["elements"][2][0][1][0] = 10**400
+    with pytest.raises(DocumentError, match=r"^elements\[2\]: .*too large"):
+        parse_povm_document(doc)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DocumentError, match=r"^elements\[2\]: "):
+        load_povm(path)
+    # past 4300 digits Python's json refuses the integer itself (3.10.7 and later)
+    path.write_text(json.dumps(doc).replace("1" + "0" * 400, "1" * 5000))
+    with pytest.raises(DocumentError):
+        load_povm(path)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("b", float("nan")), ("b", float("inf")), ("b", -float("inf")),
+     pytest.param("b", 10**400, id="b-10**400"), ("k", 0), ("k", -3), ("k", 5)],
+)
+def test_parse_rejects_impossible_annotations(tmp_path, key, value):
+    doc = sample_doc()
+    doc[key] = value
+    with pytest.raises(DocumentError, match=f"^{key}: "):
+        parse_povm_document(doc)
+    path = tmp_path / "annotated.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity, which json reads back
+    with pytest.raises(DocumentError, match=f"^{key}: "):
+        load_povm(path)
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_parse_accepts_k_from_1_to_d_squared(k):
+    doc = sample_doc()
+    doc["k"] = k
+    assert parse_povm_document(doc).k == k
+
+
+def test_write_json_is_one_line_of_json_dumps(tmp_path):
+    doc = sample_doc()
+    buf = io.StringIO()
+    write_json(buf, doc)
+    assert buf.getvalue() == json.dumps(doc) + "\n"
+    path = tmp_path / "member.json"
+    save_povm(path, construct(2.0 / 25.0), b=2.0 / 25.0, k=2, metadata={"note": "fixture"})
+    assert path.read_text() == json.dumps(doc) + "\n"
+
+
+@PROPERTY
+@given(d=st.sampled_from([2, 3, 4]), data=st.data())
+def test_matrix_codec_is_bit_exact_for_every_finite_double(d, data):
+    parts = data.draw(arrays(float, (d, d, 2), elements=st.one_of(TINY, HUGE, REALS)))
+    z = parts.view(complex)[..., 0]
+    buf = io.StringIO()
+    write_json(buf, matrix_to_pairs(z))
+    back = pairs_to_matrix(json.loads(buf.getvalue()), "elements[0]", d)
+    assert back.tobytes() == z.tobytes()
+
+
+@PROPERTY
+@given(d=st.sampled_from([2, 3, 4]), hermitian=st.booleans(), data=st.data())
+def test_save_load_povm_is_bit_exact(d, hermitian, data):
+    """I/d^2 plus drawn shifts, -0.0 and subnormals included: off the diagonal
+    the entries are the drawn values themselves. A Hermitian draw mirrors its
+    upper triangle; any other stays within HERMITIAN_GATE."""
+    n = d * d
+    small = st.one_of(TINY, st.floats(-1e-9, 1e-9))
+    shift = data.draw(arrays(float, (n, d, d, 2), elements=small)).view(complex)[..., 0]
+    if hermitian:
+        upper = np.triu(np.ones((d, d), dtype=bool), 1)
+        shift = np.where(upper.T, shift.conj().transpose(0, 2, 1), shift)
+    diagonal = 1.0 / n + (shift.real if hermitian else shift)
+    stack = np.where(np.eye(d, dtype=bool), diagonal, shift)
+    povm = Povm(dim=d, elements=stack)
+    if hermitian:  # symmetrizing changes no value, only the sign of a zero part
+        assert np.array_equal(povm.elements, stack)
+    buf = io.StringIO()
+    save_povm(buf, povm, b=0.05, k=n)
+    buf.seek(0)
+    loaded = load_povm(buf)
+    assert loaded.povm.elements.tobytes() == povm.elements.tobytes()
+    assert (loaded.b, loaded.k) == (0.05, n)
 
 
 def test_parse_rejects_non_dict_root():
