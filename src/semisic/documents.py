@@ -24,11 +24,6 @@ def matrix_to_pairs(mat: np.ndarray) -> list:
     return np.stack([arr.real, arr.imag], -1).tolist()
 
 
-def _pair_of_reals(entry) -> bool:
-    return (isinstance(entry, list) and len(entry) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry))
-
-
 def pairs_to_matrix(obj, where: str, dim: int) -> np.ndarray:
     """Decode one dim x dim matrix of [re, im] pairs of ints or floats (float subclasses
     too, never bools) in one np.array call, raising DocumentError with locations."""
@@ -37,10 +32,10 @@ def pairs_to_matrix(obj, where: str, dim: int) -> np.ndarray:
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != dim:
             raise DocumentError(f"{where}[{i}]: expected {dim} entries")
-        for j, entry in enumerate(row):  # plain floats and ints pass the first test
+        for j, entry in enumerate(row):
             if not (isinstance(entry, list) and len(entry) == 2
-                    and type(entry[0]) in (float, int) and type(entry[1]) in (float, int)
-                    or _pair_of_reals(entry)):
+                    and isinstance(entry[0], (int, float)) and type(entry[0]) is not bool
+                    and isinstance(entry[1], (int, float)) and type(entry[1]) is not bool):
                 raise DocumentError(f"{where}[{i}][{j}]: expected a [re, im] pair of reals")
     try:
         return np.array(obj, dtype=float).view(complex)[..., 0]
