@@ -30,7 +30,8 @@ gradient once more at the step they take; no ladder or evaluation runs on
 zero restarts. Inner products are batched (R, 1, n) @ (R, n, 1) matmuls. A
 restart's pairs are one real (m, 2, 2 d^3) array. One that stored no pair and
 kept its vectors, f and pairs bitwise would repeat that iteration until the
-cap: it retires there at once, with the trace points it would have added.
+cap: it retires there at once, with the trace points it would have added. An
+exactly zero gradient is such a fixed point, as its step is zero.
 
 Every report carries gradient_check: at five seeded random stacks V, each
 along its own seeded random direction D, the largest relative error of the
@@ -59,8 +60,8 @@ from .linalg import TOL_COND
 from .model import Povm, SemiSicParams, b_from_k, verify
 from .textio import write_json
 
-STOP_REASONS = ("goal", "cap", "no_descent", "zero_gradient")
-_GOAL, _CAP, _NO_DESCENT, _ZERO_GRADIENT = range(len(STOP_REASONS))
+STOP_REASONS = ("goal", "cap", "no_descent")
+_GOAL, _CAP, _NO_DESCENT = range(len(STOP_REASONS))
 # Configs are refused (InvalidConfig, CLI exit 2) before anything is allocated when
 # max(3 restarts, 32) stacks of (d^2, d^2) would exceed this many complex entries (64 MB);
 # d <= 19 is admitted. Under the cap: the full step's (restarts, d^2, d^2) Grams, a ladder's
@@ -279,7 +280,6 @@ def _descend_batch(rows, b, cfg: SearchConfig):
     live = np.arange(len(rows))
     f, grad = _value_and_gradient(rows, b)
     g = grad.view(float).reshape(len(rows), -1)
-    gnorm2 = _dot(g, g)
     # the last _MEMORY steps s and gradient changes y, oldest first, as flat real vectors
     pairs = np.zeros((len(rows), _MEMORY, 2, g.shape[1]))
     rho = np.zeros((len(rows), _MEMORY))
@@ -289,7 +289,7 @@ def _descend_batch(rows, b, cfg: SearchConfig):
     def retire(stop, it):
         """Stop codes index STOP_REASONS; -1 keeps a restart live. A restart stopped in
         iteration it accepted it unless it stalled there; one stopped at the cap ran to it."""
-        state, mask = (live, rows, f, g, gnorm2, pairs, rho), stop >= 0
+        state, mask = (live, rows, f, g, pairs, rho), stop >= 0
         if not mask.any():
             return state
         gone, code = live[mask], stop[mask]
@@ -299,7 +299,7 @@ def _descend_batch(rows, b, cfg: SearchConfig):
 
     for it in range(cfg.max_iterations):
         held = rho.copy()
-        gamma0 = _INITIAL_STEP / (1.0 + np.sqrt(gnorm2))
+        gamma0 = _INITIAL_STEP / (1.0 + np.sqrt(_dot(g, g)))
         direction = _lbfgs_directions(g, pairs, rho, gamma0)
         slope = _dot(g, direction)
         step = direction.view(complex).reshape(rows.shape)
@@ -334,9 +334,9 @@ def _descend_batch(rows, b, cfg: SearchConfig):
         for hist, new in ((pairs, pair[keep]), (rho, 1.0 / sy[keep])):
             hist[keep, :-1] = hist[keep, 1:]
             hist[keep, -1] = new
-        rows, f, g, gnorm2 = new_rows, fc, new_g, _dot(new_g, new_g)
-        if len(stalled) or fixed is not None or (f < goal).any() or (gnorm2 == 0.0).any():
-            stop = np.where(f < goal, _GOAL, np.where(gnorm2 == 0.0, _ZERO_GRADIENT, -1))
+        rows, f, g = new_rows, fc, new_g
+        if len(stalled) or fixed is not None or (f < goal).any():
+            stop = np.where(f < goal, _GOAL, -1)
             stop[stalled] = _NO_DESCENT
             if fixed is not None:
                 fixed &= stop < 0
@@ -344,7 +344,7 @@ def _descend_batch(rows, b, cfg: SearchConfig):
                 first = -(-(it + 1) // stride) * stride
                 for i, value in zip(live[fixed].tolist(), f[fixed].tolist()):
                     traces[i] += [(n, value) for n in range(first, cfg.max_iterations + 1, stride)]
-            live, rows, f, g, gnorm2, pairs, rho = retire(stop, it)
+            live, rows, f, g, pairs, rho = retire(stop, it)
             if not live.size:
                 break
         if (it + 1) % stride == 0:
@@ -393,10 +393,9 @@ def run_search(config: SearchConfig) -> SearchReport:
     """
     if not isinstance(config, SearchConfig):
         raise InvalidConfig(f"expected a SearchConfig, got {type(config).__name__}")
-    b = float(config.b)
     rows0 = np.stack([_initial_vectors(_restart_rng(config.seed, i), config.d)
                       for i in range(config.restarts)])
-    rows, f, iterations, traces, reasons = _descend_batch(rows0, b, config)
+    rows, f, iterations, traces, reasons = _descend_batch(rows0, config.b, config)
     best = int(np.argmin(f))
     best_f = float(f[best])
 
@@ -414,7 +413,7 @@ def run_search(config: SearchConfig) -> SearchReport:
         iterations_per_restart=tuple(int(n) for n in iterations),
         stop_reasons=tuple(reasons),
         objective_trace=tuple((int(i), float(f)) for i, f in traces[best]),
-        gradient_check=gradient_check(config.d, b, seed=config.seed),
+        gradient_check=gradient_check(config.d, config.b, seed=config.seed),
         classification=classification,
         observed_k=observed_k,
     )

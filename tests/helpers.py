@@ -27,6 +27,13 @@ def hesse_sic() -> Povm:
     return Povm(dim=3, elements=stack)
 
 
+def two_call_vectors(rng: np.random.Generator, d: int) -> np.ndarray:
+    """d^2 random vectors of length d scaled to total norm^2 d, real and imaginary parts
+    from two draws: the fixed starting points some search tests were written against."""
+    rows = rng.standard_normal((d * d, d)) + 1j * rng.standard_normal((d * d, d))
+    return rows * np.sqrt(d / np.sum(np.abs(rows) ** 2))
+
+
 def count_measurements(monkeypatch) -> list:
     """Record the tol_cond of every POVM measurement that model.verify makes."""
     calls = []

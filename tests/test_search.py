@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_lbfgs_direction, hesse_sic, serial_armijo_steps
+from helpers import dense_lbfgs_direction, hesse_sic, serial_armijo_steps, two_call_vectors
 from semisic import search
 from semisic.documents import parse_povm_document
 from semisic.errors import InvalidConfig
@@ -345,17 +345,28 @@ def test_restarts_at_a_fixed_point_retire_at_the_cap(monkeypatch):
 
 def test_stalled_and_gradient_free_restarts_stop_at_once(monkeypatch):
     # no Armijo halving passes, so a restart with a gradient stalls in its first
-    # iteration; V = 0 has an exactly zero gradient, and its zero step passes
+    # iteration; V = 0 has an exactly zero gradient, so its zero step passes and leaves
+    # rows, f and pairs unchanged: a fixed point, reported as the cap with a full trace
     monkeypatch.setattr(search, "_ARMIJO", 1e200)
     cfg = SearchConfig(d=3, k=9, restarts=2, max_iterations=50)
-    stack = np.stack([search._initial_vectors(np.random.default_rng(3), 3),
+    stack = np.stack([two_call_vectors(np.random.default_rng(3), 3),
                       np.zeros((9, 3), dtype=complex)])
     f0, f1 = search._objective(stack, cfg.b).tolist()
+    evaluated = []
+
+    def counting(rows, b):
+        evaluated.append(len(rows))
+        return value_and_gradient(rows, b)
+
+    value_and_gradient = search._value_and_gradient
+    monkeypatch.setattr(search, "_value_and_gradient", counting)
     rows, f, iterations, traces, reasons = search._descend_batch(stack, cfg.b, cfg)
-    assert reasons == ["no_descent", "zero_gradient"]
-    assert list(iterations) == [0, 1]
+    assert reasons == ["no_descent", "cap"]
+    assert list(iterations) == [0, cfg.max_iterations]
+    assert evaluated == [2, 2]  # the start and one full step, then both are retired
     assert np.array_equal(rows[0], stack[0]) and f[0] == f0
-    assert traces == [[(0, f0)], [(0, f1), (1, f1)]]
+    assert np.array_equal(rows[1], stack[1]) and f[1] == f1
+    assert traces == [[(0, f0)], [(n, f1) for n in range(cfg.max_iterations + 1)]]
     for i in range(2):
         alone = search._descend_batch(stack[i:i + 1], cfg.b, cfg)
         assert np.array_equal(alone[0][0], rows[i]) and alone[1][0] == f[i]
