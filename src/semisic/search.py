@@ -6,20 +6,23 @@ penalized least-squares objective
 
     f(V) = sum_{x != y} (|<v_x|v_y>|^2 - b)^2  +  w ||sum_x |v_x><v_x| - I||_F^2
 
-minimized by multi-start L-BFGS descent. All restarts advance as one
-batch, computed per restart, so a restart's result does not depend on the
-batch. Each restart keeps its last m = 5 pairs s = change of the vectors
-and y = change of the gradient, with inner products Re<a, b> (the real
-coordinates of the vectors); a pair is kept only when Re<s, y> > 0. Its
-direction r = H grad f comes from the two-loop recursion with H0 = gamma I,
+minimized by multi-start L-BFGS descent. One generator seeded by the config's
+seed draws every start in one call, restart i's from block i. All restarts
+advance as one batch, computed per restart, so a restart's result depends
+neither on the batch nor on how many restarts run.
+Each restart keeps its last m = 5 pairs s = change of the vectors and
+y = change of the gradient, with inner products Re<a, b> (the real coordinates
+of the vectors); a pair is kept only when Re<s, y> > 0. Its direction
+r = H grad f comes from the two-loop recursion with H0 = gamma I,
 gamma = Re<s, y> / <y, y> of the newest pair, or gamma0 = 1e-2 / (1 + |grad f|)
 with none. The step is the first of 1, 1/2, 1/4, ... along -r that meets the
 Armijo condition for the slope Re<grad f, r>. One rule covers a restart that
 finds no step (r does not descend, or no halving passes): it keeps its vectors,
 f and gradient in that iteration, which counts toward the cap, and clears its
 pairs, so its next r is gamma0 grad f; with no pair to clear it stops as
-no_descent, as no Armijo halving along gamma0 grad f lowers f. Only steps that
-do not raise f are accepted, so the recorded objective trace is monotone.
+no_descent, as no Armijo halving along gamma0 grad f lowers f; the other stops
+are goal and cap. Only steps that do not raise f are accepted, so the recorded
+objective trace is monotone.
 
 One iteration evaluates f and its gradient at the full step for all live
 restarts at once (one Gram each), as most quasi-Newton steps pass there
@@ -30,22 +33,15 @@ gradient once more at the step they take; no ladder or evaluation runs on
 zero restarts. Inner products are batched (R, 1, n) @ (R, n, 1) matmuls. A
 restart's pairs are one real (m, 2, 2 d^3) array. One that stored no pair and
 kept its vectors, f and pairs bitwise would repeat that iteration until the
-cap: it retires there at once, with the trace points it would have added. An
-exactly zero gradient is such a fixed point, as its step is zero.
-
-Every report carries gradient_check: at five seeded random stacks V, each
-along its own seeded random direction D, the largest relative error of the
-analytic Re<grad f, D> against the central difference
-(f(V + sD) - f(V - sD)) / 2s of the objective itself (s = 1e-6), from one
-stacked objective call (10 stacks) and one gradient call (5 stacks).
+cap: it retires there at once, with the trace points it would have added. So
+does an exactly zero gradient, as its step is zero. Every report carries
+gradient_check, a finite-difference check of the gradient (see that function).
 
 For d >= 3 the target overlap is pinned by (d, k); for d = 2 it is supplied
 (the k = 4 SIC point is the default there); objective, gradient and
-SearchConfig admit b by one rule, and w is always 10. Residuals comfortably
-below 1e-12 are reached for d = 2 and for the d = 3, k = 9 case. k in {7, 8}
-stalls (4 restarts x 1500 iterations, seed 0: 1.3426e-3 and 3.6749e-4, just
-under a SIC's 72 (1/36 - 5/196)^2 = 3.7022e-4 at the k = 8 overlap),
-consistent with no strict example being known for d >= 3.
+SearchConfig admit b by one rule, and w is always 10. Residuals below 1e-12 are
+reached for d = 2 and for (d, k) = (3, 9), while (3, 7) and (3, 8) stall; the
+README's search notes give the measured values.
 """
 
 from __future__ import annotations
@@ -357,24 +353,20 @@ def _descend_batch(rows, b, cfg: SearchConfig):
     return out_rows, out_f, done, traces, [STOP_REASONS[r] for r in reasons]
 
 
-def _restart_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-
-
-def _initial_vectors(rng: np.random.Generator, d: int) -> np.ndarray:
-    rows = rng.standard_normal((d * d, d)) + 1j * rng.standard_normal((d * d, d))
-    return rows * np.sqrt(d / np.sum(np.abs(rows) ** 2))
+def _initial_vectors(rng: np.random.Generator, d: int, count: int) -> np.ndarray:
+    """count (d^2, d) stacks from one draw filled in order, each scaled to total norm^2 d."""
+    rows = rng.standard_normal((count, d * d, 2 * d)).view(complex)
+    return rows * np.sqrt(d / _sum2(np.abs(rows) ** 2))[:, None, None]
 
 
 def gradient_check(d: int, b: float, seed: int = 0) -> float:
     """Max relative error of the analytic directional derivative Re<grad f, D> against
     the central difference (f(V + sD) - f(V - sD)) / 2s of the objective (s = 1e-6),
-    at five seeded random stacks V, each along its own seeded random direction D."""
+    at five seeded random stacks V, each along its own seeded random direction D, from one
+    stacked objective call (10 stacks) and one gradient call (5 stacks)."""
     points, step = 5, 1e-6
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x67726164,)))
-    # V and D, each scaled like _initial_vectors: (2, points, d^2, d)
-    draws = rng.standard_normal((2, points, d * d, 2 * d)).view(complex)
-    base, direction = draws * np.sqrt(d / _sum2(np.abs(draws) ** 2))[..., None, None]
+    base, direction = _initial_vectors(rng, d, 2 * points).reshape(2, points, d * d, d)
     ends = _objective(base + np.array([step, -step])[:, None, None, None] * direction, b)
     numeric = (ends[0] - ends[1]) / (2.0 * step)
     analytic = _sum2((_value_and_gradient(base, b)[1] * direction.conj()).real)
@@ -384,17 +376,16 @@ def gradient_check(d: int, b: float, seed: int = 0) -> float:
 def run_search(config: SearchConfig) -> SearchReport:
     """Multi-start descent on the penalized objective.
 
-    All restarts run as one batch, and restart i's result does not depend
-    on it. Deterministic for a fixed config (restart i draws from a child of
-    the seed). The report's best_povm is populated only when the best
-    residual beats config.residual_goal; it is then verified with tol_cond
-    loosened to max(TOL_COND, 100 sqrt(residual)) and the observed
-    classification is echoed.
+    All restarts run as one batch, and restart i's result depends neither on
+    it nor on how many restarts run. Deterministic for a fixed config (restart
+    i starts from block i of one draw seeded by config.seed). The report's
+    best_povm is populated only when the best residual beats
+    config.residual_goal; it is then verified with tol_cond loosened to
+    max(TOL_COND, 100 sqrt(residual)) and the observed classification is echoed.
     """
     if not isinstance(config, SearchConfig):
         raise InvalidConfig(f"expected a SearchConfig, got {type(config).__name__}")
-    rows0 = np.stack([_initial_vectors(_restart_rng(config.seed, i), config.d)
-                      for i in range(config.restarts)])
+    rows0 = _initial_vectors(np.random.default_rng(config.seed), config.d, config.restarts)
     rows, f, iterations, traces, reasons = _descend_batch(rows0, config.b, config)
     best = int(np.argmin(f))
     best_f = float(f[best])

@@ -142,11 +142,11 @@ def test_objective_matches_numpy_formula(d, k, b):
 
 def test_objective_and_gradient_follow_the_config_b_rule():
     rng = np.random.default_rng(5)
-    qubit_rows = search._initial_vectors(rng, 2)
+    qubit_rows = two_call_vectors(rng, 2)
     value, grad = search._value_and_gradient(qubit_rows, 1.0 / 12.0)
     assert objective(qubit_rows, 2, 4) == value
     assert np.array_equal(gradient(qubit_rows, 2, 4), grad)
-    rows = hesse_rows() + 1e-3 * search._initial_vectors(rng, 3)
+    rows = hesse_rows() + 1e-3 * two_call_vectors(rng, 3)
     for fn in (objective, gradient):
         assert np.array_equal(fn(rows, 3, 9, 1.0 / 36.0 + 5e-11), fn(rows, 3, 9))
         with pytest.raises(InvalidConfig, match="does not match the overlap"):
@@ -221,7 +221,7 @@ def test_gradient_check_at_large_d():
 @pytest.mark.parametrize("count", [1, 5])
 def test_value_and_gradient_is_objective_and_gradient(d, count):
     rng = np.random.default_rng(d * 10 + count)
-    rows = np.stack([search._initial_vectors(rng, d) for _ in range(count)])
+    rows = search._initial_vectors(rng, d, count)
     b = 1.0 / (d * d * (d + 1))
     value, grad = search._value_and_gradient(rows, b)
     assert np.array_equal(value, search._objective(rows, b))
@@ -232,7 +232,7 @@ def test_value_and_gradient_is_objective_and_gradient(d, count):
 
 def test_armijo_ladder_equals_serial_halvings(monkeypatch):
     b = 1.0 / 36.0
-    point = search._initial_vectors(np.random.default_rng(5), 3)
+    point = two_call_vectors(np.random.default_rng(5), 3)
     f0, g0 = search._value_and_gradient(point, b)
     # descent directions, two of them settled only in a second and a third ladder of
     # halvings, then one along the ascent direction +g0 that no halving rescues, and
@@ -298,8 +298,7 @@ def test_two_loop_direction_equals_the_dense_update(d):
                                    (3, 8, None)])
 def test_batched_restarts_match_running_alone(d, k, b):
     cfg = SearchConfig(d=d, k=k, b=b, restarts=5, max_iterations=300, seed=2)
-    stack = np.stack([search._initial_vectors(search._restart_rng(cfg.seed, i), d)
-                      for i in range(cfg.restarts)])
+    stack = search._initial_vectors(np.random.default_rng(cfg.seed), d, cfg.restarts)
     rows, f, iterations, traces, reasons = search._descend_batch(stack, cfg.b, cfg)
     for i in range(cfg.restarts):
         alone = search._descend_batch(stack[i:i + 1], cfg.b, cfg)
@@ -307,6 +306,27 @@ def test_batched_restarts_match_running_alone(d, k, b):
         assert alone[2][0] == iterations[i]
         assert np.array_equal(alone[0][0], rows[i])
         assert (alone[3][0], alone[4][0]) == (traces[i], reasons[i])
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_initial_vectors_fill_one_draw_in_order(d):
+    for seed in (0, 7):
+        few = search._initial_vectors(np.random.default_rng(seed), d, 3)
+        many = search._initial_vectors(np.random.default_rng(seed), d, 5)
+        assert few.shape == (3, d * d, d) and few.tobytes() == many[:3].tobytes()
+        norms2 = np.add.reduce((np.abs(many) ** 2).reshape(5, -1), axis=-1)
+        assert np.allclose(norms2, d, rtol=1e-14, atol=0.0)
+
+
+def test_a_restart_does_not_depend_on_how_many_run():
+    # restart i starts from block i of one draw, so the first three restarts of a
+    # five-restart run are the three of a three-restart run; goal and cap both occur
+    kwargs = dict(d=3, k=9, max_iterations=1000, seed=0)
+    few = run_search(SearchConfig(restarts=3, **kwargs))
+    many = run_search(SearchConfig(restarts=5, **kwargs))
+    assert set(few.stop_reasons) == {"goal", "cap"}
+    assert few.stop_reasons == many.stop_reasons[:3]
+    assert few.iterations_per_restart == many.iterations_per_restart[:3]
 
 
 def test_stop_reasons_are_reported_per_restart():
@@ -324,8 +344,8 @@ def test_stop_reasons_are_reported_per_restart():
 
 
 def test_restarts_at_a_fixed_point_retire_at_the_cap(monkeypatch):
-    # both restarts reach a state their iterations no longer change (at iterations 1032
-    # and 1054); they report the cap, its iterations and every trace point, unevaluated
+    # restart 0, the best, reaches a state its iterations no longer change at iteration
+    # 796; it reports the cap, its iterations and every trace point, unevaluated
     evaluated = []
 
     def counting(rows, b):
@@ -384,8 +404,7 @@ def test_a_restart_with_no_step_clears_its_pairs(monkeypatch):
     lbfgs_directions = search._lbfgs_directions
     monkeypatch.setattr(search, "_lbfgs_directions", uphill)
     cfg = SearchConfig(d=3, k=9, restarts=3, max_iterations=20, seed=4)
-    stack = np.stack([search._initial_vectors(search._restart_rng(cfg.seed, i), 3)
-                      for i in range(cfg.restarts)])
+    stack = search._initial_vectors(np.random.default_rng(cfg.seed), 3, cfg.restarts)
     rows, f, iterations, traces, reasons = search._descend_batch(stack, cfg.b, cfg)
     assert reasons == ["cap"] * 3 and list(iterations) == [20] * 3
     assert (f < search._objective(stack, cfg.b)).all()
