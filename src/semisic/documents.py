@@ -119,7 +119,7 @@ def load_povm(path) -> PovmDocument:
     try:
         with open_text(path) as handle:
             doc = json.load(handle)
-    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, too many digits or too deep
         raise DocumentError(f"invalid JSON: {exc}") from exc
     return parse_povm_document(doc)
 

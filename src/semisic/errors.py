@@ -17,6 +17,10 @@ class DimensionTooSmall(ValueError):
     """Operation is only defined for dimension three and above."""
 
 
+class DimensionTooLarge(ValueError):
+    """Dimension is above the cap an operation states."""
+
+
 class MalformedPovm(ValueError):
     """Element list is structurally not a POVM."""
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     BOutOfRange,
+    DimensionTooLarge,
     DimensionTooSmall,
     KOutOfRange,
     MalformedPovm,
@@ -48,6 +49,8 @@ PSD_GATE = 1e-4
 # square-root singularity would spread the two trace values by ~1e-8.
 DISC_SNAP = 1e-13
 
+# admissible_k lists d entries and `semisic spectrum` prints d rows: larger d are refused
+MAX_SPECTRUM_D = 10**5
 _COUNTING_TOL = 1e-12
 
 
@@ -99,9 +102,11 @@ def trace_values_exact(d: int, k: int) -> tuple[Fraction, Fraction]:
 
 
 def admissible_k(d: int) -> list[int]:
-    """All k permitted by the counting bound d^2 - d < k <= d^2 (d >= 3)."""
+    """All k permitted by the counting bound d^2 - d < k <= d^2 (3 <= d <= MAX_SPECTRUM_D)."""
     if not isinstance(d, (int, np.integer)) or d < 3:
         raise DimensionTooSmall(f"trace-split enumeration needs d >= 3, got {d!r}")
+    if d > MAX_SPECTRUM_D:
+        raise DimensionTooLarge(f"trace-split enumeration needs d <= {MAX_SPECTRUM_D}, got {d}")
     n = d * d
     return list(range(n - d + 1, n + 1))
 

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import json
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,14 @@ def test_verify_refuses_an_oversized_integer_entry(tmp_path, capsys):
     rc, _, err = run(capsys, "verify", "--in", str(huge))
     assert rc == 2
     assert err.startswith("error: elements[2]: ") and "Traceback" not in err
+
+
+def test_verify_refuses_deeply_nested_json(tmp_path, capsys):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200_000)
+    rc, _, err = run(capsys, "verify", "--in", str(nested))
+    assert rc == 2
+    assert err.startswith("error: invalid JSON: ") and "Traceback" not in err
 
 
 def test_construct_writes_stdout(tmp_path, capsys):
@@ -314,6 +323,17 @@ def test_spectrum_table(capsys):
 
     rc, _, err = run(capsys, "spectrum", "--d", "2")
     assert rc == 2 and "error:" in err
+
+
+def test_spectrum_refuses_an_oversized_dimension_at_once(capsys):
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, "spectrum", "--d", "100000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rc, out) == (2, "") and "needs d <= " in err
+    assert peak < 2**20  # refused before anything that grows with d
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -136,6 +136,18 @@ def test_oversized_integer_entry_names_its_matrix(tmp_path):
         load_povm(path)
 
 
+@pytest.mark.parametrize("text", ["[" * 200_000, "[" * 100_000 + "]" * 100_000,
+                                  '{"a": ' * 100_000 + "1" + "}" * 100_000],
+                         ids=["open", "closed", "objects"])
+def test_deeply_nested_json_is_a_document_error(tmp_path, text):
+    # past the recursion limit json raises RecursionError, not a ValueError
+    path = tmp_path / "nested.json"
+    path.write_text(text)
+    for source in (path, io.StringIO(text)):
+        with pytest.raises(DocumentError, match="^invalid JSON: "):
+            load_povm(source)
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("b", float("nan")), ("b", float("inf")), ("b", -float("inf")),

@@ -11,12 +11,14 @@ from helpers import count_measurements, disguise, hesse_sic
 from semisic.dual import dual_basis
 from semisic.errors import (
     BOutOfRange,
+    DimensionTooLarge,
     DimensionTooSmall,
     KOutOfRange,
     MalformedPovm,
 )
 from semisic.linalg import TOL_COND
 from semisic.model import (
+    MAX_SPECTRUM_D,
     NOT_SEMI_SIC,
     SIC,
     STRICT_SEMI_SIC,
@@ -101,6 +103,12 @@ def test_spectrum_rejects_bad_dk():
         b_from_k(3, 10)
     with pytest.raises(DimensionTooSmall):
         admissible_k(2)
+
+
+def test_spectrum_refuses_d_over_its_cap():
+    assert len(admissible_k(MAX_SPECTRUM_D)) == MAX_SPECTRUM_D
+    with pytest.raises(DimensionTooLarge, match="needs d <= "):
+        admissible_k(MAX_SPECTRUM_D + 1)
 
 
 def test_counting_identity_across_dimensions():
