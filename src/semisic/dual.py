@@ -14,8 +14,8 @@ For a qubit, p comes from a state exactly when det(sum_y p_y F_y) >= 0.
 region_grid scans that test over a simplex lattice into one numpy record
 array, and scans over MAX_REGION_POINTS points raise ValueError (CLI exit 2)
 before allocating. write_region_csv formats every float with "%.17g" a
-block of rows at a time: each distinct lattice coordinate once per block,
-and the block by one % call, which gives the bytes of a per-row format.
+block of rows at a time, each distinct lattice coordinate once and all f by
+one % call over the rest of the block's text: the bytes of a per-row format.
 """
 
 from __future__ import annotations
@@ -186,14 +186,14 @@ def region_grid(frame: DualFrame, resolution: int) -> np.recarray:
     i, j = np.nonzero(span[:, None] + span <= n)
     runs = n + 1 - i - j
     scan = np.recarray(count, dtype=_REGION_DTYPE)
-    scan.p1 = np.repeat(i, runs) / n
-    scan.p2 = np.repeat(j, runs) / n
-    scan.p3 = (np.arange(count) - np.repeat(np.cumsum(runs) - runs, runs)) / n
+    scan.p1 = p1 = np.repeat(i, runs) / n
+    scan.p2 = p2 = np.repeat(j, runs) / n
+    scan.p3 = p3 = (np.arange(count) - np.repeat(np.cumsum(runs) - runs, runs)) / n
 
     for start in range(0, count, _CHUNK):
         rows = slice(start, start + _CHUNK)
-        pts = np.column_stack([scan.p1[rows], scan.p2[rows], scan.p3[rows]])
-        scan.f[rows] = _determinants(np.column_stack([pts, 1.0 - pts.sum(axis=1)]), frame)
+        a, b, c = p1[rows], p2[rows], p3[rows]
+        scan["f"][rows] = _determinants(np.column_stack([a, b, c, 1.0 - (a + b + c)]), frame)
     scan.feasible = scan.f >= -FEASIBILITY_SLACK
     return scan
 
@@ -202,20 +202,21 @@ def write_region_csv(scan: np.recarray, path) -> None:
     """Write a region scan as CSV with header p1,p2,p3,f,feasible: every float
     as "%.17g" (17 significant digits), feasible as 1 or 0.
 
-    A block of rows at a time, each distinct p1, p2 and p3 value of the block
-    (a lattice value i/N) is formatted once, keyed on its bit pattern so that
-    -0.0 and NaN keep their own text, and the block is formatted by one %
-    call. The bytes equal those of formatting every row on its own.
+    A block of rows at a time, each distinct p1, p2 and p3 value (a lattice
+    value i/N) is formatted once, keyed on its bits so that -0.0 and NaN keep
+    their text. Rows join those texts and "%.17g,1\n" or "%.17g,0\n" by
+    feasible, so one % call converts only f: the bytes of a per-row format.
     """
+    ends = np.array(["%.17g,0\n", "%.17g,1\n"], dtype=object)
     with open_text(path, "w", newline="") as handle:
         handle.write(",".join(_REGION_FIELDS) + "\n")
         for start in range(0, len(scan), _CHUNK):
             block = scan[start:start + _CHUNK]
-            cells = [None] * (5 * len(block))
-            for col, name in enumerate(_REGION_FIELDS[:3]):
-                bits, where = np.unique(block[name].view(np.int64), return_inverse=True)
-                text = np.array(["%.17g" % x for x in bits.view(float).tolist()], dtype=object)
-                cells[col::5] = text[where].tolist()
-            cells[3::5] = block["f"].tolist()
-            cells[4::5] = block["feasible"].tolist()
-            handle.write(("%s,%s,%s,%.17g,%d\n" * len(block)) % tuple(cells))
+            coords = np.stack([block["p1"], block["p2"], block["p3"]]).view(np.int64)
+            bits, where = np.unique(coords, return_inverse=True)
+            # "%.17g" text is digits, sign, ".", "e", "inf" or "nan", never a "%"
+            text = np.array(["%.17g," % x for x in bits.view(float).tolist()], dtype=object)
+            parts = np.empty((len(block), 4), dtype=object)
+            parts[:, :3] = text[where.reshape(3, -1).T]
+            parts[:, 3] = ends[block["feasible"].astype(np.intp)]
+            handle.write("".join(parts.ravel().tolist()) % tuple(block["f"].tolist()))

@@ -2,9 +2,12 @@
 
 import csv
 import io
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (block_dual, count_measurements, disguise, hesse_sic, random_density,
                      reference_region_csv)
@@ -28,6 +31,12 @@ from semisic.errors import (
 from semisic.model import Povm, SemiSicParams, b_from_k, verify
 from semisic.qubit import construct, family_point
 
+# every finite double, plus signed zeros, NaN, infinities, subnormals and 1e+-300
+FIELD_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -5e-324,
+                     2.2250738585072014e-308, -1e-310, 1e300, -1e300, 1e-300, -1e-300]),
+)
 
 def frame_for(b, k=2):
     povm = construct(b)
@@ -377,6 +386,37 @@ def test_write_region_csv_matches_the_per_row_format(monkeypatch, b, n):
         buf = io.StringIO()
         write_region_csv(part, buf)
         assert buf.getvalue() == reference_region_csv(part)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(st.tuples(FIELD_VALUES, FIELD_VALUES, FIELD_VALUES, FIELD_VALUES,
+                               st.booleans()), max_size=40),
+       chunk=st.integers(1, 9))
+def test_write_region_csv_matches_the_per_row_format_on_any_fields(rows, chunk):
+    # hand-built records: any doubles as coordinates and f, any flags, any block size
+    scan = np.array(rows, dtype=dual._REGION_DTYPE)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dual, "_CHUNK", chunk)
+        buf = io.StringIO()
+        write_region_csv(scan, buf)
+    assert buf.getvalue() == reference_region_csv(scan)
+
+
+@pytest.mark.parametrize("chunk", [7, None])
+@pytest.mark.parametrize("n", [2, 13, 40])
+def test_region_kernel_equals_determinants_of_the_stacked_points(monkeypatch, n, chunk):
+    # the kernel's f, bit for bit, is _determinants of the scan's own lattice
+    # points with p4 = 1 - (p1 + p2 + p3) summed as pts.sum(axis=1) sums
+    if chunk is not None:
+        monkeypatch.setattr(dual, "_CHUNK", chunk)
+    povm = disguise(np.random.default_rng(n), construct(0.07), 0.0)
+    report = verify(povm)
+    frame = dual_basis(povm, SemiSicParams.from_b(2, report.fitted_b, report.k))
+    scan = region_grid(frame, n)
+    pts = np.column_stack([scan.p1, scan.p2, scan.p3])
+    assert len(pts) == comb(n + 3, 3)
+    want = dual._determinants(np.column_stack([pts, 1.0 - pts.sum(axis=1)]), frame)
+    assert scan.f.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("b, k", [(2.0 / 25.0, 2), (1.0 / 12.0, 4)])
