@@ -24,9 +24,8 @@ def matrix_to_pairs(mat: np.ndarray) -> list:
     return np.stack([arr.real, arr.imag], -1).tolist()
 
 
-def pairs_to_matrix(obj, where: str, dim: int) -> np.ndarray:
-    """Decode one dim x dim matrix of [re, im] pairs of ints or floats (float subclasses
-    too, never bools) in one np.array call, raising DocumentError with locations."""
+def _check_pairs(obj, where: str, dim: int) -> None:
+    """Raise DocumentError unless obj is dim x dim [re, im] pairs of ints or floats, no bools."""
     if not isinstance(obj, list) or len(obj) != dim:
         raise DocumentError(f"{where}: expected {dim} rows")
     for i, row in enumerate(obj):
@@ -37,6 +36,11 @@ def pairs_to_matrix(obj, where: str, dim: int) -> np.ndarray:
                     and isinstance(entry[0], (int, float)) and type(entry[0]) is not bool
                     and isinstance(entry[1], (int, float)) and type(entry[1]) is not bool):
                 raise DocumentError(f"{where}[{i}][{j}]: expected a [re, im] pair of reals")
+
+
+def pairs_to_matrix(obj, where: str, dim: int) -> np.ndarray:
+    """Decode a dim x dim matrix of [re, im] pairs in one np.array call, or raise DocumentError."""
+    _check_pairs(obj, where, dim)
     try:
         return np.array(obj, dtype=float).view(complex)[..., 0]
     except OverflowError:
@@ -85,8 +89,13 @@ def parse_povm_document(doc) -> PovmDocument:
             f"elements: expected a list of {dim * dim} matrices, got "
             f"{len(elements) if isinstance(elements, list) else type(elements).__name__}"
         )
-    stack = np.stack([pairs_to_matrix(e, f"elements[{x}]", dim)
-                      for x, e in enumerate(elements)])
+    for x, e in enumerate(elements):
+        _check_pairs(e, f"elements[{x}]", dim)
+    try:
+        stack = np.array(elements, dtype=float).view(complex)[..., 0]
+    except OverflowError:  # matrix by matrix, so the error names the one that overflows
+        stack = np.stack([pairs_to_matrix(e, f"elements[{x}]", dim)
+                          for x, e in enumerate(elements)])
 
     b = doc.get("b")
     if b is not None and (not isinstance(b, (int, float)) or isinstance(b, bool)):

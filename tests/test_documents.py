@@ -136,6 +136,16 @@ def test_oversized_integer_entry_names_its_matrix(tmp_path):
         load_povm(path)
 
 
+def test_every_entry_is_checked_before_the_conversion():
+    # the elements convert in one call after every entry is checked, so a
+    # malformed entry is named even behind a matrix holding an oversized integer
+    doc = sample_doc()
+    doc["elements"][1][0][1][0] = 10**400
+    doc["elements"][3][1][0][1] = "0.5"
+    with pytest.raises(DocumentError, match=r"^elements\[3\]\[1\]\[0\]: expected"):
+        parse_povm_document(doc)
+
+
 @pytest.mark.parametrize("text", ["[" * 200_000, "[" * 100_000 + "]" * 100_000,
                                   '{"a": ' * 100_000 + "1" + "}" * 100_000],
                          ids=["open", "closed", "objects"])
