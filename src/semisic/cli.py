@@ -2,7 +2,7 @@
 
 Subcommands: construct, verify, dual, region, bloch, search, spectrum.
 Exit codes: 0 success, 1 semantic negative (failed verification, inconsistent
-probabilities, unmet search goal under --require-solution), 2 usage, parse,
+probabilities, no verified search hit under --require-solution), 2 usage, parse,
 or out-of-range errors.
 """
 
@@ -118,9 +118,8 @@ def cmd_search(args) -> int:
               f"k = {report.observed_k}")
     else:
         print("no candidate reached the residual goal")
-        if args.require_solution:
-            return 1
-    return 0
+    solved = report.classification in (model.SIC, model.STRICT_SEMI_SIC)
+    return 1 if args.require_solution and not solved else 0
 
 
 def cmd_spectrum(args) -> int:
@@ -188,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--residual-goal", type=float, default=1e-12)
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--require-solution", action="store_true",
-                   help="exit 1 unless the residual goal is met")
+                   help="exit 1 unless a hit meets the residual goal and passes verify")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("spectrum", help="admissible (k, b, a-, a+) table for a dimension")

@@ -1,9 +1,8 @@
 """The package's numerical gates and its Hermitian-matrix coercion.
 
 Matrices are complex128 numpy arrays; callers call numpy's eigensolvers
-directly. The TOL_* gates are constants: only the classification gate
-TOL_COND can be changed per call, as verify()'s tol_cond, which run_search
-loosens for its hits.
+directly. The TOL_* gates are constants; TOL_COND is the one classification
+gate, which verify() and run_search's hits share.
 """
 
 from __future__ import annotations

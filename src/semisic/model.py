@@ -158,8 +158,7 @@ class SemiSicParams:
         the closed form is stored; b must lie within linalg.TOL_COND of it,
         else KOutOfRange. Otherwise b itself is used (the qubit family),
         except that a qubit b at most TOL_COND above the double root 1/12
-        (where a fitted b of a near-SIC member can land) is that root, even
-        for a b that verify() fitted under a looser tol_cond.
+        (where a fitted b of a near-SIC member can land) is that root.
         """
         b = float(b)
         if d >= 3:
@@ -188,14 +187,14 @@ class Povm:
     Hermitian deviation of the elements as given, then the completeness defect
     and eigenvalues of the symmetrized elements it keeps. Junk (wrong shape,
     non-finite, or past a *_GATE) raises MalformedPovm; verify() classifies the
-    same measurements at tol_cond. Equality and hashing are by identity.
+    same measurements at TOL_COND. Equality and hashing are by identity.
     """
 
     dim: int
     elements: np.ndarray
     # (herm_dev, comp_dev, eigenvalues of each element), measured once
     _structure: tuple = field(init=False, repr=False)
-    _reports: dict = field(default_factory=dict, init=False, repr=False)
+    _report: object = field(default=None, init=False, repr=False)  # verify()'s, once measured
 
     def __post_init__(self) -> None:
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
@@ -267,7 +266,7 @@ class VerificationReport:
     trace_classes: tuple[tuple[float, int], ...]
 
 
-def verify(povm: Povm, tol_cond: float = TOL_COND) -> VerificationReport:
+def verify(povm: Povm) -> VerificationReport:
     """Measure how far a POVM is from the defining semi-SIC conditions.
 
     Checks rank-one elements and informational completeness (the elements
@@ -276,19 +275,20 @@ def verify(povm: Povm, tol_cond: float = TOL_COND) -> VerificationReport:
     Hermitian deviation max |E - E^dagger| of the elements as given, and the
     trace residual max_x |a_x^2 - a_x + (d^2 - 1) fitted_b|, which vanishes
     exactly when every trace is a root of the trace quadratic. Elements with
-    a < 1/2 sit on the small root; when all traces agree within tol_cond
-    there is one class, the SIC with k = d^2. The largest deviation is
-    max_violation: at most tol_cond means SIC (one trace class) or
-    StrictSemiSIC (two), anything more NotSemiSIC; the rank and IC cutoffs
-    are linalg constants. Only the Gram matrix (kept on the Povm, where
-    dual_basis reads it) and the traces are new work: the rest the Povm
-    constructor measured. Each tol_cond's report is kept.
+    a < 1/2 sit on the small root; when all traces agree within TOL_COND, or
+    a qubit's do not split 2 + 2 (near the double root 1/2 they may spread by
+    about sqrt(TOL_COND)), there is one class, the SIC with k = d^2. The
+    largest deviation is max_violation: at most linalg.TOL_COND, the one gate,
+    means SIC (one trace class) or StrictSemiSIC (two), anything more
+    NotSemiSIC; the rank and IC cutoffs are linalg constants too. Only the
+    Gram matrix (kept on the Povm, where dual_basis reads it) and the traces
+    are new work: the rest the Povm constructor measured. The report is kept.
     """
     if not isinstance(povm, Povm):
         raise MalformedPovm(f"expected a Povm, got {type(povm).__name__}")
-    if tol_cond not in povm._reports:
-        povm._reports[tol_cond] = _measure(povm, tol_cond)
-    return povm._reports[tol_cond]
+    if povm._report is None:
+        object.__setattr__(povm, "_report", _measure(povm))
+    return povm._report
 
 
 def _refusal(report: VerificationReport) -> str:
@@ -298,7 +298,7 @@ def _refusal(report: VerificationReport) -> str:
     return ", ".join(failed + [f"max violation {report.max_violation:.3e}"])
 
 
-def _measure(povm: Povm, tol_cond: float) -> VerificationReport:
+def _measure(povm: Povm) -> VerificationReport:
     d = povm.dim
     n = d * d
     herm_dev, comp_dev, eig_stack = povm._structure
@@ -321,17 +321,17 @@ def _measure(povm: Povm, tol_cond: float) -> VerificationReport:
     trace_dev = float(np.abs(traces * traces - traces + (n - 1) * fitted_b).max())
     small = traces < 0.5
     k = int(np.count_nonzero(small))
-    if k in (0, n) or float(traces.max() - traces.min()) <= tol_cond:
-        # one trace class: the constant-trace (SIC) convention is k = d^2
+    # one trace class: the constant-trace (SIC) convention is k = d^2; a qubit splits 2 + 2
+    if k in (0, n) or float(traces.max() - traces.min()) <= TOL_COND or (d == 2 and k != 2):
         k = n
         classes = ((float(traces.mean()), n),)
     else:
         classes = ((float(traces[small].mean()), k), (float(traces[~small].mean()), n - k))
 
     max_violation = max(equi_dev, comp_dev, psd_dev, herm_dev, trace_dev)
-    equiangular = equi_dev <= tol_cond
+    equiangular = equi_dev <= TOL_COND
 
-    if is_ic and all_rank_one and max_violation <= tol_cond:
+    if is_ic and all_rank_one and max_violation <= TOL_COND:
         classification = SIC if len(classes) == 1 else STRICT_SEMI_SIC
     else:
         classification = NOT_SEMI_SIC

@@ -36,6 +36,8 @@ kept its vectors, f and pairs bitwise would repeat that iteration until the
 cap: it retires there at once, with the trace points it would have added. So
 does an exactly zero gradient, as its step is zero. Every report carries
 gradient_check, a finite-difference check of the gradient (see that function).
+A best restart below the residual goal is finished by _polish, a Levenberg-Marquardt
+refinement, and then verified at TOL_COND, the one gate; grad f = 2 J^T (dev, delta).
 
 For d >= 3 the target overlap is pinned by (d, k); for d = 2 it is supplied
 (the k = 4 SIC point is the default there); objective, gradient and
@@ -72,6 +74,8 @@ _LADDER = 3  # Armijo trials per stacked call; quasi-Newton steps mostly take th
 _HALVINGS = 0.5 ** np.arange(_MAX_HALVINGS)  # exact, so trials equal repeated halving
 _MEMORY = 5  # L-BFGS pairs kept per restart
 _TRACE_POINTS = 200
+_POLISH_SOLVES = 20  # Levenberg-Marquardt solves that finish a hit
+_POLISH_STOP = (TOL_COND / 100.0) ** 2  # f at which the finish stops
 
 
 @dataclass(frozen=True)
@@ -124,10 +128,10 @@ def _resolve_b(d: int, k: int, b: float | None) -> float:
 
 @dataclass(frozen=True)
 class SearchReport:
-    """Outcome of run_search. best_povm is set only when the goal was met;
-    classification and observed_k echo its verification in that case, and
-    to_dict writes it as a POVM document (documents.povm_document).
-    stop_reasons gives each restart's reason to stop, one of STOP_REASONS."""
+    """Outcome of run_search. best_povm, set only when the goal was met, is the polished best
+    restart: best_residual is its f (else the descent's best f), and classification and
+    observed_k echo verify() of it; to_dict writes it as documents.povm_document. stop_reasons
+    (one of STOP_REASONS each), iterations and objective_trace are the descent's."""
 
     config: SearchConfig
     best_residual: float
@@ -191,14 +195,25 @@ def _objective(rows: np.ndarray, b: float) -> np.ndarray:
     return _sum2(dev * dev) + _PENALTY_WEIGHT * _sum2(np.abs(delta) ** 2)
 
 
+def _vjp(rows, gram, u, e):
+    """J^T (u, e) for J = d(dev, delta) at a stack, under Re<a, b> and sum u u' + w Re<e, e'>
+    (so |(dev, delta)|^2 = f), for real symmetric u with a zero diagonal and Hermitian e."""
+    return 4.0 * (u * gram.swapaxes(-1, -2)) @ rows + 2.0 * _PENALTY_WEIGHT * rows @ e.conj()
+
+
+def _jvp(rows, gram, p):
+    """J p of one (d^2, d) matrix: the change of (dev, delta) along p, dev's diagonal zeroed."""
+    du = 2.0 * (gram.conj() * (p.conj() @ rows.T + rows.conj() @ p.T)).real
+    du.reshape(-1)[::len(rows) + 1] = 0.0
+    return du, p.T @ rows.conj() + rows.T @ p.conj()
+
+
 def _value_and_gradient(rows: np.ndarray, b: float):
-    """_objective and its gradient of a stack from one Gram per matrix."""
+    """_objective and its gradient 2 J^T (dev, delta) of a stack from one Gram per matrix;
+    the gradient's real/imag parts are the real-coordinate partials (tests check them)."""
     gram, dev, delta = _parts(rows, b)
     value = _sum2(dev * dev) + _PENALTY_WEIGHT * _sum2(np.abs(delta) ** 2)
-    # Wirtinger gradient scaled so real/imag parts match the real-coordinate
-    # partial derivatives (checked against finite differences in the tests)
-    grad = 8.0 * (dev * gram.swapaxes(-1, -2)) @ rows + 4.0 * _PENALTY_WEIGHT * rows @ delta.conj()
-    return value, grad
+    return value, 2.0 * _vjp(rows, gram, dev, delta)
 
 
 def objective(vectors, d: int, k: int, b: float | None = None) -> float:
@@ -373,15 +388,41 @@ def gradient_check(d: int, b: float, seed: int = 0) -> float:
     return float(np.max(np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))))
 
 
+def _polish(rows: np.ndarray, b: float):
+    """Levenberg-Marquardt finish of one (d^2, d) matrix (More 1978); returns rows and f.
+    Each solve takes s from (J^T J + mu sqrt(f) I) s = -J^T r by conjugate gradients under
+    Re<a, b>: at most 2 rows.size steps, stopped at |res|^2 <= 1e-24 f. mu starts at 1; a
+    step is kept only if f drops, and mu then falls tenfold, else rises tenfold. At most
+    _POLISH_SOLVES solves, and none once f <= _POLISH_STOP or J^T r = 0."""
+    f, mu = _objective(rows, b), 1.0
+    for _ in range(_POLISH_SOLVES):
+        gram, dev, delta = _parts(rows, b)
+        res = direction = -_vjp(rows, gram, dev, delta)
+        rr, step = np.vdot(res, res).real, np.zeros_like(rows)
+        if f <= _POLISH_STOP or not rr:
+            break
+        for _ in range(2 * rows.size):
+            if rr <= 1e-24 * f:
+                break
+            a = _vjp(rows, gram, *_jvp(rows, gram, direction)) + mu * np.sqrt(f) * direction
+            alpha, last = rr / np.vdot(direction, a).real, rr
+            step, res = step + alpha * direction, res - alpha * a
+            rr = np.vdot(res, res).real
+            direction = res + rr / last * direction
+        f_step = _objective(rows + step, b)
+        rows, f, mu = (rows + step, f_step, mu / 10.0) if f_step < f else (rows, f, mu * 10.0)
+    return rows, float(f)
+
+
 def run_search(config: SearchConfig) -> SearchReport:
-    """Multi-start descent on the penalized objective.
+    """Multi-start descent on the penalized objective, then a finish of a hit.
 
     All restarts run as one batch, and restart i's result depends neither on
     it nor on how many restarts run. Deterministic for a fixed config (restart
-    i starts from block i of one draw seeded by config.seed). The report's
-    best_povm is populated only when the best residual beats
-    config.residual_goal; it is then verified with tol_cond loosened to
-    max(TOL_COND, 100 sqrt(residual)) and the observed classification is echoed.
+    i starts from block i of one draw seeded by config.seed). A best residual
+    below config.residual_goal is finished by _polish; best_povm is built from
+    the polished vectors and classified by verify(). The descent's stop reasons,
+    iterations and objective trace are reported as they are.
     """
     if not isinstance(config, SearchConfig):
         raise InvalidConfig(f"expected a SearchConfig, got {type(config).__name__}")
@@ -392,8 +433,9 @@ def run_search(config: SearchConfig) -> SearchReport:
 
     best_povm = classification = observed_k = None
     if best_f < config.residual_goal:
-        best_povm = Povm.from_vectors(rows[best])
-        report = verify(best_povm, tol_cond=max(TOL_COND, 1e2 * float(np.sqrt(best_f))))
+        polished, best_f = _polish(rows[best], config.b)
+        best_povm = Povm.from_vectors(polished)
+        report = verify(best_povm)
         classification, observed_k = report.classification, report.k
 
     return SearchReport(

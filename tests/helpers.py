@@ -35,13 +35,13 @@ def two_call_vectors(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def count_measurements(monkeypatch) -> list:
-    """Record the tol_cond of every POVM measurement that model.verify makes."""
+    """Record the Povm of every measurement that model.verify makes, one entry each."""
     calls = []
     measure = model._measure
 
-    def counted(povm, tol_cond):
-        calls.append(tol_cond)
-        return measure(povm, tol_cond)
+    def counted(povm):
+        calls.append(povm)
+        return measure(povm)
 
     monkeypatch.setattr(model, "_measure", counted)
     return calls

@@ -14,7 +14,6 @@ from helpers import count_measurements, disguise, hermitian_noise, hesse_sic
 from semisic import cli, dual, model, qubit
 from semisic.bloch import bloch_to_probs
 from semisic.documents import parse_povm_document, save_povm
-from semisic.linalg import TOL_COND
 from semisic.model import Povm, VerificationReport
 from semisic.qubit import construct, family_point
 
@@ -208,7 +207,7 @@ def test_dual_and_region_measure_the_povm_once(tmp_path, capsys, monkeypatch, ar
     path = member_path(tmp_path, capsys)
     calls = count_measurements(monkeypatch)
     rc, _, _ = run(capsys, argv[0], "--in", str(path), *argv[1:])
-    assert rc == 0 and calls == [TOL_COND]
+    assert rc == 0 and len(calls) == 1
 
 
 def test_region_over_the_point_cap_exits_2(tmp_path, capsys, monkeypatch):
@@ -269,11 +268,32 @@ def test_search_command(tmp_path, capsys):
     assert "solution found" in out
     report = json.loads(report_path.read_text())
     assert report["best_residual"] < 1e-12
+    # the hit flows through verify and dual as a document of its own
+    hit_path = tmp_path / "hit.json"
+    hit_path.write_text(json.dumps(report["best_povm"]))
+    rc, out, _ = run(capsys, "verify", "--in", str(hit_path))
+    assert rc == 0 and f"classification: {report['classification']}" in out
+    rc, _, _ = run(capsys, "dual", "--in", str(hit_path), "--out", str(tmp_path / "f.json"))
+    assert rc == 0
 
     rc, out, _ = run(capsys, "search", "--d", "3", "--k", "7", "--restarts", "1",
                      "--max-iterations", "150", "--require-solution")
     assert rc == 1
     assert "no candidate" in out
+
+
+def test_require_solution_needs_a_verified_hit(capsys, monkeypatch):
+    run_search = cli.search.run_search
+
+    def rejected(config):
+        return dataclasses.replace(run_search(config), classification=model.NOT_SEMI_SIC)
+
+    argv = ["search", "--d", "2", "--k", "2", "--b", "2/25", "--restarts", "2", "--seed", "3"]
+    assert run(capsys, *argv, "--require-solution")[0] == 0
+    monkeypatch.setattr(cli.search, "run_search", rejected)
+    rc, out, _ = run(capsys, *argv, "--require-solution")
+    assert rc == 1 and "solution found: classification NotSemiSIC" in out
+    assert run(capsys, *argv)[0] == 0
 
 
 def test_search_summary_counts_stop_reasons(capsys):

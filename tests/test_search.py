@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from helpers import dense_lbfgs_direction, hesse_sic, serial_armijo_steps, two_call_vectors
 from semisic import search
 from semisic.documents import parse_povm_document
+from semisic.dual import dual_basis
 from semisic.errors import InvalidConfig
-from semisic.model import STRICT_SEMI_SIC, b_from_k
+from semisic.model import NOT_SEMI_SIC, STRICT_SEMI_SIC, SemiSicParams, b_from_k, verify
 from semisic.qubit import family_kets, family_point
 from semisic.search import (
     STOP_REASONS,
@@ -230,6 +231,38 @@ def test_value_and_gradient_is_objective_and_gradient(d, count):
         assert np.array_equal(grad[i], gradient(rows[i], d, d * d))
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_jacobian_products_are_adjoint_and_match_central_differences(d):
+    rng = np.random.default_rng(40 + d)
+    n, b = d * d, 1.0 / (d * d * (d + 1))
+    rows, p = search._initial_vectors(rng, d, 2)
+    gram = search._parts(rows, b)[0]
+    u = rng.standard_normal((n, n))
+    u = u + u.T
+    np.fill_diagonal(u, 0.0)
+    e = rng.standard_normal((d, 2 * d)).view(complex)
+    e = e + e.conj().T
+    du, de = search._jvp(rows, gram, p)
+    # <J p, (u, e)> under sum u u' + w Re<e, e'> equals Re<p, J^T (u, e)>
+    left = np.sum(du * u) + search._PENALTY_WEIGHT * np.vdot(de, e).real
+    right = np.vdot(p, search._vjp(rows, gram, u, e)).real
+    assert abs(left - right) <= 1e-12 * abs(right)
+    h = 1e-6
+    (_, dev_up, delta_up), (_, dev_down, delta_down) = (search._parts(rows + s * p, b)
+                                                        for s in (h, -h))
+    assert np.allclose((dev_up - dev_down) / (2 * h), du, rtol=0.0, atol=1e-8)
+    assert np.allclose((delta_up - delta_down) / (2 * h), de, rtol=0.0, atol=1e-8)
+    assert np.all(np.diagonal(du) == 0.0)
+
+
+def test_polish_stops_at_a_zero_gradient():
+    # every vector zero: f = d^2 (d^2 - 1) b^2 + w d, and J^T r = 0, so no solve runs
+    rows, b = np.zeros((4, 2), dtype=complex), 0.07
+    polished, f = search._polish(rows, b)
+    assert np.array_equal(polished, rows)
+    assert f == pytest.approx(12 * b * b + 2 * search._PENALTY_WEIGHT, rel=1e-15)
+
+
 def test_armijo_ladder_equals_serial_halvings(monkeypatch):
     b = 1.0 / 36.0
     point = two_call_vectors(np.random.default_rng(5), 3)
@@ -438,6 +471,22 @@ def test_search_finds_qubit_member():
     assert report.restarts_run == 4
     assert len(report.iterations_per_restart) == 4
     assert report.gradient_check < 1e-6
+
+
+@pytest.mark.parametrize("d,k,b,restarts,seed", [
+    (2, 2, 0.0626, 4, 0), (2, 2, 0.07, 4, 0), (2, 2, 0.08, 4, 0), (2, 4, None, 4, 0),
+    # the descent ends this one near the double root 1/2 with traces split 1 + 3
+    (2, 4, None, 4, 4), (3, 9, None, 6, 0), (4, 16, None, 3, 0)])
+def test_every_search_hit_passes_verify_and_dual(d, k, b, restarts, seed):
+    config = SearchConfig(d=d, k=k, b=b, restarts=restarts, seed=seed)
+    report = run_search(config)
+    assert report.best_povm is not None
+    checked = verify(report.best_povm)
+    assert report.classification == checked.classification != NOT_SEMI_SIC
+    assert report.observed_k == checked.k and checked.max_violation <= 1e-11
+    assert report.best_residual <= report.objective_trace[-1][1] < config.residual_goal
+    frame = dual_basis(report.best_povm, SemiSicParams.from_b(d, checked.fitted_b, checked.k))
+    assert frame.source_k == checked.k
 
 
 def test_search_is_deterministic():
