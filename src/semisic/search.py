@@ -10,19 +10,19 @@ minimized by multi-start L-BFGS descent. One generator seeded by the config's
 seed draws every start in one call, restart i's from block i. All restarts
 advance as one batch, computed per restart, so a restart's result depends
 neither on the batch nor on how many restarts run.
-Each restart keeps its last m = 5 pairs s = change of the vectors and
-y = change of the gradient, with inner products Re<a, b> (the real coordinates
-of the vectors); a pair is kept only when Re<s, y> > 0. Its direction
-r = H grad f comes from the two-loop recursion with H0 = gamma I,
-gamma = Re<s, y> / <y, y> of the newest pair, or gamma0 = 1e-2 / (1 + |grad f|)
-with none. The step is the first of 1, 1/2, 1/4, ... along -r that meets the
-Armijo condition for the slope Re<grad f, r>. One rule covers a restart that
-finds no step (r does not descend, or no halving passes): it keeps its vectors,
-f and gradient in that iteration, which counts toward the cap, and clears its
-pairs, so its next r is gamma0 grad f; with no pair to clear it stops as
-no_descent, as no Armijo halving along gamma0 grad f lowers f; the other stops
-are goal and cap. Only steps that do not raise f are accepted, so the recorded
-objective trace is monotone.
+Each restart keeps its last m = 5 pairs s = change of the vectors and y = change of
+the gradient, with inner products Re<a, b> (the real coordinates of the vectors); a
+pair is kept only when Re<s, y> > 0. Its direction r = H grad f comes from the two-loop
+recursion with H0 = gamma I, and gamma is kept beside the pairs: gamma0 =
+1e-2 / (1 + |grad f|) at the start and after an iteration that leaves the restart no
+pair, Re<s, y> / <y, y> of each pair it stores, else unchanged. The step is the first
+of 1, 1/2, 1/4, ... along -r that meets the Armijo condition for the slope
+Re<grad f, r>. One rule covers a restart that finds no step (r does not descend, or no
+halving passes): it keeps its vectors, f and gradient in that iteration, which counts
+toward the cap, and clears its pairs, so its next r is gamma0 grad f; with no pair to
+clear it stops as no_descent, as no Armijo halving along gamma0 grad f lowers f; the
+other stops are goal and cap. Only steps that do not raise f are accepted, so the
+recorded objective trace is monotone.
 
 One iteration evaluates f and its gradient at the full step for all live
 restarts at once (one Gram each), as most quasi-Newton steps pass there
@@ -30,12 +30,13 @@ restarts at once (one Gram each), as most quasi-Newton steps pass there
 that is the iteration's only evaluation. Only the restarts that fail try
 halvings from 1/2 on, three per stacked objective call, and evaluate f and
 gradient once more at the step they take; no ladder or evaluation runs on
-zero restarts. Inner products are batched (R, 1, n) @ (R, n, 1) matmuls. A
-restart's pairs are one real (m, 2, 2 d^3) array. One that stored no pair and
-kept its vectors, f and pairs bitwise would repeat that iteration until the
-cap: it retires there at once, with the trace points it would have added. So
-does an exactly zero gradient, as its step is zero. Every report carries
-gradient_check, a finite-difference check of the gradient (see that function).
+zero restarts. Inner products are batched (R, 1, n) @ (R, n, 1) matmuls, and a new
+pair's Re<s, y> and <y, y> one (R, 2, n) @ (R, n, 1). A restart's pairs are one real
+(m, 2, 2 d^3) array, each pair divided by sqrt(Re<s, y>). One that stored no pair and
+kept its vectors, f and pairs bitwise would repeat that iteration until the cap: it
+retires there at once, with the trace points it would have added. So does an exactly
+zero gradient, as its step is zero. Every report carries gradient_check, a
+finite-difference check of the gradient (see that function).
 A best restart below the residual goal is finished by _polish, a Levenberg-Marquardt
 refinement, and then verified at TOL_COND, the one gate; grad f = 2 J^T (dev, delta).
 
@@ -195,10 +196,12 @@ def _objective(rows: np.ndarray, b: float) -> np.ndarray:
     return _sum2(dev * dev) + _PENALTY_WEIGHT * _sum2(np.abs(delta) ** 2)
 
 
-def _vjp(rows, gram, u, e):
-    """J^T (u, e) for J = d(dev, delta) at a stack, under Re<a, b> and sum u u' + w Re<e, e'>
-    (so |(dev, delta)|^2 = f), for real symmetric u with a zero diagonal and Hermitian e."""
-    return 4.0 * (u * gram.swapaxes(-1, -2)) @ rows + 2.0 * _PENALTY_WEIGHT * rows @ e.conj()
+def _vjp(rows, gram, u, e, scale=1.0):
+    """scale J^T (u, e) for J = d(dev, delta) at a stack, under Re<a, b> and sum u u' +
+    w Re<e, e'> (so |(dev, delta)|^2 = f), for real symmetric u with a zero diagonal and
+    Hermitian e. scale joins the constants, so a power of two scales every bit exactly."""
+    return ((4.0 * scale) * (u * gram.swapaxes(-1, -2)) @ rows
+            + (2.0 * scale * _PENALTY_WEIGHT) * rows @ e.conj())
 
 
 def _jvp(rows, gram, p):
@@ -213,7 +216,7 @@ def _value_and_gradient(rows: np.ndarray, b: float):
     the gradient's real/imag parts are the real-coordinate partials (tests check them)."""
     gram, dev, delta = _parts(rows, b)
     value = _sum2(dev * dev) + _PENALTY_WEIGHT * _sum2(np.abs(delta) ** 2)
-    return value, 2.0 * _vjp(rows, gram, dev, delta)
+    return value, _vjp(rows, gram, dev, delta, 2.0)
 
 
 def objective(vectors, d: int, k: int, b: float | None = None) -> float:
@@ -251,35 +254,38 @@ def _dot(a, b):
     return (a[:, None] @ b[..., None])[:, 0, 0]
 
 
-def _lbfgs_directions(grad, pairs, rho, gamma0):
+def _gamma0(g):
+    """H0's scale with no pair, 1e-2 / (1 + |g|) per row of an (R, n) real gradient."""
+    return _INITIAL_STEP / (1.0 + np.sqrt(_dot(g, g)))
+
+
+def _lbfgs_directions(grad, pairs, rho, gamma):
     """Per restart, H grad by the L-BFGS two-loop recursion, in real coordinates.
 
     grad is an (R, 2d^3) real view of the gradients, and pairs the
-    (R, _MEMORY, 2, 2d^3) history of s (index 0) and y (index 1), oldest
-    first, with rho = 1 / <s, y>; a slot with rho = 0 is empty and leaves H
-    unchanged. H0 = gamma I with gamma = <s, y> / <y, y> of the newest pair
-    (the last slot), or gamma0 where that slot is empty. Vectors are kept as
-    (R, n, 1) columns and inner products taken as batched matmuls.
+    (R, _MEMORY, 2, 2d^3) history of s (index 0) and y (index 1), oldest first,
+    each pair divided by sqrt(<s, y>) when stored, so that rho s y^T = s' y'^T;
+    rho = 1 / <s, y>, and a slot with rho = 0 is empty, its pair zero. H0 = gamma I
+    with the per-restart gamma that _descend_batch keeps beside the pairs and resets
+    with them. So each slot's alpha and beta is one batched (R, 1, n) @ (R, n, 1) matmul.
     """
     used = rho.any(axis=0).nonzero()[0]  # slots empty in every restart are skipped
-    as_rows, as_cols, rho = pairs[:, :, :, None], pairs[..., None], rho[:, :, None, None]
+    as_rows, as_cols = pairs[:, :, :, None], pairs[..., None]
     q, alpha = grad[..., None].copy(), {}
     for i in used[::-1]:
-        alpha[i] = rho[:, i] * (as_rows[:, i, 0] @ q)
+        alpha[i] = as_rows[:, i, 0] @ q
         q -= alpha[i] * as_cols[:, i, 1]
-    newest = rho[:, -1]
-    gamma = np.divide(1.0, newest * (as_rows[:, -1, 1] @ as_cols[:, -1, 1]),
-                      out=gamma0[:, None, None].copy(), where=newest > 0)
-    r = gamma * q
+    r = gamma[:, None, None] * q
     for i in used:
-        r += (alpha[i] - rho[:, i] * (as_rows[:, i, 1] @ r)) * as_cols[:, i, 0]
+        r += (alpha[i] - as_rows[:, i, 1] @ r) * as_cols[:, i, 0]
     return r[..., 0]
 
 
 def _descend_batch(rows, b, cfg: SearchConfig):
-    """Advance a (R, d^2, d) stack of restarts together; restart i's result does not
-    depend on the rest. Returns per restart the final rows and objective, the
-    accepted iterations, the objective trace and the stop reason.
+    """Advance a (R, d^2, d) stack of restarts together; restart i's result does not depend
+    on the rest. Returns per restart the final rows and objective, the accepted iterations,
+    the objective trace and the stop reason. gamma, H0's scale, lives beside each restart's
+    pairs: Re<s, y> / <y, y> of each pair stored, gamma0 at its gradient while it has none.
 
     An iteration evaluates f and its gradient at the full step of every live restart in
     one stacked call; only those that fail Armijo there run the ladder and evaluate again.
@@ -292,15 +298,15 @@ def _descend_batch(rows, b, cfg: SearchConfig):
     f, grad = _value_and_gradient(rows, b)
     g = grad.view(float).reshape(len(rows), -1)
     # the last _MEMORY steps s and gradient changes y, oldest first, as flat real vectors
-    pairs = np.zeros((len(rows), _MEMORY, 2, g.shape[1]))
-    rho = np.zeros((len(rows), _MEMORY))
+    pairs, rho = np.zeros((len(rows), _MEMORY, 2, g.shape[1])), np.zeros((len(rows), _MEMORY))
+    gamma = _gamma0(g)  # H0's scale, changed only with the newest pair
     traces = [[(0, float(v))] for v in f]
     goal = cfg.residual_goal * 1e-3
 
     def retire(stop, it):
         """Stop codes index STOP_REASONS; -1 keeps a restart live. A restart stopped in
         iteration it accepted it unless it stalled there; one stopped at the cap ran to it."""
-        state, mask = (live, rows, f, g, pairs, rho), stop >= 0
+        state, mask = (live, rows, f, g, pairs, rho, gamma), stop >= 0
         if not mask.any():
             return state
         gone, code = live[mask], stop[mask]
@@ -309,17 +315,15 @@ def _descend_batch(rows, b, cfg: SearchConfig):
         return [a[~mask] for a in state]
 
     for it in range(cfg.max_iterations):
-        held = rho.copy()
-        gamma0 = _INITIAL_STEP / (1.0 + np.sqrt(_dot(g, g)))
-        direction = _lbfgs_directions(g, pairs, rho, gamma0)
+        direction = _lbfgs_directions(g, pairs, rho, gamma)
         slope = _dot(g, direction)
         step = direction.view(complex).reshape(rows.shape)
         # the full step first, with its gradient: most quasi-Newton steps take it
         new_rows = rows - step
         fc, new_grad = _value_and_gradient(new_rows, b)
         new_g, fixed = new_grad.view(float).reshape(g.shape), None
-        # stalled stays this empty array when every restart passes at the full step
-        stalled = rest = (~((fc <= f - _ARMIJO * slope) & (slope >= 0))).nonzero()[0]
+        # stalled and failed stay this empty array when every restart passes at the full step
+        stalled = failed = rest = (~((fc <= f - _ARMIJO * slope) & (slope >= 0))).nonzero()[0]
         if rest.size:
             t, fc[rest] = _armijo_steps(rows[rest], step[rest], f[rest], slope[rest], b)
             moved = ~np.isnan(t)
@@ -327,22 +331,26 @@ def _descend_batch(rows, b, cfg: SearchConfig):
             failed, j = rest[~moved], rest[moved]
             new_rows[failed], fc[failed], new_g[failed] = rows[failed], f[failed], g[failed]
             stalled = failed[rho[failed, -1] == 0.0]
-            rho[failed] = 0.0
+            rho[failed], pairs[failed] = 0.0, 0.0
             if j.size:
                 new_rows[j] = rows[j] - t[moved, None, None] * step[j]
                 new_grad[j] = _value_and_gradient(new_rows[j], b)[1]
         pair = np.empty((len(g), 2, g.shape[1]))
         np.subtract(new_rows, rows, out=pair[:, 0].view(complex).reshape(rows.shape))
         np.subtract(new_g, g, out=pair[:, 1])
-        sy = _dot(pair[:, 0], pair[:, 1])
+        sy, yy = (pair @ pair[:, 1, :, None])[:, :, 0].T
         keep = sy > 0.0
+        np.divide(sy, yy, out=gamma, where=keep)
         if keep.all():
             keep = slice(None)  # shifts the histories without copying them out first
         else:
-            # no pair stored and rows, f and rho unchanged: a fixed point, retired at the cap
-            fixed = (~keep & (fc == f) & (rho == held).all(axis=1)
-                     & (new_rows == rows).all(axis=(1, 2)))
-        for hist, new in ((pairs, pair[keep]), (rho, 1.0 / sy[keep])):
+            # no pair stored and rows, f and pairs unchanged: a fixed point, retired at the cap
+            fixed = ~keep & (fc == f) & (new_rows == rows).all(axis=(1, 2))
+            fixed[failed] = False
+            empty = (~keep & (rho[:, -1] == 0.0)).nonzero()[0]  # no newest pair: gamma0 again
+            gamma[empty] = _gamma0(new_g[empty])
+        root = np.sqrt(sy[keep])[:, None, None]
+        for hist, new in ((pairs, pair[keep] / root), (rho, 1.0 / sy[keep])):
             hist[keep, :-1] = hist[keep, 1:]
             hist[keep, -1] = new
         rows, f, g = new_rows, fc, new_g
@@ -355,7 +363,7 @@ def _descend_batch(rows, b, cfg: SearchConfig):
                 first = -(-(it + 1) // stride) * stride
                 for i, value in zip(live[fixed].tolist(), f[fixed].tolist()):
                     traces[i] += [(n, value) for n in range(first, cfg.max_iterations + 1, stride)]
-            live, rows, f, g, pairs, rho = retire(stop, it)
+            live, rows, f, g, pairs, rho, gamma = retire(stop, it)
             if not live.size:
                 break
         if (it + 1) % stride == 0:
@@ -391,18 +399,20 @@ def gradient_check(d: int, b: float, seed: int = 0) -> float:
 def _polish(rows: np.ndarray, b: float):
     """Levenberg-Marquardt finish of one (d^2, d) matrix (More 1978); returns rows and f.
     Each solve takes s from (J^T J + mu sqrt(f) I) s = -J^T r by conjugate gradients under
-    Re<a, b>: at most 2 rows.size steps, stopped at |res|^2 <= 1e-24 f. mu starts at 1; a
-    step is kept only if f drops, and mu then falls tenfold, else rises tenfold. At most
-    _POLISH_SOLVES solves, and none once f <= _POLISH_STOP or J^T r = 0."""
+    Re<a, b>: at most 2 rows.size steps, stopped once |res|^2 <= 1e-20 |J^T r|^2 (the
+    solve's start). mu starts at 1; a step is kept only if f drops, and mu then falls
+    tenfold, else rises tenfold. At most _POLISH_SOLVES solves, none once f <= _POLISH_STOP
+    or J^T r = 0."""
     f, mu = _objective(rows, b), 1.0
     for _ in range(_POLISH_SOLVES):
         gram, dev, delta = _parts(rows, b)
-        res = direction = -_vjp(rows, gram, dev, delta)
-        rr, step = np.vdot(res, res).real, np.zeros_like(rows)
+        res = direction = _vjp(rows, gram, dev, delta, -1.0)
+        rr = np.vdot(res, res).real
         if f <= _POLISH_STOP or not rr:
             break
+        start, step = rr, np.zeros_like(rows)
         for _ in range(2 * rows.size):
-            if rr <= 1e-24 * f:
+            if rr <= 1e-20 * start:
                 break
             a = _vjp(rows, gram, *_jvp(rows, gram, direction)) + mu * np.sqrt(f) * direction
             alpha, last = rr / np.vdot(direction, a).real, rr

@@ -215,18 +215,21 @@ def serial_armijo_steps(rows, direction, f, slope, b, start=0):
     return trial, fc
 
 
+def h0_scale(s, y, rho, gamma0):
+    """H0's scale for one restart's history: <s, y> / <y, y> of the newest pair (the last
+    slot), or gamma0 when that slot is empty (rho = 0)."""
+    return gamma0 if rho[-1] == 0 else float(s[-1] @ y[-1] / (y[-1] @ y[-1]))
+
+
 def dense_lbfgs_direction(grad, s, y, rho, gamma0):
     """Reference for search._lbfgs_directions, one restart in real coordinates.
 
-    Builds the inverse Hessian H densely from H0 = gamma I by the update
-    H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T for each stored pair,
-    oldest first, skipping empty slots (rho = 0); gamma = <s, y> / <y, y> of
-    the newest pair (the last slot), or gamma0 when that slot is empty.
-    Returns H grad.
+    Builds the inverse Hessian H densely from H0 = h0_scale(s, y, rho, gamma0) I
+    by the update H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T for each
+    stored pair, oldest first, skipping empty slots (rho = 0). Returns H grad.
     """
     n = grad.size
-    gamma = gamma0 if rho[-1] == 0 else float(s[-1] @ y[-1] / (y[-1] @ y[-1]))
-    h = gamma * np.eye(n)
+    h = h0_scale(s, y, rho, gamma0) * np.eye(n)
     for si, yi, ri in zip(s, y, rho):
         if ri == 0:
             continue

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_lbfgs_direction, hesse_sic, serial_armijo_steps, two_call_vectors
+from helpers import (dense_lbfgs_direction, h0_scale, hesse_sic, serial_armijo_steps,
+                     two_call_vectors)
 from semisic import search
 from semisic.documents import parse_povm_document
 from semisic.dual import dual_basis
@@ -315,14 +316,19 @@ def test_two_loop_direction_equals_the_dense_update(d):
     rho[0] = 0.0  # no pair: the direction is gamma0 grad
     rho[1, :3] = rho[2, :1] = rho[3, 2] = 0.0  # empty slots, the newest kept
     gamma0 = rng.uniform(1e-3, 1e-2, restarts)
-    got = search._lbfgs_directions(grad, pairs, rho, gamma0)
+    # the H0 scale _descend_batch keeps per restart, by the dense reference's rule
+    gamma = np.array([h0_scale(pairs[i, :, 0], pairs[i, :, 1], rho[i], gamma0[i])
+                      for i in range(restarts)])
+    # as _descend_batch stores them: each pair over sqrt(<s, y>), empty slots zero
+    stored = pairs * np.sqrt(rho)[:, :, None, None]
+    got = search._lbfgs_directions(grad, stored, rho, gamma)
     for i in range(restarts):
         expected = dense_lbfgs_direction(grad[i], pairs[i, :, 0], pairs[i, :, 1], rho[i],
                                          gamma0[i])
         assert np.linalg.norm(got[i] - expected) <= 1e-12 * np.linalg.norm(expected)
         # alone, a restart's empty slots are skipped; the direction is unchanged
         one = slice(i, i + 1)
-        alone = search._lbfgs_directions(grad[one], pairs[one], rho[one], gamma0[one])
+        alone = search._lbfgs_directions(grad[one], stored[one], rho[one], gamma[one])
         assert np.array_equal(alone[0], got[i])
     assert np.array_equal(got[0], gamma0[0] * grad[0])
 
@@ -367,7 +373,7 @@ def test_stop_reasons_are_reported_per_restart():
     assert stalled.stop_reasons == ("cap",) * 3
     assert stalled.iterations_per_restart == (50,) * 3
 
-    solved = run_search(SearchConfig(d=2, k=2, b=2.0 / 25.0, restarts=4, seed=7))
+    solved = run_search(SearchConfig(d=2, k=2, b=2.0 / 25.0, restarts=4, seed=8))
     assert solved.best_povm is not None
     assert set(solved.stop_reasons) <= set(STOP_REASONS)
     last = solved.objective_trace[-1][0]
@@ -378,7 +384,7 @@ def test_stop_reasons_are_reported_per_restart():
 
 def test_restarts_at_a_fixed_point_retire_at_the_cap(monkeypatch):
     # restart 0, the best, reaches a state its iterations no longer change at iteration
-    # 796; it reports the cap, its iterations and every trace point, unevaluated
+    # 807; it reports the cap, its iterations and every trace point, unevaluated
     evaluated = []
 
     def counting(rows, b):
@@ -429,8 +435,8 @@ def test_stalled_and_gradient_free_restarts_stop_at_once(monkeypatch):
 def test_a_restart_with_no_step_clears_its_pairs(monkeypatch):
     # every direction built from pairs is turned uphill, so it finds no step: the restart
     # keeps its state, clears its pairs and steps along gamma0 grad f in the next iteration
-    def uphill(grad, pairs, rho, gamma0):
-        r = lbfgs_directions(grad, pairs, rho, gamma0)
+    def uphill(grad, pairs, rho, gamma):
+        r = lbfgs_directions(grad, pairs, rho, gamma)
         r[rho[:, -1] > 0] *= -1.0
         return r
 
@@ -446,6 +452,36 @@ def test_a_restart_with_no_step_clears_its_pairs(monkeypatch):
         assert all(b <= a for a, b in zip(values, values[1:])) and len(set(values)) > 8
         alone = search._descend_batch(stack[i:i + 1], cfg.b, cfg)
         assert np.array_equal(alone[0][0], rows[i]) and alone[1][0] == f[i]
+
+
+@pytest.mark.parametrize("d,k,b,uphill", [(2, 2, 0.07, False), (3, 9, None, False),
+                                          (3, 8, None, False), (3, 9, None, True)])
+def test_each_restart_keeps_its_h0_scale(monkeypatch, d, k, b, uphill):
+    # every direction gets, per restart, <s, y> / <y, y> of the newest pair, or
+    # gamma0 = 0.01 / (1 + |grad f|) at the current gradient when it holds no pair: before
+    # its first one, and after it clears them (uphill: the setup of the test above)
+    newest = []
+
+    def checked(grad, pairs, rho, gamma):
+        for i in range(len(grad)):
+            gamma0 = 0.01 / (1.0 + np.linalg.norm(grad[i]))
+            expected = h0_scale(pairs[i, :, 0], pairs[i, :, 1], rho[i], gamma0)
+            assert gamma[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
+        newest.append(rho[:, -1] > 0)
+        r = lbfgs_directions(grad, pairs, rho, gamma)
+        if uphill:
+            r[rho[:, -1] > 0] *= -1.0
+        return r
+
+    lbfgs_directions = search._lbfgs_directions
+    monkeypatch.setattr(search, "_lbfgs_directions", checked)
+    cfg = SearchConfig(d=d, k=k, b=b, restarts=3, max_iterations=20 if uphill else 200,
+                       seed=4 if uphill else 1)
+    stack = search._initial_vectors(np.random.default_rng(cfg.seed), d, cfg.restarts)
+    search._descend_batch(stack, cfg.b, cfg)
+    assert not newest[0].any() and newest[1].all() and len(newest) > 10
+    if uphill:  # every restart stores a pair, then clears it, and so on
+        assert [n.tolist() for n in newest] == [[i % 2 == 1] * 3 for i in range(20)]
 
 
 def test_armijo_ladders_run_only_on_failed_steps(monkeypatch):
@@ -476,11 +512,13 @@ def test_search_finds_qubit_member():
 @pytest.mark.parametrize("d,k,b,restarts,seed", [
     (2, 2, 0.0626, 4, 0), (2, 2, 0.07, 4, 0), (2, 2, 0.08, 4, 0), (2, 4, None, 4, 0),
     # the descent ends this one near the double root 1/2 with traces split 1 + 3
-    (2, 4, None, 4, 4), (3, 9, None, 6, 0), (4, 16, None, 3, 0)])
+    (2, 4, None, 4, 25), (3, 9, None, 6, 0), (4, 16, None, 3, 0)])
 def test_every_search_hit_passes_verify_and_dual(d, k, b, restarts, seed):
     config = SearchConfig(d=d, k=k, b=b, restarts=restarts, seed=seed)
     report = run_search(config)
     assert report.best_povm is not None
+    if (d, k, seed) == (2, 4, 25):  # the case of the qubit rule: not split 2 + 2
+        assert np.count_nonzero(report.best_povm.traces() < 0.5) != 2
     checked = verify(report.best_povm)
     assert report.classification == checked.classification != NOT_SEMI_SIC
     assert report.observed_k == checked.k and checked.max_violation <= 1e-11
