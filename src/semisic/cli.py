@@ -181,10 +181,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="small-trace element count")
     p.add_argument("--b", type=parse_number, default=None,
                    help="target overlap (required for d=2 unless k=4)")
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--max-iterations", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--residual-goal", type=float, default=1e-12)
+    p.add_argument("--restarts", type=int, default=20,
+                   help="random starts, descended as one batch (default: 20)")
+    p.add_argument("--max-iterations", type=int, default=2000,
+                   help="L-BFGS iterations per restart before it stops at the cap "
+                        "(default: 2000)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the one draw that gives every start (default: 0)")
+    p.add_argument("--residual-goal", type=float, default=1e-12,
+                   help="a best objective below this is polished and verified; a restart "
+                        "stops at 1e-3 of it, a margin the Levenberg-Marquardt polish "
+                        "needs to converge (default: 1e-12)")
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--require-solution", action="store_true",
                    help="exit 1 unless a hit meets the residual goal and passes verify")

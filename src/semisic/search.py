@@ -21,8 +21,11 @@ Re<grad f, r>. One rule covers a restart that finds no step (r does not descend,
 halving passes): it keeps its vectors, f and gradient in that iteration, which counts
 toward the cap, and clears its pairs, so its next r is gamma0 grad f; with no pair to
 clear it stops as no_descent, as no Armijo halving along gamma0 grad f lowers f; the
-other stops are goal and cap. Only steps that do not raise f are accepted, so the
-recorded objective trace is monotone.
+other stops are cap and goal, which a restart meets at f < residual_goal * 1e-3, a
+margin below the goal: the polish converges only linearly at the SIC points, and from
+f just under a loose goal (1e-6) it leaves (3, 9) and (2, 4) hits that verify
+rejects. Only steps that do not raise f are accepted, so the recorded objective trace
+is monotone.
 
 One iteration evaluates f and its gradient at the full step for all live
 restarts at once (one Gram each), as most quasi-Newton steps pass there
@@ -32,7 +35,8 @@ halvings from 1/2 on, three per stacked objective call, and evaluate f and
 gradient once more at the step they take; no ladder or evaluation runs on
 zero restarts. Inner products are batched (R, 1, n) @ (R, n, 1) matmuls, and a new
 pair's Re<s, y> and <y, y> one (R, 2, n) @ (R, n, 1). A restart's pairs are one real
-(m, 2, 2 d^3) array, each pair divided by sqrt(Re<s, y>). One that stored no pair and
+(m, 2, 2 d^3) array, each pair divided by sqrt(Re<s, y>); an empty slot is zero, and as
+Re<s, y> > 0 needs s != 0 a stored pair never is. One that stored no pair and
 kept its vectors, f and pairs bitwise would repeat that iteration until the cap: it
 retires there at once, with the trace points it would have added. So does an exactly
 zero gradient, as its step is zero. Every report carries gradient_check, a
@@ -64,7 +68,7 @@ _GOAL, _CAP, _NO_DESCENT = range(len(STOP_REASONS))
 # Configs are refused (InvalidConfig, CLI exit 2) before anything is allocated when
 # max(3 restarts, 32) stacks of (d^2, d^2) would exceed this many complex entries (64 MB);
 # d <= 19 is admitted. Under the cap: the full step's (restarts, d^2, d^2) Grams, a ladder's
-# (pending, _LADDER = 3, d^2, d^2), gradient_check's 10 and 5, and each half (s, y) of the
+# (pending, _LADDER = 3, d^2, d^2), gradient_check's 15, and each half (s, y) of the
 # L-BFGS history (restarts, _MEMORY, 2, 2 d^3): _MEMORY d^3 <= 3 d^4 complex entries' worth.
 MAX_SEARCH_ENTRIES = 2**22
 _PENALTY_WEIGHT = 10.0  # w of the objective
@@ -85,7 +89,8 @@ class SearchConfig:
     SemiSicParams.from_b (at TOL_COND, and pinned where (d, k) fixes it);
     left out, it is derived from (d, k) when d >= 3 and required for d = 2
     except k = 4, which defaults to the SIC point 1/12. Configs over
-    MAX_SEARCH_ENTRIES are refused."""
+    MAX_SEARCH_ENTRIES are refused. The descent stops a restart at
+    f < residual_goal * 1e-3, so that the polish of a hit starts where it converges."""
 
     d: int
     k: int
@@ -259,17 +264,18 @@ def _gamma0(g):
     return _INITIAL_STEP / (1.0 + np.sqrt(_dot(g, g)))
 
 
-def _lbfgs_directions(grad, pairs, rho, gamma):
+def _lbfgs_directions(grad, pairs, gamma):
     """Per restart, H grad by the L-BFGS two-loop recursion, in real coordinates.
 
     grad is an (R, 2d^3) real view of the gradients, and pairs the
     (R, _MEMORY, 2, 2d^3) history of s (index 0) and y (index 1), oldest first,
-    each pair divided by sqrt(<s, y>) when stored, so that rho s y^T = s' y'^T;
-    rho = 1 / <s, y>, and a slot with rho = 0 is empty, its pair zero. H0 = gamma I
-    with the per-restart gamma that _descend_batch keeps beside the pairs and resets
-    with them. So each slot's alpha and beta is one batched (R, 1, n) @ (R, n, 1) matmul.
+    each pair divided by sqrt(<s, y>) when stored, so that s y^T / <s, y> = s' y'^T.
+    An empty slot is zero, and a stored pair never is (<s, y> > 0 needs s != 0); a zero
+    slot adds nothing, so a restart's empty slots may run. H0 = gamma I with the
+    per-restart gamma that _descend_batch keeps beside the pairs and resets with them.
+    So each slot's alpha and beta is one batched (R, 1, n) @ (R, n, 1) matmul.
     """
-    used = rho.any(axis=0).nonzero()[0]  # slots empty in every restart are skipped
+    used = pairs[:, :, 0].any(axis=(0, 2)).nonzero()[0]  # slots empty in every restart are skipped
     as_rows, as_cols = pairs[:, :, :, None], pairs[..., None]
     q, alpha = grad[..., None].copy(), {}
     for i in used[::-1]:
@@ -297,8 +303,9 @@ def _descend_batch(rows, b, cfg: SearchConfig):
     live = np.arange(len(rows))
     f, grad = _value_and_gradient(rows, b)
     g = grad.view(float).reshape(len(rows), -1)
-    # the last _MEMORY steps s and gradient changes y, oldest first, as flat real vectors
-    pairs, rho = np.zeros((len(rows), _MEMORY, 2, g.shape[1])), np.zeros((len(rows), _MEMORY))
+    # the last _MEMORY steps s and gradient changes y, oldest first, as flat real vectors;
+    # a restart holds a pair exactly when its newest slot is not zero
+    pairs = np.zeros((len(rows), _MEMORY, 2, g.shape[1]))
     gamma = _gamma0(g)  # H0's scale, changed only with the newest pair
     traces = [[(0, float(v))] for v in f]
     goal = cfg.residual_goal * 1e-3
@@ -306,7 +313,7 @@ def _descend_batch(rows, b, cfg: SearchConfig):
     def retire(stop, it):
         """Stop codes index STOP_REASONS; -1 keeps a restart live. A restart stopped in
         iteration it accepted it unless it stalled there; one stopped at the cap ran to it."""
-        state, mask = (live, rows, f, g, pairs, rho, gamma), stop >= 0
+        state, mask = (live, rows, f, g, pairs, gamma), stop >= 0
         if not mask.any():
             return state
         gone, code = live[mask], stop[mask]
@@ -315,7 +322,7 @@ def _descend_batch(rows, b, cfg: SearchConfig):
         return [a[~mask] for a in state]
 
     for it in range(cfg.max_iterations):
-        direction = _lbfgs_directions(g, pairs, rho, gamma)
+        direction = _lbfgs_directions(g, pairs, gamma)
         slope = _dot(g, direction)
         step = direction.view(complex).reshape(rows.shape)
         # the full step first, with its gradient: most quasi-Newton steps take it
@@ -330,8 +337,8 @@ def _descend_batch(rows, b, cfg: SearchConfig):
             # a restart with no step keeps its state; it clears its pairs, or stops if none
             failed, j = rest[~moved], rest[moved]
             new_rows[failed], fc[failed], new_g[failed] = rows[failed], f[failed], g[failed]
-            stalled = failed[rho[failed, -1] == 0.0]
-            rho[failed], pairs[failed] = 0.0, 0.0
+            stalled = failed[~pairs[failed, -1, 0].any(axis=-1)]
+            pairs[failed] = 0.0
             if j.size:
                 new_rows[j] = rows[j] - t[moved, None, None] * step[j]
                 new_grad[j] = _value_and_gradient(new_rows[j], b)[1]
@@ -347,12 +354,10 @@ def _descend_batch(rows, b, cfg: SearchConfig):
             # no pair stored and rows, f and pairs unchanged: a fixed point, retired at the cap
             fixed = ~keep & (fc == f) & (new_rows == rows).all(axis=(1, 2))
             fixed[failed] = False
-            empty = (~keep & (rho[:, -1] == 0.0)).nonzero()[0]  # no newest pair: gamma0 again
+            empty = (~keep & ~pairs[:, -1, 0].any(axis=-1)).nonzero()[0]  # no pair: gamma0 again
             gamma[empty] = _gamma0(new_g[empty])
-        root = np.sqrt(sy[keep])[:, None, None]
-        for hist, new in ((pairs, pair[keep] / root), (rho, 1.0 / sy[keep])):
-            hist[keep, :-1] = hist[keep, 1:]
-            hist[keep, -1] = new
+        pairs[keep, :-1] = pairs[keep, 1:]
+        pairs[keep, -1] = pair[keep] / np.sqrt(sy[keep])[:, None, None]
         rows, f, g = new_rows, fc, new_g
         if len(stalled) or fixed is not None or (f < goal).any():
             stop = np.where(f < goal, _GOAL, -1)
@@ -363,7 +368,7 @@ def _descend_batch(rows, b, cfg: SearchConfig):
                 first = -(-(it + 1) // stride) * stride
                 for i, value in zip(live[fixed].tolist(), f[fixed].tolist()):
                     traces[i] += [(n, value) for n in range(first, cfg.max_iterations + 1, stride)]
-            live, rows, f, g, pairs, rho, gamma = retire(stop, it)
+            live, rows, f, g, pairs, gamma = retire(stop, it)
             if not live.size:
                 break
         if (it + 1) % stride == 0:
@@ -386,13 +391,14 @@ def gradient_check(d: int, b: float, seed: int = 0) -> float:
     """Max relative error of the analytic directional derivative Re<grad f, D> against
     the central difference (f(V + sD) - f(V - sD)) / 2s of the objective (s = 1e-6),
     at five seeded random stacks V, each along its own seeded random direction D, from one
-    stacked objective call (10 stacks) and one gradient call (5 stacks)."""
+    _value_and_gradient call on the 15 stacks V, V + sD and V - sD."""
     points, step = 5, 1e-6
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x67726164,)))
     base, direction = _initial_vectors(rng, d, 2 * points).reshape(2, points, d * d, d)
-    ends = _objective(base + np.array([step, -step])[:, None, None, None] * direction, b)
-    numeric = (ends[0] - ends[1]) / (2.0 * step)
-    analytic = _sum2((_value_and_gradient(base, b)[1] * direction.conj()).real)
+    stack = np.stack((base, base + step * direction, base - step * direction))
+    (_, up, down), (grad, _, _) = _value_and_gradient(stack, b)
+    numeric = (up - down) / (2.0 * step)
+    analytic = _sum2((grad * direction.conj()).real)
     return float(np.max(np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))))
 
 
@@ -429,10 +435,11 @@ def run_search(config: SearchConfig) -> SearchReport:
 
     All restarts run as one batch, and restart i's result depends neither on
     it nor on how many restarts run. Deterministic for a fixed config (restart
-    i starts from block i of one draw seeded by config.seed). A best residual
-    below config.residual_goal is finished by _polish; best_povm is built from
-    the polished vectors and classified by verify(). The descent's stop reasons,
-    iterations and objective trace are reported as they are.
+    i starts from block i of one draw seeded by config.seed). A restart stops as goal
+    at f < config.residual_goal * 1e-3, a margin the linearly converging polish needs
+    at the SIC points. A best residual below config.residual_goal is finished by
+    _polish; best_povm is built from the polished vectors and classified by verify().
+    The descent's stop reasons, iterations and objective trace are reported as they are.
     """
     if not isinstance(config, SearchConfig):
         raise InvalidConfig(f"expected a SearchConfig, got {type(config).__name__}")

@@ -215,24 +215,25 @@ def serial_armijo_steps(rows, direction, f, slope, b, start=0):
     return trial, fc
 
 
-def h0_scale(s, y, rho, gamma0):
+def h0_scale(s, y, gamma0):
     """H0's scale for one restart's history: <s, y> / <y, y> of the newest pair (the last
-    slot), or gamma0 when that slot is empty (rho = 0)."""
-    return gamma0 if rho[-1] == 0 else float(s[-1] @ y[-1] / (y[-1] @ y[-1]))
+    slot), or gamma0 when that slot is empty (zero)."""
+    return float(s[-1] @ y[-1] / (y[-1] @ y[-1])) if s[-1].any() else gamma0
 
 
-def dense_lbfgs_direction(grad, s, y, rho, gamma0):
+def dense_lbfgs_direction(grad, s, y, gamma0):
     """Reference for search._lbfgs_directions, one restart in real coordinates.
 
-    Builds the inverse Hessian H densely from H0 = h0_scale(s, y, rho, gamma0) I
-    by the update H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T for each
-    stored pair, oldest first, skipping empty slots (rho = 0). Returns H grad.
+    Builds the inverse Hessian H densely from H0 = h0_scale(s, y, gamma0) I by the
+    update H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T with rho = 1 / <s, y> for
+    each stored pair, oldest first, skipping empty (zero) slots. Returns H grad.
     """
     n = grad.size
-    h = h0_scale(s, y, rho, gamma0) * np.eye(n)
-    for si, yi, ri in zip(s, y, rho):
-        if ri == 0:
+    h = h0_scale(s, y, gamma0) * np.eye(n)
+    for si, yi in zip(s, y):
+        if not si.any():
             continue
+        ri = 1.0 / (si @ yi)
         left = np.eye(n) - ri * np.outer(si, yi)
         h = left @ h @ left.T + ri * np.outer(si, si)
     return h @ grad

@@ -325,6 +325,16 @@ def test_search_refuses_removed_flags_and_oversized_runs(capsys):
         assert rc == 2 and "over the cap" in err
 
 
+def test_every_option_has_help():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sub in commands.choices.items():
+        for action in sub._actions:
+            assert action.help, (name, action.option_strings)
+    goal = next(a for a in commands.choices["search"]._actions if a.dest == "residual_goal")
+    assert "1e-3" in goal.help and "polish" in goal.help
+
+
 def test_readme_examples_run_in_order(tmp_path, capsys, monkeypatch):
     readme = Path(__file__).resolve().parents[1] / "README.md"
     commands = [shlex.split(line)[1:] for line in readme.read_text().splitlines()

@@ -13,7 +13,7 @@ from semisic import search
 from semisic.documents import parse_povm_document
 from semisic.dual import dual_basis
 from semisic.errors import InvalidConfig
-from semisic.model import NOT_SEMI_SIC, STRICT_SEMI_SIC, SemiSicParams, b_from_k, verify
+from semisic.model import NOT_SEMI_SIC, SIC, STRICT_SEMI_SIC, SemiSicParams, b_from_k, verify
 from semisic.qubit import family_kets, family_point
 from semisic.search import (
     STOP_REASONS,
@@ -214,6 +214,20 @@ def test_gradient_check_catches_a_wrong_gradient(monkeypatch, scales):
     assert gradient_check(3, 1.0 / 36.0) > 1e-4
 
 
+def test_gradient_check_is_one_evaluation(monkeypatch):
+    calls = []
+
+    def counting(rows, b):
+        calls.append(rows.shape)
+        return value_and_gradient(rows, b)
+
+    value_and_gradient = search._value_and_gradient
+    monkeypatch.setattr(search, "_value_and_gradient", counting)
+    monkeypatch.setattr(search, "_objective", lambda *args: pytest.fail("objective called"))
+    assert gradient_check(3, 1.0 / 36.0) < 1e-6
+    assert calls == [(3, 5, 9, 3)]  # V, V + sD and V - sD at five points
+
+
 def test_gradient_check_at_large_d():
     for d in (12, 19):
         assert gradient_check(d, b_from_k(d, d * d)) < 1e-6
@@ -311,24 +325,24 @@ def test_two_loop_direction_equals_the_dense_update(d):
     grad = rng.standard_normal((restarts, n))
     pairs = rng.standard_normal((restarts, search._MEMORY, 2, n))
     pairs[:, :, 1] += 2.0 * pairs[:, :, 0]
-    rho = 1.0 / np.add.reduce(pairs[:, :, 0] * pairs[:, :, 1], axis=-1)
-    assert (rho > 0).all()
-    rho[0] = 0.0  # no pair: the direction is gamma0 grad
-    rho[1, :3] = rho[2, :1] = rho[3, 2] = 0.0  # empty slots, the newest kept
+    sy = np.add.reduce(pairs[:, :, 0] * pairs[:, :, 1], axis=-1)
+    assert (sy > 0).all()
+    # as _descend_batch stores them: each pair over sqrt(<s, y>), empty slots zero
+    stored = pairs / np.sqrt(sy)[:, :, None, None]
+    for history in (pairs, stored):
+        history[0] = 0.0  # no pair: the direction is gamma0 grad
+        history[1, :3] = history[2, :1] = history[3, 2] = 0.0  # empty slots, the newest kept
     gamma0 = rng.uniform(1e-3, 1e-2, restarts)
     # the H0 scale _descend_batch keeps per restart, by the dense reference's rule
-    gamma = np.array([h0_scale(pairs[i, :, 0], pairs[i, :, 1], rho[i], gamma0[i])
+    gamma = np.array([h0_scale(pairs[i, :, 0], pairs[i, :, 1], gamma0[i])
                       for i in range(restarts)])
-    # as _descend_batch stores them: each pair over sqrt(<s, y>), empty slots zero
-    stored = pairs * np.sqrt(rho)[:, :, None, None]
-    got = search._lbfgs_directions(grad, stored, rho, gamma)
+    got = search._lbfgs_directions(grad, stored, gamma)
     for i in range(restarts):
-        expected = dense_lbfgs_direction(grad[i], pairs[i, :, 0], pairs[i, :, 1], rho[i],
-                                         gamma0[i])
+        expected = dense_lbfgs_direction(grad[i], pairs[i, :, 0], pairs[i, :, 1], gamma0[i])
         assert np.linalg.norm(got[i] - expected) <= 1e-12 * np.linalg.norm(expected)
         # alone, a restart's empty slots are skipped; the direction is unchanged
         one = slice(i, i + 1)
-        alone = search._lbfgs_directions(grad[one], stored[one], rho[one], gamma[one])
+        alone = search._lbfgs_directions(grad[one], stored[one], gamma[one])
         assert np.array_equal(alone[0], got[i])
     assert np.array_equal(got[0], gamma0[0] * grad[0])
 
@@ -435,9 +449,9 @@ def test_stalled_and_gradient_free_restarts_stop_at_once(monkeypatch):
 def test_a_restart_with_no_step_clears_its_pairs(monkeypatch):
     # every direction built from pairs is turned uphill, so it finds no step: the restart
     # keeps its state, clears its pairs and steps along gamma0 grad f in the next iteration
-    def uphill(grad, pairs, rho, gamma):
-        r = lbfgs_directions(grad, pairs, rho, gamma)
-        r[rho[:, -1] > 0] *= -1.0
+    def uphill(grad, pairs, gamma):
+        r = lbfgs_directions(grad, pairs, gamma)
+        r[pairs[:, -1, 0].any(axis=-1)] *= -1.0
         return r
 
     lbfgs_directions = search._lbfgs_directions
@@ -462,15 +476,15 @@ def test_each_restart_keeps_its_h0_scale(monkeypatch, d, k, b, uphill):
     # its first one, and after it clears them (uphill: the setup of the test above)
     newest = []
 
-    def checked(grad, pairs, rho, gamma):
+    def checked(grad, pairs, gamma):
         for i in range(len(grad)):
             gamma0 = 0.01 / (1.0 + np.linalg.norm(grad[i]))
-            expected = h0_scale(pairs[i, :, 0], pairs[i, :, 1], rho[i], gamma0)
+            expected = h0_scale(pairs[i, :, 0], pairs[i, :, 1], gamma0)
             assert gamma[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
-        newest.append(rho[:, -1] > 0)
-        r = lbfgs_directions(grad, pairs, rho, gamma)
+        newest.append(pairs[:, -1, 0].any(axis=-1))
+        r = lbfgs_directions(grad, pairs, gamma)
         if uphill:
-            r[rho[:, -1] > 0] *= -1.0
+            r[newest[-1]] *= -1.0
         return r
 
     lbfgs_directions = search._lbfgs_directions
@@ -482,6 +496,42 @@ def test_each_restart_keeps_its_h0_scale(monkeypatch, d, k, b, uphill):
     assert not newest[0].any() and newest[1].all() and len(newest) > 10
     if uphill:  # every restart stores a pair, then clears it, and so on
         assert [n.tolist() for n in newest] == [[i % 2 == 1] * 3 for i in range(20)]
+
+
+@pytest.mark.parametrize("uphill", [False, True])
+def test_the_pair_history_is_its_own_empty_slot_mask(monkeypatch, uphill):
+    # a stored pair is never zero (Re<s, y> > 0 needs s != 0), so a slot is empty exactly
+    # when its s is zero; a restart's filled slots are its newest ones; and an all-zero
+    # slot, which the two-loop runs for a restart whenever another restart fills it,
+    # leaves the direction bit for bit (uphill: the setup of the clearing test above)
+    counts = []
+
+    def checked(grad, pairs, gamma):
+        filled = pairs[:, :, 0].any(axis=-1)
+        assert np.array_equal(filled, pairs.any(axis=(2, 3)))
+        assert (filled[:, 1:] >= filled[:, :-1]).all()
+        counts.append(filled.sum(axis=1).tolist())
+        r = lbfgs_directions(grad, pairs, gamma)
+        # one more, oldest slot: zero in every restart but an added one that fills it
+        padded = np.zeros((len(grad) + 1, pairs.shape[1] + 1) + pairs.shape[2:])
+        padded[:-1, 1:], padded[-1, 0] = pairs, 1.0
+        wider = lbfgs_directions(np.vstack([grad, grad[:1]]), padded, np.append(gamma, 1.0))
+        assert np.array_equal(wider[:-1], r)
+        if uphill:
+            r[filled[:, -1]] *= -1.0
+        return r
+
+    lbfgs_directions = search._lbfgs_directions
+    monkeypatch.setattr(search, "_lbfgs_directions", checked)
+    cfg = (SearchConfig(d=3, k=9, restarts=3, max_iterations=20, seed=4) if uphill
+           else SearchConfig(d=2, k=2, b=0.07, restarts=3, max_iterations=200, seed=1))
+    stack = search._initial_vectors(np.random.default_rng(cfg.seed), cfg.d, cfg.restarts)
+    search._descend_batch(stack, cfg.b, cfg)
+    if uphill:  # every restart stores a pair, then clears it, and so on
+        assert counts == [[i % 2] * 3 for i in range(20)]
+    else:  # every step stores its pair, and each stays filled until it is shifted out
+        assert len(counts) > 100
+        assert counts == [[min(i, search._MEMORY)] * len(c) for i, c in enumerate(counts)]
 
 
 def test_armijo_ladders_run_only_on_failed_steps(monkeypatch):
@@ -525,6 +575,21 @@ def test_every_search_hit_passes_verify_and_dual(d, k, b, restarts, seed):
     assert report.best_residual <= report.objective_trace[-1][1] < config.residual_goal
     frame = dual_basis(report.best_povm, SemiSicParams.from_b(d, checked.fitted_b, checked.k))
     assert frame.source_k == checked.k
+
+
+def test_the_goal_stop_keeps_a_margin_below_the_residual_goal():
+    # the descent stops a restart at f < residual_goal * 1e-3: the polish converges only
+    # linearly at the SIC points, and from f just under a loose goal it left this hit
+    # NotSemiSIC (violation 6.2e-10 with the stop at residual_goal itself)
+    config = SearchConfig(d=3, k=9, restarts=6, seed=0, residual_goal=1e-6)
+    report = run_search(config)
+    assert report.stop_reasons == ("goal",) * 6
+    assert report.objective_trace[-1][1] < 1e-3 * config.residual_goal
+    checked = verify(report.best_povm)
+    assert report.classification == checked.classification == SIC and checked.k == 9
+    assert checked.max_violation < 1e-10
+    frame = dual_basis(report.best_povm, SemiSicParams.from_b(3, checked.fitted_b, checked.k))
+    assert frame.source_k == 9
 
 
 def test_search_is_deterministic():
