@@ -189,9 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the one draw that gives every start (default: 0)")
     p.add_argument("--residual-goal", type=float, default=1e-12,
-                   help="a best objective below this is polished and verified; a restart "
-                        "stops at 1e-3 of it, a margin the Levenberg-Marquardt polish "
-                        "needs to converge (default: 1e-12)")
+                   help="a restart stops once its objective is below this; the best "
+                        "such hit is polished and verified (default: 1e-12)")
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--require-solution", action="store_true",
                    help="exit 1 unless a hit meets the residual goal and passes verify")

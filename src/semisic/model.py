@@ -194,7 +194,6 @@ class Povm:
     elements: np.ndarray
     # (herm_dev, comp_dev, eigenvalues of each element), measured once
     _structure: tuple = field(init=False, repr=False)
-    _report: object = field(default=None, init=False, repr=False)  # verify()'s, once measured
 
     def __post_init__(self) -> None:
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
@@ -251,6 +250,11 @@ class Povm:
         gram = np.einsum("xij,yji->xy", self.elements, self.elements).real
         return gram, np.linalg.eigvalsh(gram)
 
+    @cached_property
+    def _report(self) -> "VerificationReport":
+        """verify()'s report, measured once."""
+        return _measure(self)
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -286,8 +290,6 @@ def verify(povm: Povm) -> VerificationReport:
     """
     if not isinstance(povm, Povm):
         raise MalformedPovm(f"expected a Povm, got {type(povm).__name__}")
-    if povm._report is None:
-        object.__setattr__(povm, "_report", _measure(povm))
     return povm._report
 
 

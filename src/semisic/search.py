@@ -21,11 +21,8 @@ Re<grad f, r>. One rule covers a restart that finds no step (r does not descend,
 halving passes): it keeps its vectors, f and gradient in that iteration, which counts
 toward the cap, and clears its pairs, so its next r is gamma0 grad f; with no pair to
 clear it stops as no_descent, as no Armijo halving along gamma0 grad f lowers f; the
-other stops are cap and goal, which a restart meets at f < residual_goal * 1e-3, a
-margin below the goal: the polish converges only linearly at the SIC points, and from
-f just under a loose goal (1e-6) it leaves (3, 9) and (2, 4) hits that verify
-rejects. Only steps that do not raise f are accepted, so the recorded objective trace
-is monotone.
+other stops are cap and goal, which a restart meets at f < residual_goal. Only steps
+that do not raise f are accepted, so the recorded objective trace is monotone.
 
 One iteration evaluates f and its gradient at the full step for all live
 restarts at once (one Gram each), as most quasi-Newton steps pass there
@@ -79,7 +76,7 @@ _LADDER = 3  # Armijo trials per stacked call; quasi-Newton steps mostly take th
 _HALVINGS = 0.5 ** np.arange(_MAX_HALVINGS)  # exact, so trials equal repeated halving
 _MEMORY = 5  # L-BFGS pairs kept per restart
 _TRACE_POINTS = 200
-_POLISH_SOLVES = 20  # Levenberg-Marquardt solves that finish a hit
+_POLISH_SOLVES = 40  # Levenberg-Marquardt solves that finish a hit
 _POLISH_STOP = (TOL_COND / 100.0) ** 2  # f at which the finish stops
 
 
@@ -89,8 +86,7 @@ class SearchConfig:
     SemiSicParams.from_b (at TOL_COND, and pinned where (d, k) fixes it);
     left out, it is derived from (d, k) when d >= 3 and required for d = 2
     except k = 4, which defaults to the SIC point 1/12. Configs over
-    MAX_SEARCH_ENTRIES are refused. The descent stops a restart at
-    f < residual_goal * 1e-3, so that the polish of a hit starts where it converges."""
+    MAX_SEARCH_ENTRIES are refused. A restart stops as goal at f < residual_goal."""
 
     d: int
     k: int
@@ -195,10 +191,14 @@ def _parts(rows: np.ndarray, b: float):
     return gram, dev, delta
 
 
+def _value(dev: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """f = sum dev^2 + w sum |delta|^2 of each matrix, from the _parts of a stack."""
+    return _sum2(dev * dev) + _PENALTY_WEIGHT * _sum2(np.abs(delta) ** 2)
+
+
 def _objective(rows: np.ndarray, b: float) -> np.ndarray:
     """Objective of each (d^2, d) matrix of a (..., d^2, d) stack."""
-    _, dev, delta = _parts(rows, b)
-    return _sum2(dev * dev) + _PENALTY_WEIGHT * _sum2(np.abs(delta) ** 2)
+    return _value(*_parts(rows, b)[1:])
 
 
 def _vjp(rows, gram, u, e, scale=1.0):
@@ -220,8 +220,7 @@ def _value_and_gradient(rows: np.ndarray, b: float):
     """_objective and its gradient 2 J^T (dev, delta) of a stack from one Gram per matrix;
     the gradient's real/imag parts are the real-coordinate partials (tests check them)."""
     gram, dev, delta = _parts(rows, b)
-    value = _sum2(dev * dev) + _PENALTY_WEIGHT * _sum2(np.abs(delta) ** 2)
-    return value, _vjp(rows, gram, dev, delta, 2.0)
+    return _value(dev, delta), _vjp(rows, gram, dev, delta, 2.0)
 
 
 def objective(vectors, d: int, k: int, b: float | None = None) -> float:
@@ -308,7 +307,7 @@ def _descend_batch(rows, b, cfg: SearchConfig):
     pairs = np.zeros((len(rows), _MEMORY, 2, g.shape[1]))
     gamma = _gamma0(g)  # H0's scale, changed only with the newest pair
     traces = [[(0, float(v))] for v in f]
-    goal = cfg.residual_goal * 1e-3
+    goal = cfg.residual_goal
 
     def retire(stop, it):
         """Stop codes index STOP_REASONS; -1 keeps a restart live. A restart stopped in
@@ -391,12 +390,15 @@ def gradient_check(d: int, b: float, seed: int = 0) -> float:
     """Max relative error of the analytic directional derivative Re<grad f, D> against
     the central difference (f(V + sD) - f(V - sD)) / 2s of the objective (s = 1e-6),
     at five seeded random stacks V, each along its own seeded random direction D, from one
-    _value_and_gradient call on the 15 stacks V, V + sD and V - sD."""
+    _parts call on the 15 stacks V, V + sD and V - sD; the gradient 2 J^T (dev, delta) of
+    _value_and_gradient is formed at V only."""
     points, step = 5, 1e-6
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x67726164,)))
     base, direction = _initial_vectors(rng, d, 2 * points).reshape(2, points, d * d, d)
     stack = np.stack((base, base + step * direction, base - step * direction))
-    (_, up, down), (grad, _, _) = _value_and_gradient(stack, b)
+    gram, dev, delta = _parts(stack, b)
+    _, up, down = _value(dev, delta)
+    grad = _vjp(base, gram[0], dev[0], delta[0], 2.0)
     numeric = (up - down) / (2.0 * step)
     analytic = _sum2((grad * direction.conj()).real)
     return float(np.max(np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))))
@@ -436,9 +438,8 @@ def run_search(config: SearchConfig) -> SearchReport:
     All restarts run as one batch, and restart i's result depends neither on
     it nor on how many restarts run. Deterministic for a fixed config (restart
     i starts from block i of one draw seeded by config.seed). A restart stops as goal
-    at f < config.residual_goal * 1e-3, a margin the linearly converging polish needs
-    at the SIC points. A best residual below config.residual_goal is finished by
-    _polish; best_povm is built from the polished vectors and classified by verify().
+    at f < config.residual_goal; the best such hit is finished by _polish, and
+    best_povm is built from the polished vectors and classified by verify().
     The descent's stop reasons, iterations and objective trace are reported as they are.
     """
     if not isinstance(config, SearchConfig):

@@ -332,7 +332,8 @@ def test_every_option_has_help():
         for action in sub._actions:
             assert action.help, (name, action.option_strings)
     goal = next(a for a in commands.choices["search"]._actions if a.dest == "residual_goal")
-    assert "1e-3" in goal.help and "polish" in goal.help
+    # the one goal threshold: a restart stops below it, and a hit is polished
+    assert "1e-3" not in goal.help and "stops" in goal.help and "polish" in goal.help
 
 
 def test_readme_examples_run_in_order(tmp_path, capsys, monkeypatch):

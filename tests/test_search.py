@@ -13,7 +13,8 @@ from semisic import search
 from semisic.documents import parse_povm_document
 from semisic.dual import dual_basis
 from semisic.errors import InvalidConfig
-from semisic.model import NOT_SEMI_SIC, SIC, STRICT_SEMI_SIC, SemiSicParams, b_from_k, verify
+from semisic.linalg import TOL_COND
+from semisic.model import NOT_SEMI_SIC, STRICT_SEMI_SIC, SemiSicParams, b_from_k, verify
 from semisic.qubit import family_kets, family_point
 from semisic.search import (
     STOP_REASONS,
@@ -197,35 +198,36 @@ def test_gradient_check_holds_at_any_seed(d, seed):
     assert gradient_check(d, SearchConfig(d=d, k=d * d).b, seed=seed) < 1e-6
 
 
-def wrong_value_and_gradient(equiangularity, completeness):
-    """search._value_and_gradient with each gradient term scaled."""
-    def value_and_gradient(rows, b):
-        gram, dev, delta = search._parts(rows, b)
-        grad = (equiangularity * 8.0 * (dev * gram.swapaxes(-1, -2)) @ rows
-                + completeness * 4.0 * search._PENALTY_WEIGHT * rows @ delta.conj())
-        return search._objective(rows, b), grad
-    return value_and_gradient
+def wrong_vjp(equiangularity, completeness):
+    """search._vjp with each of its two terms scaled (it is linear in u and e)."""
+    vjp = search._vjp
+    return lambda rows, gram, u, e, scale=1.0: vjp(rows, gram, equiangularity * u,
+                                                   completeness * e, scale)
 
 
 @pytest.mark.parametrize("scales", [(1.01, 1.0), (1.0, 0.0)])
 def test_gradient_check_catches_a_wrong_gradient(monkeypatch, scales):
     assert gradient_check(3, 1.0 / 36.0) < 1e-6
-    monkeypatch.setattr(search, "_value_and_gradient", wrong_value_and_gradient(*scales))
+    monkeypatch.setattr(search, "_vjp", wrong_vjp(*scales))
     assert gradient_check(3, 1.0 / 36.0) > 1e-4
 
 
 def test_gradient_check_is_one_evaluation(monkeypatch):
     calls = []
 
-    def counting(rows, b):
-        calls.append(rows.shape)
-        return value_and_gradient(rows, b)
+    def counting(name, real):
+        def call(rows, *args):
+            calls.append((name, rows.shape))
+            return real(rows, *args)
+        return call
 
-    value_and_gradient = search._value_and_gradient
-    monkeypatch.setattr(search, "_value_and_gradient", counting)
-    monkeypatch.setattr(search, "_objective", lambda *args: pytest.fail("objective called"))
+    for name in ("_parts", "_vjp"):
+        monkeypatch.setattr(search, name, counting(name, getattr(search, name)))
+    for name in ("_value_and_gradient", "_objective"):
+        monkeypatch.setattr(search, name, lambda *args: pytest.fail("evaluation called"))
     assert gradient_check(3, 1.0 / 36.0) < 1e-6
-    assert calls == [(3, 5, 9, 3)]  # V, V + sD and V - sD at five points
+    # one Gram per stack V, V + sD and V - sD at five points; the gradient at V alone
+    assert calls == [("_parts", (3, 5, 9, 3)), ("_vjp", (5, 9, 3))]
 
 
 def test_gradient_check_at_large_d():
@@ -562,12 +564,14 @@ def test_search_finds_qubit_member():
 @pytest.mark.parametrize("d,k,b,restarts,seed", [
     (2, 2, 0.0626, 4, 0), (2, 2, 0.07, 4, 0), (2, 2, 0.08, 4, 0), (2, 4, None, 4, 0),
     # the descent ends this one near the double root 1/2 with traces split 1 + 3
-    (2, 4, None, 4, 25), (3, 9, None, 6, 0), (4, 16, None, 3, 0)])
+    (2, 4, None, 4, 35),
+    # the worst (2, 4) hit over seeds 0-119; 40 polish solves keep it under 1e-11
+    (2, 4, None, 4, 33), (3, 9, None, 6, 0), (4, 16, None, 3, 0)])
 def test_every_search_hit_passes_verify_and_dual(d, k, b, restarts, seed):
     config = SearchConfig(d=d, k=k, b=b, restarts=restarts, seed=seed)
     report = run_search(config)
     assert report.best_povm is not None
-    if (d, k, seed) == (2, 4, 25):  # the case of the qubit rule: not split 2 + 2
+    if (d, k, seed) == (2, 4, 35):  # the case of the qubit rule: not split 2 + 2
         assert np.count_nonzero(report.best_povm.traces() < 0.5) != 2
     checked = verify(report.best_povm)
     assert report.classification == checked.classification != NOT_SEMI_SIC
@@ -577,19 +581,18 @@ def test_every_search_hit_passes_verify_and_dual(d, k, b, restarts, seed):
     assert frame.source_k == checked.k
 
 
-def test_the_goal_stop_keeps_a_margin_below_the_residual_goal():
-    # the descent stops a restart at f < residual_goal * 1e-3: the polish converges only
-    # linearly at the SIC points, and from f just under a loose goal it left this hit
-    # NotSemiSIC (violation 6.2e-10 with the stop at residual_goal itself)
-    config = SearchConfig(d=3, k=9, restarts=6, seed=0, residual_goal=1e-6)
+@pytest.mark.parametrize("d,k,restarts,goal", [(3, 9, 6, 1e-6), (3, 9, 6, 1e-4),
+                                                (2, 4, 4, 1e-4)])
+def test_a_loose_goal_still_gives_a_verified_hit(d, k, restarts, goal):
+    # every restart stops at the goal itself, and the polish alone finishes the best one
+    config = SearchConfig(d=d, k=k, restarts=restarts, seed=0, residual_goal=goal)
     report = run_search(config)
-    assert report.stop_reasons == ("goal",) * 6
-    assert report.objective_trace[-1][1] < 1e-3 * config.residual_goal
+    assert report.stop_reasons == ("goal",) * restarts
     checked = verify(report.best_povm)
-    assert report.classification == checked.classification == SIC and checked.k == 9
-    assert checked.max_violation < 1e-10
-    frame = dual_basis(report.best_povm, SemiSicParams.from_b(3, checked.fitted_b, checked.k))
-    assert frame.source_k == 9
+    assert report.classification == checked.classification != NOT_SEMI_SIC
+    assert report.observed_k == checked.k and checked.max_violation < TOL_COND
+    frame = dual_basis(report.best_povm, SemiSicParams.from_b(d, checked.fitted_b, checked.k))
+    assert frame.source_k == checked.k
 
 
 def test_search_is_deterministic():
