@@ -19,27 +19,27 @@ pair, Re<s, y> / <y, y> of each pair it stores, else unchanged. The step is the 
 of 1, 1/2, 1/4, ... along -r that meets the Armijo condition for the slope
 Re<grad f, r>. One rule covers a restart that finds no step (r does not descend, or no
 halving passes): it keeps its vectors, f and gradient in that iteration, which counts
-toward the cap, and clears its pairs, so its next r is gamma0 grad f; with no pair to
-clear it stops as no_descent, as no Armijo halving along gamma0 grad f lowers f; the
-other stops are cap and goal, which a restart meets at f < residual_goal. Only steps
-that do not raise f are accepted, so the recorded objective trace is monotone.
+toward the cap, and clears its pairs, so its next r is gamma0 grad f; one that holds no
+pair is at a fixed point (below). A restart stops as goal at f < residual_goal, else as
+cap. Only steps that do not raise f are accepted, so the objective trace is monotone.
 
 One iteration evaluates f and its gradient at the full step for all live
 restarts at once (one Gram each), as most quasi-Newton steps pass there
-(Nocedal and Wright, Numerical Optimization, 3.1). When every restart passes,
-that is the iteration's only evaluation. Only the restarts that fail try
+(Nocedal and Wright, Numerical Optimization, 3.1). Only the restarts that fail try
 halvings from 1/2 on, three per stacked objective call, and evaluate f and
-gradient once more at the step they take; no ladder or evaluation runs on
-zero restarts. Inner products are batched (R, 1, n) @ (R, n, 1) matmuls, and a new
-pair's Re<s, y> and <y, y> one (R, 2, n) @ (R, n, 1). A restart's pairs are one real
-(m, 2, 2 d^3) array, each pair divided by sqrt(Re<s, y>); an empty slot is zero, and as
-Re<s, y> > 0 needs s != 0 a stored pair never is. One that stored no pair and
-kept its vectors, f and pairs bitwise would repeat that iteration until the cap: it
-retires there at once, with the trace points it would have added. So does an exactly
-zero gradient, as its step is zero. Every report carries gradient_check, a
-finite-difference check of the gradient (see that function).
-A best restart below the residual goal is finished by _polish, a Levenberg-Marquardt
-refinement, and then verified at TOL_COND, the one gate; grad f = 2 J^T (dev, delta).
+gradient once more at the step they take. Inner products are batched
+(R, 1, n) @ (R, n, 1) matmuls. A restart's pairs are one real (m, 2, 2 d^3) array,
+each pair divided by sqrt(Re<s, y>); an empty slot is zero, and a stored pair never is.
+A restart that stores no pair and keeps its vectors, f and pairs bitwise would repeat
+that iteration until the cap: it retires there at once as cap, with the trace points it
+would have added. An exactly zero gradient is such a point, as its step is zero, and so
+is a restart that finds no step while it holds no pair. Every report carries
+gradient_check, a finite-difference check of the gradient.
+Hits, restarts below the residual goal, are finished by _polish, a Levenberg-Marquardt
+refinement, lowest f first until one passes verify at TOL_COND, the one gate;
+grad f = 2 J^T (dev, delta). At a d = 3 SIC, J has 19 zero singular values (21 at the
+Hesse point): 17 of the gauge, the Weyl-Heisenberg family's tangent, and one direction
+along which f grows quartically, so the polish converges only linearly at (3, 9) hits.
 
 For d >= 3 the target overlap is pinned by (d, k); for d = 2 it is supplied
 (the k = 4 SIC point is the default there); objective, gradient and
@@ -57,11 +57,11 @@ import numpy as np
 from .errors import InvalidConfig
 from .documents import povm_document
 from .linalg import TOL_COND
-from .model import Povm, SemiSicParams, b_from_k, verify
+from .model import NOT_SEMI_SIC, Povm, SemiSicParams, b_from_k, verify
 from .textio import write_json
 
-STOP_REASONS = ("goal", "cap", "no_descent")
-_GOAL, _CAP, _NO_DESCENT = range(len(STOP_REASONS))
+STOP_REASONS = ("goal", "cap")
+_GOAL, _CAP = range(len(STOP_REASONS))
 # Configs are refused (InvalidConfig, CLI exit 2) before anything is allocated when
 # max(3 restarts, 32) stacks of (d^2, d^2) would exceed this many complex entries (64 MB);
 # d <= 19 is admitted. Under the cap: the full step's (restarts, d^2, d^2) Grams, a ladder's
@@ -130,10 +130,10 @@ def _resolve_b(d: int, k: int, b: float | None) -> float:
 
 @dataclass(frozen=True)
 class SearchReport:
-    """Outcome of run_search. best_povm, set only when the goal was met, is the polished best
-    restart: best_residual is its f (else the descent's best f), and classification and
-    observed_k echo verify() of it; to_dict writes it as documents.povm_document. stop_reasons
-    (one of STOP_REASONS each), iterations and objective_trace are the descent's."""
+    """Outcome of run_search. best_povm, set only when the goal was met, is the reported hit
+    polished: the first in order of f that verifies, else the lowest; best_residual is its f
+    (else the descent's best f), objective_trace its descent's, and classification and
+    observed_k echo verify() of it. stop_reasons are goal or cap, one per restart."""
 
     config: SearchConfig
     best_residual: float
@@ -210,10 +210,12 @@ def _vjp(rows, gram, u, e, scale=1.0):
 
 
 def _jvp(rows, gram, p):
-    """J p of one (d^2, d) matrix: the change of (dev, delta) along p, dev's diagonal zeroed."""
-    du = 2.0 * (gram.conj() * (p.conj() @ rows.T + rows.conj() @ p.T)).real
-    du.reshape(-1)[::len(rows) + 1] = 0.0
-    return du, p.T @ rows.conj() + rows.T @ p.conj()
+    """J p at a stack: the change of (dev, delta) along p, dev's diagonal zeroed."""
+    cols, p_cols = rows.swapaxes(-1, -2), p.swapaxes(-1, -2)
+    du = 2.0 * (gram.conj() * (p.conj() @ cols + rows.conj() @ p_cols)).real
+    *lead, n, _ = du.shape
+    du.reshape(*lead, n * n)[..., ::n + 1] = 0.0
+    return du, p_cols @ rows.conj() + cols @ p.conj()
 
 
 def _value_and_gradient(rows: np.ndarray, b: float):
@@ -294,8 +296,8 @@ def _descend_batch(rows, b, cfg: SearchConfig):
 
     An iteration evaluates f and its gradient at the full step of every live restart in
     one stacked call; only those that fail Armijo there run the ladder and evaluate again.
-    One that finds no step keeps its state and clears its pairs, or stops as no_descent if
-    it holds none; stop codes are built only in an iteration where some restart stops."""
+    One that finds no step keeps its state and clears its pairs; one that stores no pair
+    and ends unchanged, pairs included, retires as cap. retire completes every trace."""
     out_rows, out_f = np.empty_like(rows), np.empty(len(rows))
     done, reasons = np.zeros(len(rows), dtype=int), np.empty(len(rows), dtype=int)
     stride = max(1, cfg.max_iterations // _TRACE_POINTS)
@@ -310,14 +312,19 @@ def _descend_batch(rows, b, cfg: SearchConfig):
     goal = cfg.residual_goal
 
     def retire(stop, it):
-        """Stop codes index STOP_REASONS; -1 keeps a restart live. A restart stopped in
-        iteration it accepted it unless it stalled there; one stopped at the cap ran to it."""
+        """Stop codes index STOP_REASONS; -1 keeps a restart live. A goal stop in iteration
+        it ran it + 1 iterations, a cap stop the cap; its trace gets its f at each stride
+        point after its last one up to there, then at its end unless that is one."""
         state, mask = (live, rows, f, g, pairs, gamma), stop >= 0
         if not mask.any():
             return state
         gone, code = live[mask], stop[mask]
         out_rows[gone], out_f[gone], reasons[gone] = rows[mask], f[mask], code
-        done[gone] = np.where(code == _CAP, cfg.max_iterations, it + (code != _NO_DESCENT))
+        done[gone] = np.where(code == _CAP, cfg.max_iterations, it + 1)
+        for i, n, value in zip(gone.tolist(), done[gone].tolist(), f[mask].tolist()):
+            traces[i] += [(m, value) for m in range(traces[i][-1][0] + stride, n + 1, stride)]
+            if n % stride:
+                traces[i].append((n, value))
         return [a[~mask] for a in state]
 
     for it in range(cfg.max_iterations):
@@ -328,15 +335,15 @@ def _descend_batch(rows, b, cfg: SearchConfig):
         new_rows = rows - step
         fc, new_grad = _value_and_gradient(new_rows, b)
         new_g, fixed = new_grad.view(float).reshape(g.shape), None
-        # stalled and failed stay this empty array when every restart passes at the full step
-        stalled = failed = rest = (~((fc <= f - _ARMIJO * slope) & (slope >= 0))).nonzero()[0]
+        # cleared stays this empty array when every restart passes at the full step
+        cleared = rest = (~((fc <= f - _ARMIJO * slope) & (slope >= 0))).nonzero()[0]
         if rest.size:
             t, fc[rest] = _armijo_steps(rows[rest], step[rest], f[rest], slope[rest], b)
             moved = ~np.isnan(t)
-            # a restart with no step keeps its state; it clears its pairs, or stops if none
+            # a restart with no step keeps its state and clears its pairs, if it holds any
             failed, j = rest[~moved], rest[moved]
             new_rows[failed], fc[failed], new_g[failed] = rows[failed], f[failed], g[failed]
-            stalled = failed[~pairs[failed, -1, 0].any(axis=-1)]
+            cleared = failed[pairs[failed, -1, 0].any(axis=-1)]
             pairs[failed] = 0.0
             if j.size:
                 new_rows[j] = rows[j] - t[moved, None, None] * step[j]
@@ -352,31 +359,21 @@ def _descend_batch(rows, b, cfg: SearchConfig):
         else:
             # no pair stored and rows, f and pairs unchanged: a fixed point, retired at the cap
             fixed = ~keep & (fc == f) & (new_rows == rows).all(axis=(1, 2))
-            fixed[failed] = False
+            fixed[cleared] = False
             empty = (~keep & ~pairs[:, -1, 0].any(axis=-1)).nonzero()[0]  # no pair: gamma0 again
             gamma[empty] = _gamma0(new_g[empty])
         pairs[keep, :-1] = pairs[keep, 1:]
         pairs[keep, -1] = pair[keep] / np.sqrt(sy[keep])[:, None, None]
         rows, f, g = new_rows, fc, new_g
-        if len(stalled) or fixed is not None or (f < goal).any():
-            stop = np.where(f < goal, _GOAL, -1)
-            stop[stalled] = _NO_DESCENT
-            if fixed is not None:
-                fixed &= stop < 0
-                stop[fixed] = _CAP
-                first = -(-(it + 1) // stride) * stride
-                for i, value in zip(live[fixed].tolist(), f[fixed].tolist()):
-                    traces[i] += [(n, value) for n in range(first, cfg.max_iterations + 1, stride)]
-            live, rows, f, g, pairs, gamma = retire(stop, it)
-            if not live.size:
-                break
         if (it + 1) % stride == 0:
             for i, value in zip(live.tolist(), f.tolist()):
                 traces[i].append((it + 1, value))
-    retire(np.full(live.size, _CAP), cfg.max_iterations)
-    for i, trace in enumerate(traces):
-        if trace[-1][0] != done[i]:
-            trace.append((int(done[i]), float(out_f[i])))
+        if fixed is not None or (f < goal).any():
+            stop = np.where(f < goal, _GOAL, -1 if fixed is None else np.where(fixed, _CAP, -1))
+            live, rows, f, g, pairs, gamma = retire(stop, it)
+            if not live.size:
+                break
+    retire(np.full(live.size, _CAP), cfg.max_iterations - 1)
     return out_rows, out_f, done, traces, [STOP_REASONS[r] for r in reasons]
 
 
@@ -438,23 +435,26 @@ def run_search(config: SearchConfig) -> SearchReport:
     All restarts run as one batch, and restart i's result depends neither on
     it nor on how many restarts run. Deterministic for a fixed config (restart
     i starts from block i of one draw seeded by config.seed). A restart stops as goal
-    at f < config.residual_goal; the best such hit is finished by _polish, and
-    best_povm is built from the polished vectors and classified by verify().
-    The descent's stop reasons, iterations and objective trace are reported as they are.
+    at f < config.residual_goal, else as cap. The hits are finished by _polish, lowest f
+    first (stable order), and classified by verify() until one is not NotSemiSIC; that one
+    is reported, or the lowest hit if none is, with its polished f and its descent's trace.
     """
     if not isinstance(config, SearchConfig):
         raise InvalidConfig(f"expected a SearchConfig, got {type(config).__name__}")
     rows0 = _initial_vectors(np.random.default_rng(config.seed), config.d, config.restarts)
     rows, f, iterations, traces, reasons = _descend_batch(rows0, config.b, config)
-    best = int(np.argmin(f))
-    best_f = float(f[best])
-
+    order = np.argsort(f, kind="stable")
+    best, best_f = int(order[0]), float(f[order[0]])
     best_povm = classification = observed_k = None
-    if best_f < config.residual_goal:
-        polished, best_f = _polish(rows[best], config.b)
-        best_povm = Povm.from_vectors(polished)
-        report = verify(best_povm)
-        classification, observed_k = report.classification, report.k
+    for i in order[f[order] < config.residual_goal].tolist():
+        polished, polished_f = _polish(rows[i], config.b)
+        povm = Povm.from_vectors(polished)
+        report = verify(povm)
+        if best_povm is None or report.classification != NOT_SEMI_SIC:
+            best, best_f, best_povm = i, polished_f, povm
+            classification, observed_k = report.classification, report.k
+        if classification != NOT_SEMI_SIC:
+            break
 
     return SearchReport(
         config=config,

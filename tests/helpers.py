@@ -8,23 +8,29 @@ from semisic.qubit import QubitFamilyPoint, _completion_unitary, construct
 from semisic.search import _ARMIJO, _MAX_HALVINGS, _objective
 
 
-def hesse_sic() -> Povm:
-    """d = 3 SIC from the shift/clock orbit of a known fiducial vector.
-
-    Serves as the independent oracle for everything d = 3: verification,
-    dual frames, and the k = 9 search regression.
-    """
+def wh_sic_vectors(t: float = 0.0) -> np.ndarray:
+    """The (9, 3) vectors v_x of a d = 3 SIC E_x = |v_x><v_x|: the shift/clock orbit of
+    the fiducial (0, 1, -e^{it}) / sqrt(2), divided by sqrt(3). Every real t gives a SIC;
+    t = 0 is the Hesse point."""
     w = np.exp(2j * np.pi / 3.0)
     shift = np.roll(np.eye(3), 1, axis=0)
     clock = np.diag([1.0, w, w * w])
-    fid = np.array([0.0, 1.0, -1.0]) / np.sqrt(2.0)
+    fid = np.array([0.0, 1.0, -np.exp(1j * t)]) / np.sqrt(2.0)
     kets = [
         np.linalg.matrix_power(shift, j) @ np.linalg.matrix_power(clock, m) @ fid
         for j in range(3)
         for m in range(3)
     ]
-    stack = np.array([np.outer(v, v.conj()) / 3.0 for v in kets])
-    return Povm(dim=3, elements=stack)
+    return np.array(kets) / np.sqrt(3.0)
+
+
+def hesse_sic() -> Povm:
+    """d = 3 SIC at the Hesse point of wh_sic_vectors.
+
+    Serves as the independent oracle for everything d = 3: verification,
+    dual frames, and the k = 9 search regression.
+    """
+    return Povm.from_vectors(wh_sic_vectors(0.0))
 
 
 def two_call_vectors(rng: np.random.Generator, d: int) -> np.ndarray:

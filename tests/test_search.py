@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (dense_lbfgs_direction, h0_scale, hesse_sic, serial_armijo_steps,
-                     two_call_vectors)
+from helpers import (dense_lbfgs_direction, h0_scale, serial_armijo_steps, two_call_vectors,
+                     wh_sic_vectors)
 from semisic import search
 from semisic.documents import parse_povm_document
 from semisic.dual import dual_basis
@@ -114,14 +114,8 @@ def test_objective_vanishes_on_exact_solution():
     assert np.max(np.abs(gradient(rows, 2, 2, b=2.0 / 25.0))) < 1e-13
 
 
-def hesse_rows():
-    # rank-one elements: recover vector rows from the top eigenvector
-    return np.stack([np.linalg.eigh(e)[1][:, -1] * np.sqrt(np.trace(e).real)
-                     for e in hesse_sic().elements])
-
-
 def test_objective_derives_b_from_counts():
-    rows = hesse_rows()
+    rows = wh_sic_vectors()
     assert objective(rows, 3, 9) == objective(rows, 3, 9, b=1.0 / 36.0)
     with pytest.raises(InvalidConfig, match="an explicit b is required"):
         objective(family_rows(0.07), 2, 2)
@@ -149,7 +143,7 @@ def test_objective_and_gradient_follow_the_config_b_rule():
     value, grad = search._value_and_gradient(qubit_rows, 1.0 / 12.0)
     assert objective(qubit_rows, 2, 4) == value
     assert np.array_equal(gradient(qubit_rows, 2, 4), grad)
-    rows = hesse_rows() + 1e-3 * two_call_vectors(rng, 3)
+    rows = wh_sic_vectors() + 1e-3 * two_call_vectors(rng, 3)
     for fn in (objective, gradient):
         assert np.array_equal(fn(rows, 3, 9, 1.0 / 36.0 + 5e-11), fn(rows, 3, 9))
         with pytest.raises(InvalidConfig, match="does not match the overlap"):
@@ -270,6 +264,29 @@ def test_jacobian_products_are_adjoint_and_match_central_differences(d):
     assert np.allclose((dev_up - dev_down) / (2 * h), du, rtol=0.0, atol=1e-8)
     assert np.allclose((delta_up - delta_down) / (2 * h), de, rtol=0.0, atol=1e-8)
     assert np.all(np.diagonal(du) == 0.0)
+    # J p of a stack is J p of each matrix, bit for bit
+    stack, ps = search._initial_vectors(rng, d, 6).reshape(2, 3, n, d)
+    stacked = search._jvp(stack, search._parts(stack, b)[0], ps)
+    for i in range(3):
+        alone = search._jvp(stack[i], search._parts(stack[i], b)[0], ps[i])
+        assert all(np.array_equal(x[i], y) for x, y in zip(stacked, alone))
+
+
+@pytest.mark.parametrize("t,zeros", [(0.3, 19), (1.1, 19), (0.0, 21)])
+def test_d3_sics_are_degenerate_zeros_of_the_objective(t, zeros):
+    # J of r = (dev, sqrt(w) delta), one column per real coordinate of the vectors, at
+    # exact Weyl-Heisenberg SICs: 17 zero singular values are the gauge (a phase per
+    # vector and U(3) without its overall phase), one the family tangent d/dt, and one
+    # a direction along which f grows quartically; the Hesse point t = 0 has two more
+    rows = wh_sic_vectors(t)
+    assert search._objective(rows, 1.0 / 36.0) < 1e-29
+    units = np.eye(2 * rows.size).view(complex).reshape(-1, *rows.shape)
+    du, de = search._jvp(rows, search._parts(rows, 1.0 / 36.0)[0], units)
+    jac = np.hstack([du.reshape(len(units), -1),
+                     np.sqrt(search._PENALTY_WEIGHT) * de.reshape(len(units), -1).view(float)])
+    values = np.linalg.svd(jac, compute_uv=False)
+    assert np.count_nonzero(values < 1e-10) == zeros
+    assert np.sort(values)[zeros] > 0.1
 
 
 def test_polish_stops_at_a_zero_gradient():
@@ -419,9 +436,9 @@ def test_restarts_at_a_fixed_point_retire_at_the_cap(monkeypatch):
 
 
 def test_stalled_and_gradient_free_restarts_stop_at_once(monkeypatch):
-    # no Armijo halving passes, so a restart with a gradient stalls in its first
-    # iteration; V = 0 has an exactly zero gradient, so its zero step passes and leaves
-    # rows, f and pairs unchanged: a fixed point, reported as the cap with a full trace
+    # no Armijo halving passes, so a restart with a gradient and no pair finds no step in
+    # its first iteration; V = 0 has an exactly zero gradient, so its zero step passes.
+    # Both leave rows, f and pairs unchanged: fixed points, reported as the cap with full traces
     monkeypatch.setattr(search, "_ARMIJO", 1e200)
     cfg = SearchConfig(d=3, k=9, restarts=2, max_iterations=50)
     stack = np.stack([two_call_vectors(np.random.default_rng(3), 3),
@@ -436,12 +453,12 @@ def test_stalled_and_gradient_free_restarts_stop_at_once(monkeypatch):
     value_and_gradient = search._value_and_gradient
     monkeypatch.setattr(search, "_value_and_gradient", counting)
     rows, f, iterations, traces, reasons = search._descend_batch(stack, cfg.b, cfg)
-    assert reasons == ["no_descent", "cap"]
-    assert list(iterations) == [0, cfg.max_iterations]
+    assert reasons == ["cap", "cap"]
+    assert list(iterations) == [cfg.max_iterations] * 2
     assert evaluated == [2, 2]  # the start and one full step, then both are retired
     assert np.array_equal(rows[0], stack[0]) and f[0] == f0
     assert np.array_equal(rows[1], stack[1]) and f[1] == f1
-    assert traces == [[(0, f0)], [(n, f1) for n in range(cfg.max_iterations + 1)]]
+    assert traces == [[(n, value) for n in range(cfg.max_iterations + 1)] for value in (f0, f1)]
     for i in range(2):
         alone = search._descend_batch(stack[i:i + 1], cfg.b, cfg)
         assert np.array_equal(alone[0][0], rows[i]) and alone[1][0] == f[i]
@@ -581,11 +598,15 @@ def test_every_search_hit_passes_verify_and_dual(d, k, b, restarts, seed):
     assert frame.source_k == checked.k
 
 
-@pytest.mark.parametrize("d,k,restarts,goal", [(3, 9, 6, 1e-6), (3, 9, 6, 1e-4),
-                                                (2, 4, 4, 1e-4)])
-def test_a_loose_goal_still_gives_a_verified_hit(d, k, restarts, goal):
-    # every restart stops at the goal itself, and the polish alone finishes the best one
-    config = SearchConfig(d=d, k=k, restarts=restarts, seed=0, residual_goal=goal)
+@pytest.mark.parametrize("d,k,restarts,goal,seed", [
+    (3, 9, 6, 1e-6, 0), (3, 9, 6, 1e-4, 0), (2, 4, 4, 1e-4, 0),
+    # the lowest-f hit's polish does not verify here; a later hit's does
+    (3, 9, 6, 1e-2, 3), (4, 16, 4, 1e-2, 2)],
+    ids=["3-9-6-1e-06", "3-9-6-0.0001", "2-4-4-0.0001", "3-9-6-0.01-seed3", "4-16-4-0.01-seed2"])
+def test_a_loose_goal_still_gives_a_verified_hit(d, k, restarts, goal, seed):
+    # every restart stops at the goal itself, and the polish alone finishes the hits,
+    # lowest f first, until one verifies
+    config = SearchConfig(d=d, k=k, restarts=restarts, seed=seed, residual_goal=goal)
     report = run_search(config)
     assert report.stop_reasons == ("goal",) * restarts
     checked = verify(report.best_povm)
