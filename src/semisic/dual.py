@@ -85,7 +85,8 @@ def dual_basis(povm: Povm, params: SemiSicParams) -> DualFrame:
     duals = np.linalg.solve(gram, elements.reshape(len(povm), -1)).reshape(elements.shape)
 
     products = np.einsum("xij,yji->xy", elements, duals)
-    duality_dev = float(np.max(np.abs(products - np.eye(len(povm)))))
+    products.flat[::len(povm) + 1] -= 1.0
+    duality_dev = float(np.abs(products).max())
     rounding = 10.0 * np.finfo(float).eps * float(eigs[-1] / eigs[0])
     if duality_dev > max(1e-10, 1e3 * report.max_violation, rounding):
         raise NotSemiSic(f"dual frame fails duality check (deviation {duality_dev:.3e})")
@@ -94,7 +95,7 @@ def dual_basis(povm: Povm, params: SemiSicParams) -> DualFrame:
         dim=d,
         duals=duals,
         source_k=report.k,
-        permutation=tuple(int(x) for x in np.argsort(povm.traces(), kind="stable")),
+        permutation=tuple(np.argsort(povm.traces(), kind="stable").tolist()),
     )
 
 
@@ -106,13 +107,13 @@ def probabilities(rho, povm: Povm) -> np.ndarray:
     eigs = np.linalg.eigvalsh(mat)
     if eigs[0] < -TOL_PSD:
         raise NotAState(f"state has negative eigenvalue {eigs[0]:.3e}")
-    tr = float(np.trace(mat).real)
+    tr = float(mat.trace().real)
     if abs(tr - 1.0) > 1e2 * TOL_NORM:
         raise NotAState(f"state has trace {tr!r}, expected 1")
     p = np.einsum("yij,ji->y", povm.elements, mat).real
     # roundoff can leave tiny negatives on boundary states
     p[(p < 0) & (p > -TOL_PSD)] = 0.0
-    if np.any(p < 0):
+    if (p < 0).any():
         raise NotAState(f"negative outcome probability {float(p.min()):.3e}")
     return p
 
@@ -122,14 +123,16 @@ def _frame_probs(p, frame: DualFrame) -> np.ndarray:
     probs = np.asarray(p, dtype=float)
     if probs.ndim != 1 or probs.size != len(frame):
         raise LengthMismatch(f"expected {len(frame)} probabilities, got shape {probs.shape}")
-    if not np.all(np.isfinite(probs)):
+    if not np.isfinite(probs).all():
         raise ValueError("probabilities contain non-finite entries")
     return probs
 
 
 def reconstruct(p, frame: DualFrame) -> np.ndarray:
     """Linear reconstruction sum_y p_y F_y (assumes sum(p) = 1 for unit trace)."""
-    return np.tensordot(_frame_probs(p, frame), frame.duals, axes=1)
+    probs, duals = _frame_probs(p, frame), frame.duals
+    # the one matrix product that np.tensordot(probs, duals, axes=1) forms
+    return np.dot(probs[None], duals.reshape(len(duals), -1)).reshape(duals.shape[1:])
 
 
 def feasibility_poly(p, frame: DualFrame) -> float:

@@ -19,14 +19,16 @@ TOL_COND = 1e-10  # classification gate on the defining-condition violations
 
 
 def as_hermitian(a) -> np.ndarray:
-    """Coerce to a finite square complex matrix, raising if A deviates from A^dagger."""
+    """Coerce to a finite square complex matrix, raising if A deviates from A^dagger.
+
+    Empty (0 x 0) and non-square matrices are refused with DimensionMismatch."""
     mat = np.asarray(a, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {mat.shape}")
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
+        raise DimensionMismatch(f"expected a non-empty square matrix, got shape {mat.shape}")
     if not np.isfinite(mat).all():
         raise ValueError("matrix has non-finite entries")
-    scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 1.0)
-    dev = float(np.max(np.abs(mat - mat.conj().T)))
+    scale = max(1.0, float(np.abs(mat).max()))
+    dev = float(np.abs(mat - mat.conj().T).max())
     if dev > TOL_HERM * scale:
         raise ValueError(f"matrix is not Hermitian within tolerance (deviation {dev:.3e})")
     return mat

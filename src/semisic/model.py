@@ -16,6 +16,7 @@ for d >= 3, k = d^2 in any d), SemiSicParams.from_b stores the closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -62,7 +63,7 @@ def trace_values(d: int, b: float) -> tuple[float, float]:
     if not isinstance(d, (int, np.integer)) or d < 2:
         raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
     b = float(b)
-    if not np.isfinite(b) or b <= 0.0:
+    if not math.isfinite(b) or b <= 0.0:
         raise BOutOfRange(f"overlap b must be positive, got {b!r}")
     disc = 1.0 - 4.0 * b * (d * d - 1)
     if abs(disc) <= DISC_SNAP:
@@ -72,7 +73,7 @@ def trace_values(d: int, b: float) -> tuple[float, float]:
             f"b = {b!r} exceeds the maximum 1/(4(d^2-1)) = {1.0 / (4 * (d * d - 1))!r} "
             f"for d = {d} (negative discriminant)"
         )
-    root = float(np.sqrt(disc))
+    root = math.sqrt(disc)
     return (0.5 * (1.0 - root), 0.5 * (1.0 + root))
 
 
@@ -206,17 +207,19 @@ class Povm:
         if not np.isfinite(stack).all():
             raise MalformedPovm("elements contain non-finite entries")
         adjoint = stack.conj().transpose(0, 2, 1)
-        herm_dev = float(np.max(np.abs(stack - adjoint)))
+        herm_dev = float(np.abs(stack - adjoint).max())
         # + 0.0 stores every zero as +0.0, so a reloaded stack keeps every bit
         stack = 0.5 * (stack + adjoint) + 0.0
-        comp_dev = float(np.max(np.abs(stack.sum(axis=0) - np.eye(d))))
+        total = stack.sum(axis=0)
+        total.flat[::d + 1] -= 1.0
+        comp_dev = float(np.abs(total).max())
         eigs = np.linalg.eigvalsh(stack)
         if herm_dev > HERMITIAN_GATE:
             raise MalformedPovm(f"elements are not Hermitian (max deviation {herm_dev:.3e})")
         if comp_dev > COMPLETENESS_GATE:
             raise MalformedPovm(f"elements do not sum to the identity (defect {comp_dev:.3e})")
-        x = int(np.argmin(eigs[:, 0]))
-        if eigs[x, 0] < -PSD_GATE:
+        if eigs[:, 0].min() < -PSD_GATE:
+            x = int(eigs[:, 0].argmin())
             raise MalformedPovm(f"element {x} has negative eigenvalue {eigs[x, 0]:.3e}")
         stack.setflags(write=False)
         object.__setattr__(self, "dim", d)
@@ -306,13 +309,14 @@ def _measure(povm: Povm) -> VerificationReport:
     herm_dev, comp_dev, eig_stack = povm._structure
 
     gram, gram_eigs = povm._gram
-    off = gram[~np.eye(n, dtype=bool)]
-    fitted_b = float(off.mean())
+    # the off-diagonal entries in row order; sum() / size is the float64 arithmetic of mean()
+    off = gram.ravel()[1:].reshape(n - 1, n + 1)[:, :-1].ravel()
+    fitted_b = float(off.sum() / off.size)
     equi_dev = float(np.abs(off - fitted_b).max())
 
     psd_dev = max(0.0, -float(eig_stack.min()))
     abs_eigs = np.abs(eig_stack)
-    scale = np.maximum(1.0, abs_eigs.max(axis=1))
+    scale = abs_eigs.max(axis=1, initial=1.0)
     ranks = (abs_eigs > TOL_RANK * scale[:, None]).sum(axis=1)
     all_rank_one = bool((ranks == 1).all())
 
@@ -326,9 +330,10 @@ def _measure(povm: Povm) -> VerificationReport:
     # one trace class: the constant-trace (SIC) convention is k = d^2; a qubit splits 2 + 2
     if k in (0, n) or float(traces.max() - traces.min()) <= TOL_COND or (d == 2 and k != 2):
         k = n
-        classes = ((float(traces.mean()), n),)
+        classes = ((float(traces.sum() / n), n),)
     else:
-        classes = ((float(traces[small].mean()), k), (float(traces[~small].mean()), n - k))
+        lo, hi = traces[small].sum() / k, traces[~small].sum() / (n - k)
+        classes = ((float(lo), k), (float(hi), n - k))
 
     max_violation = max(equi_dev, comp_dev, psd_dev, herm_dev, trace_dev)
     equiangular = equi_dev <= TOL_COND

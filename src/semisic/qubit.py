@@ -23,6 +23,7 @@ the SIC end and open at the degenerate one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +58,7 @@ def family_point(b: float) -> QubitFamilyPoint:
     model.trace_values).
     """
     b = float(b)
-    if not np.isfinite(b) or b <= B_MIN:
+    if not math.isfinite(b) or b <= B_MIN:
         raise BOutOfFamilyRange(
             f"b must exceed 1/16 = {B_MIN!r} for a qubit semi-SIC, got {b!r}"
         )
@@ -70,10 +71,11 @@ def family_point(b: float) -> QubitFamilyPoint:
     s = hi - lo  # sqrt(1 - 12 b), exactly zero at the (snapped) SIC endpoint
     k = 4 if s == 0.0 else 2
     params = SemiSicParams(d=2, b=b, k=k)
-    r = 2.0 * np.sqrt(b) / (1.0 - s)
-    cos_theta = np.sqrt(max(0.0, 1.0 - 8.0 * b - s)) / (4.0 * np.sqrt(b))
+    r = 2.0 * math.sqrt(b) / (1.0 - s)
+    cos_theta = math.sqrt(max(0.0, 1.0 - 8.0 * b - s)) / (4.0 * math.sqrt(b))
+    # np.arccos, not math.acos: numpy's float64 loop need not round as libm does
     theta = float(np.arccos(min(1.0, cos_theta)))
-    return QubitFamilyPoint(b=b, r=float(r), theta=theta, params=params)
+    return QubitFamilyPoint(b=b, r=r, theta=theta, params=params)
 
 
 def family_kets(point: QubitFamilyPoint) -> np.ndarray:
@@ -142,7 +144,7 @@ def canonicalize(povm: Povm) -> tuple[np.ndarray, Povm, float]:
     _, vecs = np.linalg.eigh(povm[i1])
     w1 = _completion_unitary(vecs[:, -1])
     z = (w1 @ povm[i2] @ w1.conj().T)[0, 1]
-    w = np.diag([1.0, z / abs(z)]) @ w1
+    w = np.array([[1.0, 0.0], [0.0, z / abs(z)]]) @ w1
     i3, i4 = [x for x in range(4) if x not in (i1, i2)]
     if (w @ povm[i3] @ w.conj().T)[0, 1].imag <= 0.0:
         i3, i4 = i4, i3

@@ -3,7 +3,8 @@
 import numpy as np
 
 from semisic import model
-from semisic.model import Povm, SemiSicParams, verify
+from semisic.linalg import TOL_COND, TOL_PSD, TOL_RANK
+from semisic.model import Povm, SemiSicParams, VerificationReport, verify
 from semisic.qubit import QubitFamilyPoint, _completion_unitary, construct
 from semisic.search import _ARMIJO, _MAX_HALVINGS, _objective
 
@@ -73,11 +74,17 @@ def hermitian_noise(rng: np.random.Generator, shape: tuple, size: float) -> np.n
     return size * h / np.max(np.abs(h), axis=(-2, -1), keepdims=True)
 
 
-def disguise(rng: np.random.Generator, povm: Povm, noise: float) -> Povm:
-    """povm conjugated by a Haar unitary, permuted, plus Hermitian noise of the given size."""
+def disguised_stack(rng: np.random.Generator, povm: Povm, noise: float) -> np.ndarray:
+    """povm's elements conjugated by a Haar unitary, permuted, plus Hermitian noise of the
+    given size, as the stack Povm receives (Hermitian only to rounding)."""
     u = haar_unitary(rng, povm.dim)
     stack = np.einsum("ij,xjk,lk->xil", u, povm.elements[rng.permutation(len(povm))], u.conj())
-    return Povm(dim=povm.dim, elements=stack + hermitian_noise(rng, stack.shape, noise))
+    return stack + hermitian_noise(rng, stack.shape, noise)
+
+
+def disguise(rng: np.random.Generator, povm: Povm, noise: float) -> Povm:
+    """The Povm of disguised_stack."""
+    return Povm(dim=povm.dim, elements=disguised_stack(rng, povm, noise))
 
 
 def block_dual(povm: Povm, params: SemiSicParams) -> np.ndarray:
@@ -107,6 +114,72 @@ def block_dual(povm: Povm, params: SemiSicParams) -> np.ndarray:
         duals[ys] = (povm.elements[ys] / dens[own]
                      - sums[own] * (dens[other] / (dens[own] * m)) - sums[other] / m)
     return duals
+
+
+def reference_structure(elements, d: int) -> tuple:
+    """Reference for Povm._structure: (herm_dev, comp_dev, eigenvalues) of a stack of
+    d^2 elements by np.max and by subtracting np.eye, which the constructor avoids."""
+    stack = np.asarray(elements, dtype=complex)
+    adjoint = stack.conj().transpose(0, 2, 1)
+    herm_dev = float(np.max(np.abs(stack - adjoint)))
+    stack = 0.5 * (stack + adjoint) + 0.0
+    comp_dev = float(np.max(np.abs(stack.sum(axis=0) - np.eye(d))))
+    return herm_dev, comp_dev, np.linalg.eigvalsh(stack)
+
+
+def reference_report(elements, d: int) -> VerificationReport:
+    """Reference for verify() on Povm(dim=d, elements=elements): the same measurements
+    with a boolean off-diagonal mask, ndarray.mean and np.maximum, which model._measure
+    replaces by cheaper calls."""
+    n = d * d
+    herm_dev, comp_dev, eigs = reference_structure(elements, d)
+    stack = np.asarray(elements, dtype=complex)
+    stack = 0.5 * (stack + stack.conj().transpose(0, 2, 1)) + 0.0
+    gram = np.einsum("xij,yji->xy", stack, stack).real
+    gram_eigs = np.linalg.eigvalsh(gram)
+    off = gram[~np.eye(n, dtype=bool)]
+    fitted_b = float(off.mean())
+    equi_dev = float(np.max(np.abs(off - fitted_b)))
+    psd_dev = max(0.0, -float(np.min(eigs)))
+    scale = np.maximum(1.0, np.max(np.abs(eigs), axis=1))
+    all_rank_one = bool(np.all(np.sum(np.abs(eigs) > TOL_RANK * scale[:, None], axis=1) == 1))
+    is_ic = bool(np.min(gram_eigs) > TOL_RANK * max(1.0, float(np.max(np.abs(gram_eigs)))))
+    traces = stack.trace(axis1=1, axis2=2).real
+    trace_dev = float(np.max(np.abs(traces * traces - traces + (n - 1) * fitted_b)))
+    small = traces < 0.5
+    k = int(np.count_nonzero(small))
+    if k in (0, n) or float(np.max(traces) - np.min(traces)) <= TOL_COND or (d == 2 and k != 2):
+        k, classes = n, ((float(traces.mean()), n),)
+    else:
+        classes = ((float(traces[small].mean()), k), (float(traces[~small].mean()), n - k))
+    max_violation = max(equi_dev, comp_dev, psd_dev, herm_dev, trace_dev)
+    ok = is_ic and all_rank_one and max_violation <= TOL_COND
+    label = model.NOT_SEMI_SIC
+    if ok:
+        label = model.SIC if len(classes) == 1 else model.STRICT_SEMI_SIC
+    return VerificationReport(label, fitted_b, k, max_violation, is_ic, all_rank_one,
+                              equi_dev <= TOL_COND, classes)
+
+
+def reference_dual(povm: Povm) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reference for dual.dual_basis: the duals by one Gram solve and the permutation
+    built int by int."""
+    gram = np.einsum("xij,yji->xy", povm.elements, povm.elements).real
+    flat = povm.elements.reshape(len(povm), -1)
+    duals = np.linalg.solve(gram, flat).reshape(povm.elements.shape)
+    return duals, tuple(int(x) for x in np.argsort(povm.traces(), kind="stable"))
+
+
+def reference_probabilities(rho, povm: Povm) -> np.ndarray:
+    """Reference for dual.probabilities on a state it accepts."""
+    p = np.einsum("yij,ji->y", povm.elements, np.asarray(rho, dtype=complex)).real
+    p[(p < 0) & (p > -TOL_PSD)] = 0.0
+    return p
+
+
+def reference_reconstruct(p, duals: np.ndarray) -> np.ndarray:
+    """Reference for dual.reconstruct: np.tensordot of p with the duals."""
+    return np.tensordot(np.asarray(p, dtype=float), duals, axes=1)
 
 
 def anchor_search_canonicalize(povm: Povm):

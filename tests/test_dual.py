@@ -9,12 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (block_dual, count_measurements, disguise, hesse_sic, random_density,
-                     reference_region_csv)
+from helpers import (block_dual, count_measurements, disguise, disguised_stack, hesse_sic,
+                     random_density, reference_dual, reference_probabilities,
+                     reference_reconstruct, reference_region_csv, reference_report,
+                     reference_structure)
 from semisic import dual
 from semisic.bloch import _directions
 from semisic.dual import (
     FEASIBILITY_SLACK,
+    DualFrame,
     dual_basis,
     feasibility_poly,
     probabilities,
@@ -28,7 +31,8 @@ from semisic.errors import (
     NotAState,
     NotSemiSic,
 )
-from semisic.model import Povm, SemiSicParams, b_from_k, verify
+from semisic.linalg import TOL_COND
+from semisic.model import NOT_SEMI_SIC, Povm, SemiSicParams, b_from_k, verify
 from semisic.qubit import construct, family_point
 
 # every finite double, plus signed zeros, NaN, infinities, subnormals and 1e+-300
@@ -276,6 +280,44 @@ def test_reconstruct_roundtrip_d3():
         rho = random_density(rng, 3)
         back = reconstruct(probabilities(rho, povm), frame)
         assert np.max(np.abs(back - rho)) < 1e-12
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(b=st.one_of(st.none(), st.floats(1.0 / 16.0, 1.0 / 12.0, exclude_min=True)),
+       noise=st.sampled_from([None, 0.0, 1e-13, TOL_COND / 10]),
+       seed=st.integers(0, 2**32 - 1))
+def test_povm_verify_and_dual_maps_equal_their_references_bit_for_bit(b, noise, seed):
+    # b None is the Hesse SIC, noise None the member as built, else a disguised copy
+    rng = np.random.default_rng(seed)
+    base = hesse_sic() if b is None else construct(b)
+    stack = base.elements if noise is None else disguised_stack(rng, base, noise)
+    povm = Povm(dim=base.dim, elements=stack)
+    for got, want in zip(povm._structure, reference_structure(stack, base.dim)):
+        assert np.array_equal(got, want)
+    report = verify(povm)
+    assert report == reference_report(stack, base.dim)
+    if report.classification == NOT_SEMI_SIC:
+        return
+    frame = dual_basis(povm, SemiSicParams.from_b(povm.dim, report.fitted_b, report.k))
+    duals, permutation = reference_dual(povm)
+    assert np.array_equal(frame.duals, duals)
+    assert frame.permutation == permutation
+    rho = random_density(rng, povm.dim)
+    p = probabilities(rho, povm)
+    assert np.array_equal(p, reference_probabilities(rho, povm))
+    assert np.array_equal(reconstruct(p, frame), reference_reconstruct(p, frame.duals))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_reconstruct_is_the_tensordot_of_p_and_the_duals(d):
+    rng = np.random.default_rng(d)
+    n = d * d
+    for _ in range(20):
+        duals = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+        p = rng.random(n)
+        for view in (duals, duals.transpose(0, 2, 1)):
+            frame = DualFrame(dim=d, duals=view, source_k=n, permutation=tuple(range(n)))
+            assert np.array_equal(reconstruct(p, frame), reference_reconstruct(p, view))
 
 
 def test_reconstruct_validates_input():

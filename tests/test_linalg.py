@@ -17,6 +17,10 @@ def test_as_hermitian_accepts_and_rejects():
         as_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(DimensionMismatch):
         as_hermitian(np.zeros((2, 3)))
+    with pytest.raises(DimensionMismatch, match="non-empty square"):
+        as_hermitian(np.zeros((0, 0)))
+    with pytest.raises(DimensionMismatch, match="non-empty square"):
+        probabilities(np.zeros((0, 0)), construct(2.0 / 25.0))
     with pytest.raises(ValueError):
         as_hermitian(np.array([[np.inf, 0.0], [0.0, 0.0]]))
 

@@ -171,11 +171,11 @@ def test_povm_structural_gates():
         Povm(dim=2, elements=good.elements[:3])
     skew = np.array(good.elements, copy=True)
     skew[0] = skew[0] + np.array([[0.0, 1e-3], [0.0, 0.0]])
-    with pytest.raises(MalformedPovm):
+    with pytest.raises(MalformedPovm, match="not Hermitian"):
         Povm(dim=2, elements=skew)
     short = np.array(good.elements, copy=True)
     short[0] = 0.5 * short[0]
-    with pytest.raises(MalformedPovm):
+    with pytest.raises(MalformedPovm, match="do not sum to the identity"):
         Povm(dim=2, elements=short)
     with pytest.raises(MalformedPovm):
         Povm(dim=1, elements=np.ones((1, 1, 1)))
@@ -192,7 +192,16 @@ def test_povm_rejects_isolated_negative_element():
     stack = np.array(base.elements, copy=True)
     stack[0] += bump
     stack[1] -= bump
-    with pytest.raises(MalformedPovm):
+    with pytest.raises(MalformedPovm, match="element 0 has negative eigenvalue"):
+        Povm(dim=2, elements=stack)
+    # elements 0 and 1 both below -PSD_GATE, element 1 further: the message names element 1
+    stack = np.array(base.elements, copy=True)
+    for x, eps in ((0, 1e-3), (1, 2e-3)):
+        psi = np.linalg.eigh(base[x])[1][:, 0]
+        shift = eps * np.outer(psi, psi.conj())
+        stack[x] -= shift
+        stack[2] += shift
+    with pytest.raises(MalformedPovm, match="element 1 has negative eigenvalue -2.000e-03"):
         Povm(dim=2, elements=stack)
 
 
