@@ -68,6 +68,7 @@ def bloch_to_probs(r, point: QubitFamilyPoint) -> np.ndarray:
     return weights * (1.0 + dirs @ vec)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # huge rhs: overflow, NaN, then rejected
 def _ball_residual(m: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     """The minimum of ||M r - rhs|| over the closed ball ||r|| <= 1, for any rhs.
 
@@ -75,7 +76,8 @@ def _ball_residual(m: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     the secular equation 1/||r(lam)|| = 1 (More & Sorensen 1983), in the
     eigenbasis of M^T M, rises monotonically from the least-squares point at
     lam = 0 and stops once ||r|| <= 1 (at once if that point is in the ball,
-    rhs = 0 included) or the step no longer changes lam.
+    rhs = 0 included) or the step no longer raises lam. That includes a NaN step,
+    which follows once ||r||^2 overflows; the residual is then inf or NaN.
     """
     vals, vecs = np.linalg.eigh(m.T @ m)
     gh = vecs.T @ (m.T @ rhs)
@@ -86,7 +88,7 @@ def _ball_residual(m: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
         if norm <= 1.0:
             break
         step = (norm - 1.0) * norm * norm / float(p @ (p / (vals + lam)))
-        if lam + step == lam:
+        if not lam + step > lam:
             break
         lam += step
     r = vecs @ p
@@ -98,7 +100,7 @@ def probs_to_bloch(q, point: QubitFamilyPoint) -> np.ndarray:
 
     Returns the r of the closed unit ball that best fits the 4x3 affine
     system (the least-squares r when that lies in the ball); if its
-    residual exceeds 1e-8, raises InconsistentProbabilities.
+    residual exceeds 1e-8 or is not finite, raises InconsistentProbabilities.
     """
     probs = np.asarray(q, dtype=float)
     if probs.shape != (4,):
@@ -107,7 +109,7 @@ def probs_to_bloch(q, point: QubitFamilyPoint) -> np.ndarray:
         raise ValueError("probabilities contain non-finite entries")
     weights, dirs = _directions(point)
     sol, residual = _ball_residual(weights[:, None] * dirs, probs - weights)
-    if residual > _RESIDUAL_GATE:
+    if not residual <= _RESIDUAL_GATE:
         raise InconsistentProbabilities(
             f"no Bloch vector reproduces these probabilities (residual {residual:.3e})"
         )

@@ -14,14 +14,11 @@ Each restart keeps its last m = 5 pairs s = change of the vectors and y = change
 the gradient, with inner products Re<a, b> (the real coordinates of the vectors); a
 pair is kept only when Re<s, y> > 0. Its direction r = H grad f comes from the two-loop
 recursion with H0 = gamma I, and gamma is kept beside the pairs: gamma0 =
-1e-2 / (1 + |grad f|) at the start and after an iteration that leaves the restart no
-pair, Re<s, y> / <y, y> of each pair it stores, else unchanged. The step is the first
-of 1, 1/2, 1/4, ... along -r that meets the Armijo condition for the slope
-Re<grad f, r>. One rule covers a restart that finds no step (r does not descend, or no
-halving passes): it keeps its vectors, f and gradient in that iteration, which counts
-toward the cap, and clears its pairs, so its next r is gamma0 grad f; one that holds no
-pair is at a fixed point (below). A restart stops as goal at f < residual_goal, else as
-cap. Only steps that do not raise f are accepted, so the objective trace is monotone.
+1e-2 / (1 + |grad f|) at the starting gradient, then Re<s, y> / <y, y> of each pair it
+stores. The step is the first of 1, 1/2, 1/4, ... along -r that meets the Armijo
+condition for the slope Re<grad f, r>. A restart stops as goal at f < residual_goal,
+else as cap. Only steps that do not raise f are accepted, so the objective trace is
+monotone.
 
 One iteration evaluates f and its gradient at the full step for all live
 restarts at once (one Gram each), as most quasi-Newton steps pass there
@@ -30,10 +27,11 @@ halvings from 1/2 on, three per stacked objective call, and evaluate f and
 gradient once more at the step they take. Inner products are batched
 (R, 1, n) @ (R, n, 1) matmuls. A restart's pairs are one real (m, 2, 2 d^3) array,
 each pair divided by sqrt(Re<s, y>); an empty slot is zero, and a stored pair never is.
-A restart that stores no pair and keeps its vectors, f and pairs bitwise would repeat
-that iteration until the cap: it retires there at once as cap, with the trace points it
-would have added. An exactly zero gradient is such a point, as its step is zero, and so
-is a restart that finds no step while it holds no pair. Every report carries
+A restart that stores no pair and keeps its vectors and f bitwise is at a fixed point:
+it would repeat that iteration until the cap, so it retires there at once as cap, with
+the trace points it would have added. A restart that finds no step (r does not descend,
+or no halving passes) keeps its vectors, f and gradient, so it is such a point, and so
+is an exactly zero gradient, as its step is zero. Every report carries
 gradient_check, a finite-difference check of the gradient.
 Hits, restarts below the residual goal, are finished by _polish, a Levenberg-Marquardt
 refinement, lowest f first until one passes verify at TOL_COND, the one gate;
@@ -260,11 +258,6 @@ def _dot(a, b):
     return (a[:, None] @ b[..., None])[:, 0, 0]
 
 
-def _gamma0(g):
-    """H0's scale with no pair, 1e-2 / (1 + |g|) per row of an (R, n) real gradient."""
-    return _INITIAL_STEP / (1.0 + np.sqrt(_dot(g, g)))
-
-
 def _lbfgs_directions(grad, pairs, gamma):
     """Per restart, H grad by the L-BFGS two-loop recursion, in real coordinates.
 
@@ -273,7 +266,7 @@ def _lbfgs_directions(grad, pairs, gamma):
     each pair divided by sqrt(<s, y>) when stored, so that s y^T / <s, y> = s' y'^T.
     An empty slot is zero, and a stored pair never is (<s, y> > 0 needs s != 0); a zero
     slot adds nothing, so a restart's empty slots may run. H0 = gamma I with the
-    per-restart gamma that _descend_batch keeps beside the pairs and resets with them.
+    per-restart gamma that _descend_batch keeps beside the pairs.
     So each slot's alpha and beta is one batched (R, 1, n) @ (R, n, 1) matmul.
     """
     used = pairs[:, :, 0].any(axis=(0, 2)).nonzero()[0]  # slots empty in every restart are skipped
@@ -292,12 +285,12 @@ def _descend_batch(rows, b, cfg: SearchConfig):
     """Advance a (R, d^2, d) stack of restarts together; restart i's result does not depend
     on the rest. Returns per restart the final rows and objective, the accepted iterations,
     the objective trace and the stop reason. gamma, H0's scale, lives beside each restart's
-    pairs: Re<s, y> / <y, y> of each pair stored, gamma0 at its gradient while it has none.
+    pairs: gamma0 at its starting gradient, then Re<s, y> / <y, y> of each pair stored.
 
     An iteration evaluates f and its gradient at the full step of every live restart in
     one stacked call; only those that fail Armijo there run the ladder and evaluate again.
-    One that finds no step keeps its state and clears its pairs; one that stores no pair
-    and ends unchanged, pairs included, retires as cap. retire completes every trace."""
+    One that finds no step keeps its state; one that stores no pair and ends with its rows
+    and f unchanged is at a fixed point and retires as cap. retire completes every trace."""
     out_rows, out_f = np.empty_like(rows), np.empty(len(rows))
     done, reasons = np.zeros(len(rows), dtype=int), np.empty(len(rows), dtype=int)
     stride = max(1, cfg.max_iterations // _TRACE_POINTS)
@@ -307,7 +300,7 @@ def _descend_batch(rows, b, cfg: SearchConfig):
     # the last _MEMORY steps s and gradient changes y, oldest first, as flat real vectors;
     # a restart holds a pair exactly when its newest slot is not zero
     pairs = np.zeros((len(rows), _MEMORY, 2, g.shape[1]))
-    gamma = _gamma0(g)  # H0's scale, changed only with the newest pair
+    gamma = _INITIAL_STEP / (1.0 + np.sqrt(_dot(g, g)))  # H0's scale, then each new pair's
     traces = [[(0, float(v))] for v in f]
     goal = cfg.residual_goal
 
@@ -335,16 +328,13 @@ def _descend_batch(rows, b, cfg: SearchConfig):
         new_rows = rows - step
         fc, new_grad = _value_and_gradient(new_rows, b)
         new_g, fixed = new_grad.view(float).reshape(g.shape), None
-        # cleared stays this empty array when every restart passes at the full step
-        cleared = rest = (~((fc <= f - _ARMIJO * slope) & (slope >= 0))).nonzero()[0]
+        rest = (~((fc <= f - _ARMIJO * slope) & (slope >= 0))).nonzero()[0]
         if rest.size:
             t, fc[rest] = _armijo_steps(rows[rest], step[rest], f[rest], slope[rest], b)
             moved = ~np.isnan(t)
-            # a restart with no step keeps its state and clears its pairs, if it holds any
+            # a restart with no step keeps its state: a fixed point below
             failed, j = rest[~moved], rest[moved]
             new_rows[failed], fc[failed], new_g[failed] = rows[failed], f[failed], g[failed]
-            cleared = failed[pairs[failed, -1, 0].any(axis=-1)]
-            pairs[failed] = 0.0
             if j.size:
                 new_rows[j] = rows[j] - t[moved, None, None] * step[j]
                 new_grad[j] = _value_and_gradient(new_rows[j], b)[1]
@@ -357,11 +347,8 @@ def _descend_batch(rows, b, cfg: SearchConfig):
         if keep.all():
             keep = slice(None)  # shifts the histories without copying them out first
         else:
-            # no pair stored and rows, f and pairs unchanged: a fixed point, retired at the cap
+            # no pair stored and rows and f unchanged: a fixed point, retired at the cap
             fixed = ~keep & (fc == f) & (new_rows == rows).all(axis=(1, 2))
-            fixed[cleared] = False
-            empty = (~keep & ~pairs[:, -1, 0].any(axis=-1)).nonzero()[0]  # no pair: gamma0 again
-            gamma[empty] = _gamma0(new_g[empty])
         pairs[keep, :-1] = pairs[keep, 1:]
         pairs[keep, -1] = pair[keep] / np.sqrt(sy[keep])[:, None, None]
         rows, f, g = new_rows, fc, new_g

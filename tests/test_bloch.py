@@ -109,6 +109,18 @@ def test_probs_to_bloch_rejects_inconsistent_input():
         probs_to_bloch([0.5, 0.5, 0.5, 0.5], point)
 
 
+def test_probs_to_bloch_rejects_probabilities_whose_fit_overflows():
+    # from |q| ~ 1e154 on, ||r||^2 of the least-squares point overflows and the Newton
+    # step is NaN; from 1e308 on, r itself does
+    point = family_point(2.0 / 25.0)
+    for value in (1e154, -1e154, 1e200, 1e308, -1e308):
+        for slot in range(4):
+            probs = np.full(4, 0.25)
+            probs[slot] = value
+            with pytest.raises(InconsistentProbabilities):
+                probs_to_bloch(probs, point)
+
+
 @pytest.mark.parametrize("b", [0.0626, 0.07, 2.0 / 25.0, 1.0 / 12.0])
 def test_probabilities_just_outside_the_ball_are_projected(b):
     # least-squares r of norm 1 + 1e-8 and 1 + 1e-10: the nearest ball point

@@ -438,91 +438,84 @@ def test_restarts_at_a_fixed_point_retire_at_the_cap(monkeypatch):
 def test_stalled_and_gradient_free_restarts_stop_at_once(monkeypatch):
     # no Armijo halving passes, so a restart with a gradient and no pair finds no step in
     # its first iteration; V = 0 has an exactly zero gradient, so its zero step passes.
-    # Both leave rows, f and pairs unchanged: fixed points, reported as the cap with full traces
-    monkeypatch.setattr(search, "_ARMIJO", 1e200)
+    # Both leave rows and f unchanged: fixed points, reported as the cap with full traces.
+    # Under the usual Armijo constant, a restart from the same start whose direction is
+    # turned uphill once it holds a pair steps once, stores its first pair, finds no step
+    # in its second iteration and retires the same way, with its rows and f after the first
     cfg = SearchConfig(d=3, k=9, restarts=2, max_iterations=50)
-    stack = np.stack([two_call_vectors(np.random.default_rng(3), 3),
-                      np.zeros((9, 3), dtype=complex)])
-    f0, f1 = search._objective(stack, cfg.b).tolist()
-    evaluated = []
+    start, zero = two_call_vectors(np.random.default_rng(3), 3), np.zeros((9, 3), dtype=complex)
+    f0, fz = search._objective(np.stack([start, zero]), cfg.b).tolist()
+    once = SearchConfig(d=3, k=9, max_iterations=1)
+    stepped, (f1,), *_ = search._descend_batch(start[None], cfg.b, once)
+    assert f1 < f0 and not np.array_equal(stepped[0], start)
+    full, held, evaluated = range(cfg.max_iterations + 1), [], []
 
     def counting(rows, b):
         evaluated.append(len(rows))
         return value_and_gradient(rows, b)
 
-    value_and_gradient = search._value_and_gradient
-    monkeypatch.setattr(search, "_value_and_gradient", counting)
-    rows, f, iterations, traces, reasons = search._descend_batch(stack, cfg.b, cfg)
-    assert reasons == ["cap", "cap"]
-    assert list(iterations) == [cfg.max_iterations] * 2
-    assert evaluated == [2, 2]  # the start and one full step, then both are retired
-    assert np.array_equal(rows[0], stack[0]) and f[0] == f0
-    assert np.array_equal(rows[1], stack[1]) and f[1] == f1
-    assert traces == [[(n, value) for n in range(cfg.max_iterations + 1)] for value in (f0, f1)]
-    for i in range(2):
-        alone = search._descend_batch(stack[i:i + 1], cfg.b, cfg)
-        assert np.array_equal(alone[0][0], rows[i]) and alone[1][0] == f[i]
-        assert (alone[2][0], alone[3][0], alone[4][0]) == (iterations[i], traces[i], reasons[i])
-
-
-def test_a_restart_with_no_step_clears_its_pairs(monkeypatch):
-    # every direction built from pairs is turned uphill, so it finds no step: the restart
-    # keeps its state, clears its pairs and steps along gamma0 grad f in the next iteration
     def uphill(grad, pairs, gamma):
+        held.append(pairs[:, -1, 0].any(axis=-1).tolist())
         r = lbfgs_directions(grad, pairs, gamma)
-        r[pairs[:, -1, 0].any(axis=-1)] *= -1.0
+        r[held[-1]] *= -1.0
         return r
 
-    lbfgs_directions = search._lbfgs_directions
+    value_and_gradient, lbfgs_directions = search._value_and_gradient, search._lbfgs_directions
+    monkeypatch.setattr(search, "_value_and_gradient", counting)
     monkeypatch.setattr(search, "_lbfgs_directions", uphill)
-    cfg = SearchConfig(d=3, k=9, restarts=3, max_iterations=20, seed=4)
-    stack = search._initial_vectors(np.random.default_rng(cfg.seed), 3, cfg.restarts)
-    rows, f, iterations, traces, reasons = search._descend_batch(stack, cfg.b, cfg)
-    assert reasons == ["cap"] * 3 and list(iterations) == [20] * 3
-    assert (f < search._objective(stack, cfg.b)).all()
-    for i, trace in enumerate(traces):
-        values = [v for _, v in trace]
-        assert all(b <= a for a, b in zip(values, values[1:])) and len(set(values)) > 8
-        alone = search._descend_batch(stack[i:i + 1], cfg.b, cfg)
-        assert np.array_equal(alone[0][0], rows[i]) and alone[1][0] == f[i]
+    armijo = search._ARMIJO
+    cases = [  # Armijo constant, end rows, end f, traces, evaluations, pairs held per call
+        (1e200, [start, zero], [f0, fz], [[(n, f0) for n in full], [(n, fz) for n in full]],
+         [2, 2], [[False, False]]),  # the start and one full step, then both are retired
+        (armijo, [stepped[0], zero], [f1, fz],
+         [[(0, f0)] + [(n, f1) for n in full[1:]], [(n, fz) for n in full]],
+         [2, 2, 1], [[False, False], [True]]),  # and a second, uphill full step
+    ]
+    for constant, end_rows, end_f, end_traces, evaluations, pairs_held in cases:
+        monkeypatch.setattr(search, "_ARMIJO", constant)
+        del evaluated[:], held[:]
+        stack = np.stack([start, zero])
+        rows, f, iterations, traces, reasons = search._descend_batch(stack, cfg.b, cfg)
+        assert reasons == ["cap", "cap"]
+        assert list(iterations) == [cfg.max_iterations] * 2
+        assert (evaluated, held) == (evaluations, pairs_held)
+        for i in range(2):
+            assert np.array_equal(rows[i], end_rows[i]) and f[i] == end_f[i]
+            assert traces[i] == end_traces[i]
+            alone = search._descend_batch(stack[i:i + 1], cfg.b, cfg)
+            assert np.array_equal(alone[0][0], rows[i]) and alone[1][0] == f[i]
+            assert (alone[2][0], alone[3][0], alone[4][0]) == (iterations[i], traces[i],
+                                                               reasons[i])
 
 
-@pytest.mark.parametrize("d,k,b,uphill", [(2, 2, 0.07, False), (3, 9, None, False),
-                                          (3, 8, None, False), (3, 9, None, True)])
-def test_each_restart_keeps_its_h0_scale(monkeypatch, d, k, b, uphill):
-    # every direction gets, per restart, <s, y> / <y, y> of the newest pair, or
-    # gamma0 = 0.01 / (1 + |grad f|) at the current gradient when it holds no pair: before
-    # its first one, and after it clears them (uphill: the setup of the test above)
+@pytest.mark.parametrize("d,k,b", [(2, 2, 0.07), (3, 9, None), (3, 8, None)])
+def test_each_restart_keeps_its_h0_scale(monkeypatch, d, k, b):
+    # every direction gets, per restart, gamma0 = 0.01 / (1 + |grad f|) at its starting
+    # gradient before it stores a pair, then <s, y> / <y, y> of the newest pair; each
+    # restart stores one in its first iteration, so gamma0 is NaN after the first call
     newest = []
 
     def checked(grad, pairs, gamma):
         for i in range(len(grad)):
-            gamma0 = 0.01 / (1.0 + np.linalg.norm(grad[i]))
+            gamma0 = np.nan if newest else 0.01 / (1.0 + np.linalg.norm(grad[i]))
             expected = h0_scale(pairs[i, :, 0], pairs[i, :, 1], gamma0)
             assert gamma[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
         newest.append(pairs[:, -1, 0].any(axis=-1))
-        r = lbfgs_directions(grad, pairs, gamma)
-        if uphill:
-            r[newest[-1]] *= -1.0
-        return r
+        return lbfgs_directions(grad, pairs, gamma)
 
     lbfgs_directions = search._lbfgs_directions
     monkeypatch.setattr(search, "_lbfgs_directions", checked)
-    cfg = SearchConfig(d=d, k=k, b=b, restarts=3, max_iterations=20 if uphill else 200,
-                       seed=4 if uphill else 1)
+    cfg = SearchConfig(d=d, k=k, b=b, restarts=3, max_iterations=200, seed=1)
     stack = search._initial_vectors(np.random.default_rng(cfg.seed), d, cfg.restarts)
     search._descend_batch(stack, cfg.b, cfg)
-    assert not newest[0].any() and newest[1].all() and len(newest) > 10
-    if uphill:  # every restart stores a pair, then clears it, and so on
-        assert [n.tolist() for n in newest] == [[i % 2 == 1] * 3 for i in range(20)]
+    assert not newest[0].any() and all(n.all() for n in newest[1:]) and len(newest) > 10
 
 
-@pytest.mark.parametrize("uphill", [False, True])
-def test_the_pair_history_is_its_own_empty_slot_mask(monkeypatch, uphill):
+def test_the_pair_history_is_its_own_empty_slot_mask(monkeypatch):
     # a stored pair is never zero (Re<s, y> > 0 needs s != 0), so a slot is empty exactly
     # when its s is zero; a restart's filled slots are its newest ones; and an all-zero
     # slot, which the two-loop runs for a restart whenever another restart fills it,
-    # leaves the direction bit for bit (uphill: the setup of the clearing test above)
+    # leaves the direction bit for bit
     counts = []
 
     def checked(grad, pairs, gamma):
@@ -536,21 +529,16 @@ def test_the_pair_history_is_its_own_empty_slot_mask(monkeypatch, uphill):
         padded[:-1, 1:], padded[-1, 0] = pairs, 1.0
         wider = lbfgs_directions(np.vstack([grad, grad[:1]]), padded, np.append(gamma, 1.0))
         assert np.array_equal(wider[:-1], r)
-        if uphill:
-            r[filled[:, -1]] *= -1.0
         return r
 
     lbfgs_directions = search._lbfgs_directions
     monkeypatch.setattr(search, "_lbfgs_directions", checked)
-    cfg = (SearchConfig(d=3, k=9, restarts=3, max_iterations=20, seed=4) if uphill
-           else SearchConfig(d=2, k=2, b=0.07, restarts=3, max_iterations=200, seed=1))
+    cfg = SearchConfig(d=2, k=2, b=0.07, restarts=3, max_iterations=200, seed=1)
     stack = search._initial_vectors(np.random.default_rng(cfg.seed), cfg.d, cfg.restarts)
     search._descend_batch(stack, cfg.b, cfg)
-    if uphill:  # every restart stores a pair, then clears it, and so on
-        assert counts == [[i % 2] * 3 for i in range(20)]
-    else:  # every step stores its pair, and each stays filled until it is shifted out
-        assert len(counts) > 100
-        assert counts == [[min(i, search._MEMORY)] * len(c) for i, c in enumerate(counts)]
+    # every step stores its pair, and each stays filled until it is shifted out
+    assert len(counts) > 100
+    assert counts == [[min(i, search._MEMORY)] * len(c) for i, c in enumerate(counts)]
 
 
 def test_armijo_ladders_run_only_on_failed_steps(monkeypatch):
