@@ -209,7 +209,12 @@ def write_region_csv(scan: np.recarray, path) -> None:
     value i/N) is formatted once, keyed on its bits so that -0.0 and NaN keep
     their text. Rows join those texts and "%.17g,1\n" or "%.17g,0\n" by
     feasible, so one % call converts only f: the bytes of a per-row format.
+    A scan without those fields, float64 and bool as region_grid makes them,
+    raises ValueError before the target is opened.
     """
+    fields = getattr(scan, "dtype", np.dtype(float)).fields or {}
+    if any(name not in fields or fields[name][0] != _REGION_DTYPE[name] for name in _REGION_FIELDS):
+        raise ValueError(f"a region scan needs the fields of {_REGION_DTYPE}")
     ends = np.array(["%.17g,0\n", "%.17g,1\n"], dtype=object)
     with open_text(path, "w", newline="") as handle:
         handle.write(",".join(_REGION_FIELDS) + "\n")

@@ -134,10 +134,13 @@ def canonicalize(povm: Povm) -> tuple[np.ndarray, Povm, float]:
     report = verify(povm)
     if report.classification == NOT_SEMI_SIC:
         raise NotQubitSemiSic(f"verification failed ({_refusal(report)})")
+    refused = f"fitted overlap {report.fitted_b!r} is outside the family"
     try:
-        b = family_point(SemiSicParams.from_b(2, report.fitted_b, report.k).b).b
-    except (BOutOfRange, BOutOfFamilyRange, KOutOfRange) as exc:
-        raise NotQubitSemiSic(f"fitted overlap {report.fitted_b!r} is outside the family") from exc
+        b = SemiSicParams.from_b(2, report.fitted_b, report.k).b
+    except (BOutOfRange, KOutOfRange) as exc:
+        raise NotQubitSemiSic(refused) from exc
+    if not b > B_MIN:  # from_b admits every b up to 1/12; family_point's open end
+        raise NotQubitSemiSic(refused)
 
     # the small-trace pair as verify() draws it (k is 2 or 4 once from_b admits it)
     i1, i2 = np.flatnonzero(povm.traces() < 0.5) if report.k == 2 else (0, 1)

@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -19,11 +21,12 @@ from semisic.documents import (
     save_dual_frame,
     save_povm,
 )
-from semisic.dual import dual_basis
+from semisic import cli
+from semisic.dual import dual_basis, region_grid, write_region_csv
 from semisic.errors import DocumentError, MalformedPovm
 from semisic.model import Povm, SemiSicParams
 from semisic.qubit import construct
-from semisic.textio import write_json
+from semisic.textio import open_text, write_json
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 # every finite double: hypothesis draws -0.0, subnormals and magnitudes near 1e308 too
@@ -262,3 +265,116 @@ def test_dual_frame_document_layout(tmp_path):
     path = tmp_path / "frame.json"
     save_dual_frame(path, frame)
     assert json.loads(path.read_text())["dim"] == 2
+
+
+# every file the package writes goes through textio.open_text, which writes a
+# path in place: an existing file is overwritten from its start and its tail cut
+def povm_writer(target):
+    save_povm(target, construct(2.0 / 25.0), b=2.0 / 25.0, k=2, metadata={"note": "fixture"})
+
+
+def dual_writer(target):
+    save_dual_frame(target, dual_basis(construct(0.07), SemiSicParams.from_b(2, 0.07, 2)))
+
+
+def csv_writer(target):
+    frame = dual_basis(construct(0.07), SemiSicParams.from_b(2, 0.07, 2))
+    write_region_csv(region_grid(frame, 6), target)
+
+
+WRITERS = [povm_writer, dual_writer, csv_writer]
+
+
+def fresh_bytes(tmp_path, writer):
+    path = tmp_path / "fresh.out"
+    writer(path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+@pytest.mark.parametrize("old", ["longer", "shorter", "same-size"])
+def test_overwriting_a_file_gives_the_bytes_of_a_fresh_write(tmp_path, writer, old):
+    want = fresh_bytes(tmp_path, writer)
+    buf = io.StringIO()
+    writer(buf)
+    assert buf.getvalue().encode() == want
+    path = tmp_path / "old.out"
+    path.write_bytes({"longer": want + b"tail\n" * 1000, "shorter": want[: len(want) // 3],
+                      "same-size": b"x" * len(want)}[old])
+    writer(path)
+    assert path.read_bytes() == want
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_overwriting_keeps_hard_links_and_the_mode(tmp_path, writer):
+    want = fresh_bytes(tmp_path, writer)
+    path, link = tmp_path / "old.out", tmp_path / "link.out"
+    path.write_bytes(want * 3)
+    os.link(path, link)
+    path.chmod(0o640)
+    writer(path)
+    assert link.read_bytes() == want
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert path.stat().st_ino == link.stat().st_ino
+
+
+@pytest.mark.parametrize("argv", [["dual"], ["region", "--resolution", "4"]])
+def test_out_to_dev_null_exits_0(tmp_path, capsys, argv):
+    # /dev/null is not a regular file, so its tail is not cut (ftruncate is EINVAL there)
+    path = tmp_path / "member.json"
+    povm_writer(path)
+    assert cli.main([*argv, "--in", str(path), "--out", os.devnull]) == 0
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_a_stream_target_stays_open_and_untruncated(tmp_path, writer):
+    want = fresh_bytes(tmp_path, writer).decode()
+    path = tmp_path / "stream.out"
+    path.write_text("head\n" + "old tail\n" * 1000)
+    with open(path, "r+", newline="") as handle:
+        handle.seek(5)
+        writer(handle)
+        assert not handle.closed
+        assert handle.tell() == 5 + len(want)
+        handle.write("end\n")
+    assert path.read_text() == "head\n" + want + "end\n" + ("old tail\n" * 1000)[len(want) + 4:]
+
+
+def test_a_write_that_raises_keeps_the_bytes_written_and_no_old_tail(tmp_path):
+    path = tmp_path / "partial.out"
+    path.write_text("old " * 1000)
+    with pytest.raises(RuntimeError, match="midway"):
+        with open_text(path, "w") as handle:
+            handle.write("new ")
+            raise RuntimeError("midway")
+    assert path.read_text() == "new "
+
+
+@pytest.mark.parametrize("save", [save_povm, save_dual_frame])
+def test_a_document_that_fails_to_encode_leaves_the_target(tmp_path, save):
+    path = tmp_path / "doc.json"
+    povm_writer(path)
+    before = path.read_bytes()
+    target = construct(0.07)
+    if save is save_dual_frame:
+        target = dual_basis(target, SemiSicParams.from_b(2, 0.07, 2))
+    with pytest.raises(TypeError):
+        save(path, target, metadata={"x": object()})
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("scan", [
+    np.zeros(3, dtype=[("p1", float), ("p2", float), ("p3", float), ("f", float)]),
+    np.zeros(3, dtype=[(n, np.float32 if n == "f" else float) for n in "p1 p2 p3 f".split()]
+             + [("feasible", bool)]),
+    np.zeros((3, 5)),
+    [(0.0, 0.0, 0.0, 0.0, True)],
+])
+def test_a_scan_without_the_region_fields_leaves_the_target(tmp_path, scan):
+    path = tmp_path / "r.csv"
+    csv_writer(path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="region scan"):
+        write_region_csv(scan, path)
+    assert path.read_bytes() == before

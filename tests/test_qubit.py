@@ -1,13 +1,16 @@
 """The qubit family: coordinates, construction, and canonicalization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import anchor_search_canonicalize, disguise, haar_unitary, hesse_sic
+from semisic import qubit
 from semisic.errors import BOutOfFamilyRange, NotQubitSemiSic
-from semisic.model import NOT_SEMI_SIC, SIC, STRICT_SEMI_SIC, Povm, verify
+from semisic.model import NOT_SEMI_SIC, SIC, STRICT_SEMI_SIC, Povm, SemiSicParams, verify
 from semisic.qubit import (
     B_MAX,
     B_MIN,
@@ -136,6 +139,29 @@ def test_canonicalize_rejects_non_semisic():
 def test_canonicalize_rejects_wrong_dimension():
     with pytest.raises(NotQubitSemiSic):
         canonicalize(hesse_sic())
+
+
+@pytest.mark.parametrize("b", [1.0 / 16.0 + 1e-10, 1.0 / 16.0 + 1e-9, *FAMILY_GRID,
+                               1.0 / 12.0 - 1e-11])
+@pytest.mark.parametrize("noise", [0.0, 1e-12])
+def test_canonicalize_b_equals_the_family_point_of_from_b(b, noise):
+    # the b once resolved as family_point(from_b(...).b).b, bit for bit, at
+    # both ends of (1/16, 1/12] and wherever a noisy fit lands past 1/12
+    for seed in range(10):
+        povm = disguise(np.random.default_rng(seed), construct(b), noise)
+        report = verify(povm)
+        assert report.classification != NOT_SEMI_SIC
+        want = family_point(SemiSicParams.from_b(2, report.fitted_b, report.k).b).b
+        assert canonicalize(povm)[2] == want
+
+
+@pytest.mark.parametrize("fitted_b", [1.0 / 16.0, np.nextafter(1.0 / 16.0, 0.0), 0.05])
+def test_canonicalize_refuses_a_fitted_b_at_or_under_one_sixteenth(monkeypatch, fitted_b):
+    # from_b admits every b up to 1/12 at k = 2; the family's open end is canonicalize's rule
+    report = dataclasses.replace(verify(construct(0.07)), fitted_b=float(fitted_b))
+    monkeypatch.setattr(qubit, "verify", lambda povm: report)
+    with pytest.raises(NotQubitSemiSic, match="outside the family"):
+        canonicalize(construct(0.07))
 
 
 def assert_maps_back(povm, u, canon, bound):
