@@ -23,16 +23,16 @@ monotone.
 One iteration evaluates f and its gradient at the full step for all live
 restarts at once (one Gram each), as most quasi-Newton steps pass there
 (Nocedal and Wright, Numerical Optimization, 3.1). Only the restarts that fail try
-halvings from 1/2 on, three per stacked objective call, and evaluate f and
-gradient once more at the step they take. Inner products are batched
+halvings from 1/2 on, three per stacked call, whose Grams also give the gradient at
+the step they take, so no point is evaluated twice. Inner products are batched
 (R, 1, n) @ (R, n, 1) matmuls. A restart's pairs are one real (m, 2, 2 d^3) array,
 each pair divided by sqrt(Re<s, y>); an empty slot is zero, and a stored pair never is.
 A restart that stores no pair and keeps its vectors and f bitwise is at a fixed point:
 it would repeat that iteration until the cap, so it retires there at once as cap, with
 the trace points it would have added. A restart that finds no step (r does not descend,
 or no halving passes) keeps its vectors, f and gradient, so it is such a point, and so
-is an exactly zero gradient, as its step is zero. Every report carries
-gradient_check, a finite-difference check of the gradient.
+is an exactly zero gradient, as its step is zero. Every report carries gradient_check,
+a finite-difference check of the gradient at the first five starts, from their own Grams.
 Hits, restarts below the residual goal, are finished by _polish, a Levenberg-Marquardt
 refinement, lowest f first until one passes verify at TOL_COND, the one gate;
 grad f = 2 J^T (dev, delta). At a d = 3 SIC, J has 19 zero singular values (21 at the
@@ -63,8 +63,8 @@ _GOAL, _CAP = range(len(STOP_REASONS))
 # Configs are refused (InvalidConfig, CLI exit 2) before anything is allocated when
 # max(3 restarts, 32) stacks of (d^2, d^2) would exceed this many complex entries (64 MB);
 # d <= 19 is admitted. Under the cap: the full step's (restarts, d^2, d^2) Grams, a ladder's
-# (pending, _LADDER = 3, d^2, d^2), gradient_check's 15, and each half (s, y) of the
-# L-BFGS history (restarts, _MEMORY, 2, 2 d^3): _MEMORY d^3 <= 3 d^4 complex entries' worth.
+# (pending, _LADDER = 3, d^2, d^2), the starts' restarts + 2 min(restarts, 5), and each half
+# (s, y) of the L-BFGS history (restarts, _MEMORY, 2, 2 d^3): _MEMORY d^3 <= 3 d^4 complex.
 MAX_SEARCH_ENTRIES = 2**22
 _PENALTY_WEIGHT = 10.0  # w of the objective
 _INITIAL_STEP = 1e-2  # gradient steps start at this, divided by 1 + |gradient|
@@ -131,7 +131,8 @@ class SearchReport:
     """Outcome of run_search. best_povm, set only when the goal was met, is the reported hit
     polished: the first in order of f that verifies, else the lowest; best_residual is its f
     (else the descent's best f), objective_trace its descent's, and classification and
-    observed_k echo verify() of it. stop_reasons are goal or cap, one per restart."""
+    observed_k echo verify() of it. stop_reasons are goal or cap, one per restart;
+    gradient_check is gradient_check's error at the first min(restarts, 5) starts."""
 
     config: SearchConfig
     best_residual: float
@@ -182,7 +183,9 @@ def _parts(rows: np.ndarray, b: float):
     *lead, n, d = rows.shape
     conj, cols = rows.conj(), rows.swapaxes(-1, -2)
     gram = conj @ cols
-    dev = np.abs(gram) ** 2 - b
+    dev = np.abs(gram)
+    np.square(dev, out=dev)
+    dev -= b
     dev.reshape(*lead, n * n)[..., ::n + 1] = 0.0  # the diagonal
     delta = cols @ conj
     delta.reshape(*lead, d * d)[..., ::d + 1] -= 1.0
@@ -237,20 +240,23 @@ def gradient(vectors, d: int, k: int, b: float | None = None) -> np.ndarray:
 def _armijo_steps(rows, direction, f, slope, b):
     """Halvings along -direction after a failed full step: per restart, the first of the
     steps 1/2, 1/4, ... (up to halving _MAX_HALVINGS - 1) meeting the Armijo condition for
-    the slope Re<grad f, direction>, and the objective there; NaN where no trial does, and
-    at once, with no objective call, where the slope is not positive. The trials go in
-    ladders of _LADDER halvings, one stacked objective call per ladder."""
+    the slope Re<grad f, direction>, and f, the rows and the gradient there; NaN step and f
+    where no trial does, at once where the slope is not positive. The trials go in ladders
+    of _LADDER halvings, one _parts call each; one _vjp on its Grams gives the gradients."""
     trial, fc, pending, m = *np.full((2, len(f)), np.nan), (slope > 0).nonzero()[0], 1
+    new_rows, grad = np.empty_like(rows), np.empty_like(rows)
     while m < _MAX_HALVINGS and pending.size:
         steps = _HALVINGS[m:m + _LADDER]
         trials = rows[pending, None] - steps[:, None, None] * direction[pending, None]
-        values = _objective(trials, b)
+        gram, dev, delta = _parts(trials, b)
+        values = _value(dev, delta)
         ok = values <= f[pending, None] - _ARMIJO * steps * slope[pending, None]
         hit = ok.any(axis=1)
-        first = hit.nonzero()[0], ok[hit].argmax(axis=1)
-        trial[pending[hit]], fc[pending[hit]] = steps[first[1]], values[first]
+        first, won = (hit.nonzero()[0], ok[hit].argmax(axis=1)), pending[hit]
+        trial[won], fc[won], new_rows[won] = steps[first[1]], values[first], trials[first]
+        grad[won] = _vjp(new_rows[won], gram[first], dev[first], delta[first], 2.0)
         pending, m = pending[~hit], m + _LADDER
-    return trial, fc
+    return trial, fc, new_rows, grad
 
 
 def _dot(a, b):
@@ -258,18 +264,18 @@ def _dot(a, b):
     return (a[:, None] @ b[..., None])[:, 0, 0]
 
 
-def _lbfgs_directions(grad, pairs, gamma):
+def _lbfgs_directions(grad, pairs, gamma, used):
     """Per restart, H grad by the L-BFGS two-loop recursion, in real coordinates.
 
     grad is an (R, 2d^3) real view of the gradients, and pairs the
     (R, _MEMORY, 2, 2d^3) history of s (index 0) and y (index 1), oldest first,
     each pair divided by sqrt(<s, y>) when stored, so that s y^T / <s, y> = s' y'^T.
     An empty slot is zero, and a stored pair never is (<s, y> > 0 needs s != 0); a zero
-    slot adds nothing, so a restart's empty slots may run. H0 = gamma I with the
+    slot adds nothing, so a restart's empty slots may run. used lists, in order, the slots
+    filled in some restart; the others are skipped. H0 = gamma I with the
     per-restart gamma that _descend_batch keeps beside the pairs.
     So each slot's alpha and beta is one batched (R, 1, n) @ (R, n, 1) matmul.
     """
-    used = pairs[:, :, 0].any(axis=(0, 2)).nonzero()[0]  # slots empty in every restart are skipped
     as_rows, as_cols = pairs[:, :, :, None], pairs[..., None]
     q, alpha = grad[..., None].copy(), {}
     for i in used[::-1]:
@@ -281,21 +287,20 @@ def _lbfgs_directions(grad, pairs, gamma):
     return r[..., 0]
 
 
-def _descend_batch(rows, b, cfg: SearchConfig):
-    """Advance a (R, d^2, d) stack of restarts together; restart i's result does not depend
-    on the rest. Returns per restart the final rows and objective, the accepted iterations,
-    the objective trace and the stop reason. gamma, H0's scale, lives beside each restart's
-    pairs: gamma0 at its starting gradient, then Re<s, y> / <y, y> of each pair stored.
+def _descend_batch(rows, f, grad, b, cfg: SearchConfig):
+    """Advance a (R, d^2, d) stack of restarts from f and its gradient there, together;
+    restart i's result does not depend on the rest. Returns per restart the final rows and
+    objective, the accepted iterations, the objective trace and the stop reason. gamma, H0's
+    scale, is gamma0 at a restart's start, then Re<s, y> / <y, y> of each pair stored.
 
-    An iteration evaluates f and its gradient at the full step of every live restart in
-    one stacked call; only those that fail Armijo there run the ladder and evaluate again.
-    One that finds no step keeps its state; one that stores no pair and ends with its rows
-    and f unchanged is at a fixed point and retires as cap. retire completes every trace."""
+    An iteration evaluates f and its gradient at the full step of every live restart in one
+    stacked call; only those that fail Armijo there run the ladder, which returns both at the
+    step it takes. One that finds no step keeps its state; one that stores no pair and ends
+    with its rows and f unchanged is at a fixed point and retires as cap (full trace)."""
     out_rows, out_f = np.empty_like(rows), np.empty(len(rows))
     done, reasons = np.zeros(len(rows), dtype=int), np.empty(len(rows), dtype=int)
     stride = max(1, cfg.max_iterations // _TRACE_POINTS)
-    live = np.arange(len(rows))
-    f, grad = _value_and_gradient(rows, b)
+    live, used = np.arange(len(rows)), ()
     g = grad.view(float).reshape(len(rows), -1)
     # the last _MEMORY steps s and gradient changes y, oldest first, as flat real vectors;
     # a restart holds a pair exactly when its newest slot is not zero
@@ -321,43 +326,43 @@ def _descend_batch(rows, b, cfg: SearchConfig):
         return [a[~mask] for a in state]
 
     for it in range(cfg.max_iterations):
-        direction = _lbfgs_directions(g, pairs, gamma)
+        if len(used) < _MEMORY:  # the slots filled in some restart; all stay so until a retire
+            used = pairs[:, :, 0].any(axis=(0, 2)).nonzero()[0]
+        direction = _lbfgs_directions(g, pairs, gamma, used)
         slope = _dot(g, direction)
         step = direction.view(complex).reshape(rows.shape)
         # the full step first, with its gradient: most quasi-Newton steps take it
         new_rows = rows - step
         fc, new_grad = _value_and_gradient(new_rows, b)
         new_g, fixed = new_grad.view(float).reshape(g.shape), None
-        rest = (~((fc <= f - _ARMIJO * slope) & (slope >= 0))).nonzero()[0]
-        if rest.size:
-            t, fc[rest] = _armijo_steps(rows[rest], step[rest], f[rest], slope[rest], b)
-            moved = ~np.isnan(t)
-            # a restart with no step keeps its state: a fixed point below
-            failed, j = rest[~moved], rest[moved]
-            new_rows[failed], fc[failed], new_g[failed] = rows[failed], f[failed], g[failed]
-            if j.size:
-                new_rows[j] = rows[j] - t[moved, None, None] * step[j]
-                new_grad[j] = _value_and_gradient(new_rows[j], b)[1]
+        passed = (fc <= f - _ARMIJO * slope) & (slope >= 0)
+        if not passed.all():
+            rest = (~passed).nonzero()[0]
+            t, fc[rest], new_rows[rest], new_grad[rest] = _armijo_steps(
+                rows[rest], step[rest], f[rest], slope[rest], b)
+            if np.isnan(t).any():  # a restart with no step keeps its state: a fixed point below
+                failed = rest[np.isnan(t)]
+                new_rows[failed], fc[failed], new_g[failed] = rows[failed], f[failed], g[failed]
         pair = np.empty((len(g), 2, g.shape[1]))
         np.subtract(new_rows, rows, out=pair[:, 0].view(complex).reshape(rows.shape))
         np.subtract(new_g, g, out=pair[:, 1])
         sy, yy = (pair @ pair[:, 1, :, None])[:, :, 0].T
         keep = sy > 0.0
         np.divide(sy, yy, out=gamma, where=keep)
-        if keep.all():
-            keep = slice(None)  # shifts the histories without copying them out first
-        else:
-            # no pair stored and rows and f unchanged: a fixed point, retired at the cap
+        if keep.all():  # every history shifts, and the new pair is scaled straight into it
+            pairs[:, :-1] = pairs[:, 1:]
+            np.divide(pair, np.sqrt(sy)[:, None, None], out=pairs[:, -1])
+        else:  # no pair stored and rows and f unchanged: a fixed point, retired at the cap
             fixed = ~keep & (fc == f) & (new_rows == rows).all(axis=(1, 2))
-        pairs[keep, :-1] = pairs[keep, 1:]
-        pairs[keep, -1] = pair[keep] / np.sqrt(sy[keep])[:, None, None]
+            pairs[keep, :-1] = pairs[keep, 1:]
+            pairs[keep, -1] = pair[keep] / np.sqrt(sy[keep])[:, None, None]
         rows, f, g = new_rows, fc, new_g
         if (it + 1) % stride == 0:
             for i, value in zip(live.tolist(), f.tolist()):
                 traces[i].append((it + 1, value))
         if fixed is not None or (f < goal).any():
             stop = np.where(f < goal, _GOAL, -1 if fixed is None else np.where(fixed, _CAP, -1))
-            live, rows, f, g, pairs, gamma = retire(stop, it)
+            (live, rows, f, g, pairs, gamma), used = retire(stop, it), ()
             if not live.size:
                 break
     retire(np.full(live.size, _CAP), cfg.max_iterations - 1)
@@ -370,22 +375,30 @@ def _initial_vectors(rng: np.random.Generator, d: int, count: int) -> np.ndarray
     return rows * np.sqrt(d / _sum2(np.abs(rows) ** 2))[:, None, None]
 
 
+def _checked_start(rng: np.random.Generator, d: int, count: int, b: float):
+    """count starts V, then a direction D for each of the first min(count, 5), drawn from rng.
+    Returns V, f and its gradient there, and gradient_check's error at those first starts
+    along D, from one _parts call on V and them at V +- sD; one _vjp on V's slice."""
+    points, step = min(count, 5), 1e-6
+    rows, direction = _initial_vectors(rng, d, count), _initial_vectors(rng, d, points)
+    rows = np.concatenate((rows, rows[:points] + step * direction,
+                           rows[:points] - step * direction))
+    gram, dev, delta = _parts(rows, b)
+    f, rows = _value(dev, delta), rows[:count]
+    grad = _vjp(rows, gram[:count], dev[:count], delta[:count], 2.0)
+    numeric = (f[count:count + points] - f[count + points:]) / (2.0 * step)
+    analytic = _sum2((grad[:points] * direction.conj()).real)
+    error = np.max(np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric)))
+    return rows, f[:count], grad, float(error)
+
+
 def gradient_check(d: int, b: float, seed: int = 0) -> float:
     """Max relative error of the analytic directional derivative Re<grad f, D> against
     the central difference (f(V + sD) - f(V - sD)) / 2s of the objective (s = 1e-6),
-    at five seeded random stacks V, each along its own seeded random direction D, from one
-    _parts call on the 15 stacks V, V + sD and V - sD; the gradient 2 J^T (dev, delta) of
-    _value_and_gradient is formed at V only."""
-    points, step = 5, 1e-6
+    at five seeded random stacks V, each along its own seeded random direction D: the
+    check that run_search makes at its first five starts, here at stacks of its own."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x67726164,)))
-    base, direction = _initial_vectors(rng, d, 2 * points).reshape(2, points, d * d, d)
-    stack = np.stack((base, base + step * direction, base - step * direction))
-    gram, dev, delta = _parts(stack, b)
-    _, up, down = _value(dev, delta)
-    grad = _vjp(base, gram[0], dev[0], delta[0], 2.0)
-    numeric = (up - down) / (2.0 * step)
-    analytic = _sum2((grad * direction.conj()).real)
-    return float(np.max(np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))))
+    return _checked_start(rng, d, 5, b)[3]
 
 
 def _polish(rows: np.ndarray, b: float):
@@ -419,17 +432,19 @@ def _polish(rows: np.ndarray, b: float):
 def run_search(config: SearchConfig) -> SearchReport:
     """Multi-start descent on the penalized objective, then a finish of a hit.
 
-    All restarts run as one batch, and restart i's result depends neither on
-    it nor on how many restarts run. Deterministic for a fixed config (restart
-    i starts from block i of one draw seeded by config.seed). A restart stops as goal
-    at f < config.residual_goal, else as cap. The hits are finished by _polish, lowest f
-    first (stable order), and classified by verify() until one is not NotSemiSIC; that one
-    is reported, or the lowest hit if none is, with its polished f and its descent's trace.
+    All restarts run as one batch, and restart i's result depends neither on it nor on how many
+    restarts run. Deterministic for a fixed config: restart i starts from block i of one draw
+    seeded by config.seed, and the next draw gives the directions of gradient_check's test at
+    the first min(restarts, 5) starts, made in the starts' one evaluation. A restart stops as
+    goal at f < config.residual_goal, else as cap. The hits are finished by _polish, lowest f
+    first (stable order), and classified by verify() until one is not NotSemiSIC; that one is
+    reported, or the lowest hit if none is, with its polished f and its descent's trace.
     """
     if not isinstance(config, SearchConfig):
         raise InvalidConfig(f"expected a SearchConfig, got {type(config).__name__}")
-    rows0 = _initial_vectors(np.random.default_rng(config.seed), config.d, config.restarts)
-    rows, f, iterations, traces, reasons = _descend_batch(rows0, config.b, config)
+    rows, f, grad, check = _checked_start(np.random.default_rng(config.seed), config.d,
+                                          config.restarts, config.b)
+    rows, f, iterations, traces, reasons = _descend_batch(rows, f, grad, config.b, config)
     order = np.argsort(f, kind="stable")
     best, best_f = int(order[0]), float(f[order[0]])
     best_povm = classification = observed_k = None
@@ -451,7 +466,7 @@ def run_search(config: SearchConfig) -> SearchReport:
         iterations_per_restart=tuple(int(n) for n in iterations),
         stop_reasons=tuple(reasons),
         objective_trace=tuple((int(i), float(f)) for i, f in traces[best]),
-        gradient_check=gradient_check(config.d, config.b, seed=config.seed),
+        gradient_check=check,
         classification=classification,
         observed_k=observed_k,
     )

@@ -163,6 +163,23 @@ def test_gradient_matches_finite_differences():
     assert gradient_check(3, 1.0 / 36.0, seed=3) < 1e-6
 
 
+def directional_errors(starts, directions, d, k, b, step=1e-6):
+    """gradient_check's relative errors recomputed from the public objective() and
+    gradient(), one start V and direction D at a time."""
+    errors = []
+    for v, u in zip(starts, directions):
+        numeric = (objective(v + step * u, d, k, b)
+                   - objective(v - step * u, d, k, b)) / (2.0 * step)
+        analytic = np.add.reduce((gradient(v, d, k, b) * u.conj()).real.ravel())
+        errors.append(abs(analytic - numeric) / max(1.0, abs(numeric)))
+    return errors
+
+
+def descend(stack, cfg):
+    """search._descend_batch from the stack's own f and gradient."""
+    return search._descend_batch(stack, *search._value_and_gradient(stack, cfg.b), cfg.b, cfg)
+
+
 def check_points(d, seed):
     """The stacks V and directions D that gradient_check draws for (d, seed), (2, 5, d^2, d)."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x67726164,)))
@@ -175,15 +192,37 @@ def check_points(d, seed):
 def test_gradient_check_is_the_directional_error_of_objective_and_gradient(d):
     # recomputed from the public objective() and gradient(), one point at a time
     k, b = (2, 2.0 / 25.0) if d == 2 else (d * d, 1.0 / (d * d * (d + 1)))
-    step = 1e-6
     for seed in (0, 3):
-        errors = []
-        for v, u in zip(*check_points(d, seed)):
-            numeric = (objective(v + step * u, d, k, b)
-                       - objective(v - step * u, d, k, b)) / (2.0 * step)
-            analytic = np.add.reduce((gradient(v, d, k, b) * u.conj()).real.ravel())
-            errors.append(abs(analytic - numeric) / max(1.0, abs(numeric)))
+        errors = directional_errors(*check_points(d, seed), d, k, b)
         assert gradient_check(d, b, seed=seed) == max(errors) < 1e-6
+
+
+@pytest.mark.parametrize("d,k,b,restarts", [(2, 2, 0.07, 3), (3, 9, None, 7), (4, 16, None, 2),
+                                            (5, 25, None, 5)])
+def test_run_search_checks_the_gradient_in_its_starts_evaluation(monkeypatch, d, k, b, restarts):
+    # the starts, then one direction for each of the first min(R, 5), from the seed's
+    # generator; the error recomputed from objective() and gradient() at those starts
+    cfg = SearchConfig(d=d, k=k, b=b, restarts=restarts, max_iterations=2, seed=4)
+    rng = np.random.default_rng(cfg.seed)
+    starts = search._initial_vectors(rng, d, restarts)
+    directions = search._initial_vectors(rng, d, min(restarts, 5))
+    errors = directional_errors(starts, directions, d, k, cfg.b)
+    calls = []
+
+    def counting(name, real):
+        def call(rows, *args):
+            calls.append((name, rows.shape))
+            return real(rows, *args)
+        return call
+
+    for name in ("_parts", "_vjp"):
+        monkeypatch.setattr(search, name, counting(name, getattr(search, name)))
+    report = run_search(cfg)
+    assert report.gradient_check == max(errors) < 1e-6
+    # one Gram per start and per checked start at V + sD and V - sD; the gradient at V alone
+    n = d * d
+    assert calls[:2] == [("_parts", (restarts + 2 * len(directions), n, d)),
+                         ("_vjp", (restarts, n, d))]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -201,9 +240,11 @@ def wrong_vjp(equiangularity, completeness):
 
 @pytest.mark.parametrize("scales", [(1.01, 1.0), (1.0, 0.0)])
 def test_gradient_check_catches_a_wrong_gradient(monkeypatch, scales):
-    assert gradient_check(3, 1.0 / 36.0) < 1e-6
+    cfg = SearchConfig(d=3, k=9, restarts=2, max_iterations=1)
+    assert gradient_check(3, 1.0 / 36.0) < 1e-6 and run_search(cfg).gradient_check < 1e-6
     monkeypatch.setattr(search, "_vjp", wrong_vjp(*scales))
     assert gradient_check(3, 1.0 / 36.0) > 1e-4
+    assert run_search(cfg).gradient_check >= 1e-4
 
 
 def test_gradient_check_is_one_evaluation(monkeypatch):
@@ -221,7 +262,7 @@ def test_gradient_check_is_one_evaluation(monkeypatch):
         monkeypatch.setattr(search, name, lambda *args: pytest.fail("evaluation called"))
     assert gradient_check(3, 1.0 / 36.0) < 1e-6
     # one Gram per stack V, V + sD and V - sD at five points; the gradient at V alone
-    assert calls == [("_parts", (3, 5, 9, 3)), ("_vjp", (5, 9, 3))]
+    assert calls == [("_parts", (15, 9, 3)), ("_vjp", (5, 9, 3))]
 
 
 def test_gradient_check_at_large_d():
@@ -315,14 +356,22 @@ def test_armijo_ladder_equals_serial_halvings(monkeypatch):
     halvings = -np.log2(expected[0])
     assert list(halvings[:8]) == [1, 1, 2, 4, 7, 9, 19, 26] and np.isnan(halvings[8:]).all()
     assert search._LADDER == 3 and [(h - 1) // search._LADDER for h in halvings[3:5]] == [1, 2]
-    got = search._armijo_steps(rows, direction, f, slope, b)
-    for a, e in zip(got, expected):
+    t, fc, taken, grad = search._armijo_steps(rows, direction, f, slope, b)
+    for a, e in zip((t, fc), expected):
         assert np.array_equal(a, e, equal_nan=True)
-    # negative, NaN and zero slopes get NaN at once, with no objective call
+    # the rows, f and gradient it returns at each step are rows - t direction and
+    # _value_and_gradient there, bit for bit
+    moved = ~np.isnan(t)
+    at = rows[moved] - t[moved, None, None] * direction[moved]
+    value, grad_at = search._value_and_gradient(at, b)
+    assert np.array_equal(taken[moved], at) and np.array_equal(fc[moved], value)
+    assert np.array_equal(grad[moved], grad_at)
+    # negative, NaN and zero slopes get NaN at once, with no evaluation
     calls = []
-    monkeypatch.setattr(search, "_objective", lambda *args: calls.append(args))
+    for name in ("_parts", "_objective", "_vjp"):
+        monkeypatch.setattr(search, name, lambda *args: calls.append(args))
     got = search._armijo_steps(rows[:3], direction[:3], f[:3], np.array([-1.0, np.nan, 0.0]), b)
-    assert np.isnan(got).all() and not calls
+    assert np.isnan(got[:2]).all() and not calls
 
 
 def test_armijo_ladder_stays_under_the_entry_cap():
@@ -355,13 +404,14 @@ def test_two_loop_direction_equals_the_dense_update(d):
     # the H0 scale _descend_batch keeps per restart, by the dense reference's rule
     gamma = np.array([h0_scale(pairs[i, :, 0], pairs[i, :, 1], gamma0[i])
                       for i in range(restarts)])
-    got = search._lbfgs_directions(grad, stored, gamma)
+    got = search._lbfgs_directions(grad, stored, gamma, np.arange(search._MEMORY))
     for i in range(restarts):
         expected = dense_lbfgs_direction(grad[i], pairs[i, :, 0], pairs[i, :, 1], gamma0[i])
         assert np.linalg.norm(got[i] - expected) <= 1e-12 * np.linalg.norm(expected)
         # alone, a restart's empty slots are skipped; the direction is unchanged
         one = slice(i, i + 1)
-        alone = search._lbfgs_directions(grad[one], stored[one], gamma[one])
+        used = stored[i, :, 0].any(axis=-1).nonzero()[0]
+        alone = search._lbfgs_directions(grad[one], stored[one], gamma[one], used)
         assert np.array_equal(alone[0], got[i])
     assert np.array_equal(got[0], gamma0[0] * grad[0])
 
@@ -371,9 +421,9 @@ def test_two_loop_direction_equals_the_dense_update(d):
 def test_batched_restarts_match_running_alone(d, k, b):
     cfg = SearchConfig(d=d, k=k, b=b, restarts=5, max_iterations=300, seed=2)
     stack = search._initial_vectors(np.random.default_rng(cfg.seed), d, cfg.restarts)
-    rows, f, iterations, traces, reasons = search._descend_batch(stack, cfg.b, cfg)
+    rows, f, iterations, traces, reasons = descend(stack, cfg)
     for i in range(cfg.restarts):
-        alone = search._descend_batch(stack[i:i + 1], cfg.b, cfg)
+        alone = descend(stack[i:i + 1], cfg)
         assert alone[1][0] == f[i]
         assert alone[2][0] == iterations[i]
         assert np.array_equal(alone[0][0], rows[i])
@@ -421,18 +471,27 @@ def test_restarts_at_a_fixed_point_retire_at_the_cap(monkeypatch):
     evaluated = []
 
     def counting(rows, b):
-        evaluated.append(len(rows))
-        return value_and_gradient(rows, b)
+        evaluated.append(rows.shape[:-2])
+        return parts(rows, b)
 
-    value_and_gradient = search._value_and_gradient
-    monkeypatch.setattr(search, "_value_and_gradient", counting)
+    parts = search._parts  # every evaluation: the start, full steps and ladders
+    monkeypatch.setattr(search, "_parts", counting)
     report = run_search(SearchConfig(d=3, k=8, restarts=2, max_iterations=1200, seed=0))
     assert report.stop_reasons == ("cap", "cap")
     assert report.iterations_per_restart == (1200, 1200)
     assert [n for n, _ in report.objective_trace] == list(range(0, 1201, 6))
     assert report.objective_trace[-1][1] == report.best_residual
-    # a live restart is evaluated at least once per iteration
-    assert sum(evaluated) < 2 * 1200
+    # the start (both restarts, and both at +-sD for the gradient check), then one full
+    # step per live restart and iteration: restart 0 retires after 808 iterations and
+    # restart 1, a fixed point too, after 1147; a ladder holds only live restarts
+    full, live = [], None
+    for n, *ladder in evaluated:
+        if ladder:
+            assert n <= live
+        else:
+            live = n
+            full.append(n)
+    assert full == [6] + [2] * 808 + [1] * 339
 
 
 def test_stalled_and_gradient_free_restarts_stop_at_once(monkeypatch):
@@ -446,7 +505,7 @@ def test_stalled_and_gradient_free_restarts_stop_at_once(monkeypatch):
     start, zero = two_call_vectors(np.random.default_rng(3), 3), np.zeros((9, 3), dtype=complex)
     f0, fz = search._objective(np.stack([start, zero]), cfg.b).tolist()
     once = SearchConfig(d=3, k=9, max_iterations=1)
-    stepped, (f1,), *_ = search._descend_batch(start[None], cfg.b, once)
+    stepped, (f1,), *_ = descend(start[None], once)
     assert f1 < f0 and not np.array_equal(stepped[0], start)
     full, held, evaluated = range(cfg.max_iterations + 1), [], []
 
@@ -454,9 +513,9 @@ def test_stalled_and_gradient_free_restarts_stop_at_once(monkeypatch):
         evaluated.append(len(rows))
         return value_and_gradient(rows, b)
 
-    def uphill(grad, pairs, gamma):
+    def uphill(grad, pairs, gamma, used):
         held.append(pairs[:, -1, 0].any(axis=-1).tolist())
-        r = lbfgs_directions(grad, pairs, gamma)
+        r = lbfgs_directions(grad, pairs, gamma, used)
         r[held[-1]] *= -1.0
         return r
 
@@ -475,14 +534,14 @@ def test_stalled_and_gradient_free_restarts_stop_at_once(monkeypatch):
         monkeypatch.setattr(search, "_ARMIJO", constant)
         del evaluated[:], held[:]
         stack = np.stack([start, zero])
-        rows, f, iterations, traces, reasons = search._descend_batch(stack, cfg.b, cfg)
+        rows, f, iterations, traces, reasons = descend(stack, cfg)
         assert reasons == ["cap", "cap"]
         assert list(iterations) == [cfg.max_iterations] * 2
         assert (evaluated, held) == (evaluations, pairs_held)
         for i in range(2):
             assert np.array_equal(rows[i], end_rows[i]) and f[i] == end_f[i]
             assert traces[i] == end_traces[i]
-            alone = search._descend_batch(stack[i:i + 1], cfg.b, cfg)
+            alone = descend(stack[i:i + 1], cfg)
             assert np.array_equal(alone[0][0], rows[i]) and alone[1][0] == f[i]
             assert (alone[2][0], alone[3][0], alone[4][0]) == (iterations[i], traces[i],
                                                                reasons[i])
@@ -495,19 +554,19 @@ def test_each_restart_keeps_its_h0_scale(monkeypatch, d, k, b):
     # restart stores one in its first iteration, so gamma0 is NaN after the first call
     newest = []
 
-    def checked(grad, pairs, gamma):
+    def checked(grad, pairs, gamma, used):
         for i in range(len(grad)):
             gamma0 = np.nan if newest else 0.01 / (1.0 + np.linalg.norm(grad[i]))
             expected = h0_scale(pairs[i, :, 0], pairs[i, :, 1], gamma0)
             assert gamma[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
         newest.append(pairs[:, -1, 0].any(axis=-1))
-        return lbfgs_directions(grad, pairs, gamma)
+        return lbfgs_directions(grad, pairs, gamma, used)
 
     lbfgs_directions = search._lbfgs_directions
     monkeypatch.setattr(search, "_lbfgs_directions", checked)
     cfg = SearchConfig(d=d, k=k, b=b, restarts=3, max_iterations=200, seed=1)
     stack = search._initial_vectors(np.random.default_rng(cfg.seed), d, cfg.restarts)
-    search._descend_batch(stack, cfg.b, cfg)
+    descend(stack, cfg)
     assert not newest[0].any() and all(n.all() for n in newest[1:]) and len(newest) > 10
 
 
@@ -518,16 +577,19 @@ def test_the_pair_history_is_its_own_empty_slot_mask(monkeypatch):
     # leaves the direction bit for bit
     counts = []
 
-    def checked(grad, pairs, gamma):
+    def checked(grad, pairs, gamma, used):
         filled = pairs[:, :, 0].any(axis=-1)
         assert np.array_equal(filled, pairs.any(axis=(2, 3)))
         assert (filled[:, 1:] >= filled[:, :-1]).all()
+        # the slots the two-loop runs are those filled in some restart
+        assert np.array_equal(used, filled.any(axis=0).nonzero()[0])
         counts.append(filled.sum(axis=1).tolist())
-        r = lbfgs_directions(grad, pairs, gamma)
+        r = lbfgs_directions(grad, pairs, gamma, used)
         # one more, oldest slot: zero in every restart but an added one that fills it
         padded = np.zeros((len(grad) + 1, pairs.shape[1] + 1) + pairs.shape[2:])
         padded[:-1, 1:], padded[-1, 0] = pairs, 1.0
-        wider = lbfgs_directions(np.vstack([grad, grad[:1]]), padded, np.append(gamma, 1.0))
+        wider = lbfgs_directions(np.vstack([grad, grad[:1]]), padded, np.append(gamma, 1.0),
+                                 np.append(0, used + 1))
         assert np.array_equal(wider[:-1], r)
         return r
 
@@ -535,7 +597,7 @@ def test_the_pair_history_is_its_own_empty_slot_mask(monkeypatch):
     monkeypatch.setattr(search, "_lbfgs_directions", checked)
     cfg = SearchConfig(d=2, k=2, b=0.07, restarts=3, max_iterations=200, seed=1)
     stack = search._initial_vectors(np.random.default_rng(cfg.seed), cfg.d, cfg.restarts)
-    search._descend_batch(stack, cfg.b, cfg)
+    descend(stack, cfg)
     # every step stores its pair, and each stays filled until it is shifted out
     assert len(counts) > 100
     assert counts == [[min(i, search._MEMORY)] * len(c) for i, c in enumerate(counts)]
@@ -552,6 +614,55 @@ def test_armijo_ladders_run_only_on_failed_steps(monkeypatch):
     monkeypatch.setattr(search, "_armijo_steps", counting)
     run_search(SearchConfig(d=2, k=2, b=0.07, restarts=4, max_iterations=20, seed=13))
     assert sizes and 0 not in sizes
+
+
+@pytest.mark.parametrize("d,k,b,restarts,cap,seed", [(2, 2, 0.07, 4, 2000, 0),
+                                                     (3, 8, None, 3, 300, 5)])
+def test_each_iteration_evaluates_each_point_once(monkeypatch, d, k, b, restarts, cap, seed):
+    # per iteration, _parts sees every live restart once at its full step, then, in each
+    # ladder of _LADDER halvings, the restarts whose step is not yet found; a restart that
+    # stopped is never evaluated again
+    events = []
+
+    def parts(rows, b):
+        events.append(rows.shape[:-2])
+        return real_parts(rows, b)
+
+    def directions(grad, pairs, gamma, used):
+        assert np.array_equal(used, pairs[:, :, 0].any(axis=(0, 2)).nonzero()[0])
+        events.append("iteration")
+        return real_directions(grad, pairs, gamma, used)
+
+    def armijo(*args):
+        out = real_armijo(*args)
+        events.append(out[0])
+        return out
+
+    real_parts, real_directions, real_armijo = (search._parts, search._lbfgs_directions,
+                                                search._armijo_steps)
+    for name, fn in (("_parts", parts), ("_lbfgs_directions", directions),
+                     ("_armijo_steps", armijo)):
+        monkeypatch.setattr(search, name, fn)
+    cfg = SearchConfig(d=d, k=k, b=b, restarts=restarts, max_iterations=cap, seed=seed)
+    stack = search._initial_vectors(np.random.default_rng(cfg.seed), d, restarts)
+    _, _, iterations, _, reasons = descend(stack, cfg)
+    assert events[0] == (restarts,) and len(set(reasons)) == 1
+    marks = [i for i, e in enumerate(events) if isinstance(e, str)] + [len(events)]
+    assert len(marks) - 1 == max(iterations)
+    groups = []
+    for it, (start, end) in enumerate(zip(marks, marks[1:])):
+        got = events[start + 1:end]
+        assert got[0] == (np.count_nonzero(np.asarray(iterations) > it),)
+        expected = got[:1]
+        if len(got) > 1:
+            steps = got[-1]
+            assert np.isfinite(steps).all()  # every ladder here finds its step
+            joined = (-np.log2(steps).astype(int) - 1) // search._LADDER + 1
+            expected += [(np.count_nonzero(joined > g), search._LADDER)
+                         for g in range(joined.max())] + [got[-1]]
+            groups += joined.tolist()
+        assert got == expected
+    assert groups and max(groups) > 1
 
 
 def test_search_finds_qubit_member():
