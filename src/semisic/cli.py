@@ -1,6 +1,10 @@
 """Command-line interface.
 
 Subcommands: construct, verify, dual, region, bloch, search, spectrum.
+main() hands the arguments after a command name straight to that command's
+subparser, with the top-level "unrecognized arguments" error for leftovers; the
+top-level parser, whose matching costs about a subparser's parse, runs only for
+no arguments, -h or an unknown command.
 Exit codes: 0 success, 1 semantic negative (failed verification, inconsistent
 probabilities, no verified search hit under --require-solution), 2 usage, parse,
 or out-of-range errors.
@@ -42,6 +46,9 @@ def _print_report(report: model.VerificationReport, as_json: bool) -> None:
     print(f"fitted_b: {report.fitted_b:.12g}")
     print(f"k: {report.k}")
     print(f"max_violation: {report.max_violation:.6g}")
+    print(f"worst_condition: {report.worst_condition}")
+    for name in ("equi_dev", "comp_dev", "psd_dev", "herm_dev", "trace_dev"):
+        print(f"{name}: {getattr(report, name):.6g}")
     print(f"is_ic: {'yes' if report.is_ic else 'no'}")
     print(f"all_rank_one: {'yes' if report.all_rank_one else 'no'}")
     print(f"equiangular: {'yes' if report.equiangular else 'no'}")
@@ -203,13 +210,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Building the parser costs more than most commands; parse_args leaves it
-# unchanged, so one instance serves every main() call in a process.
-_parser = functools.cache(build_parser)
+# Building the parser costs more than most commands; parsing leaves it
+# unchanged, so one instance and its subparsers serve every main() call in a process.
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:  # no arguments, -h or an unknown command
+        args = parser.parse_args(argv)
+    else:
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
     # semantic negatives first: they subclass ValueError, like every

@@ -15,7 +15,7 @@ import numpy as np
 from .dual import DualFrame
 from .errors import DocumentError
 from .model import Povm
-from .textio import open_text, write_json
+from .textio import read_text, write_json
 
 
 def matrix_to_pairs(mat: np.ndarray) -> list:
@@ -126,9 +126,8 @@ def save_povm(path, povm: Povm, b: float | None = None, k: int | None = None,
 
 def load_povm(path) -> PovmDocument:
     try:
-        with open_text(path) as handle:
-            doc = json.load(handle)
-    except (ValueError, RecursionError) as exc:  # bad JSON, too many digits or too deep
+        doc = json.loads(read_text(path))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, bad JSON, too many digits or too deep
         raise DocumentError(f"invalid JSON: {exc}") from exc
     return parse_povm_document(doc)
 

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .linalg import TOL_COND, TOL_NORM, TOL_PSD, as_hermitian
 from .model import NOT_SEMI_SIC, Povm, SemiSicParams, _refusal, verify
-from .textio import open_text
+from .textio import write_text
 
 # Feasibility slack: determinant values above -1e-12 count as reconstructible.
 FEASIBILITY_SLACK = 1e-12
@@ -215,16 +215,20 @@ def write_region_csv(scan: np.recarray, path) -> None:
     fields = getattr(scan, "dtype", np.dtype(float)).fields or {}
     if any(name not in fields or fields[name][0] != _REGION_DTYPE[name] for name in _REGION_FIELDS):
         raise ValueError(f"a region scan needs the fields of {_REGION_DTYPE}")
+    write_text(path, _region_csv_texts(scan))
+
+
+def _region_csv_texts(scan: np.recarray):
+    """write_region_csv's text: the header, then one string per block of rows."""
+    yield ",".join(_REGION_FIELDS) + "\n"
     ends = np.array(["%.17g,0\n", "%.17g,1\n"], dtype=object)
-    with open_text(path, "w", newline="") as handle:
-        handle.write(",".join(_REGION_FIELDS) + "\n")
-        for start in range(0, len(scan), _CHUNK):
-            block = scan[start:start + _CHUNK]
-            coords = np.stack([block["p1"], block["p2"], block["p3"]]).view(np.int64)
-            bits, where = np.unique(coords, return_inverse=True)
-            # "%.17g" text is digits, sign, ".", "e", "inf" or "nan", never a "%"
-            text = np.array(["%.17g," % x for x in bits.view(float).tolist()], dtype=object)
-            parts = np.empty((len(block), 4), dtype=object)
-            parts[:, :3] = text[where.reshape(3, -1).T]
-            parts[:, 3] = ends[block["feasible"].astype(np.intp)]
-            handle.write("".join(parts.ravel().tolist()) % tuple(block["f"].tolist()))
+    for start in range(0, len(scan), _CHUNK):
+        block = scan[start:start + _CHUNK]
+        coords = np.stack([block["p1"], block["p2"], block["p3"]]).view(np.int64)
+        bits, where = np.unique(coords, return_inverse=True)
+        # "%.17g" text is digits, sign, ".", "e", "inf" or "nan", never a "%"
+        text = np.array(["%.17g," % x for x in bits.view(float).tolist()], dtype=object)
+        parts = np.empty((len(block), 4), dtype=object)
+        parts[:, :3] = text[where.reshape(3, -1).T]
+        parts[:, 3] = ends[block["feasible"].astype(np.intp)]
+        yield "".join(parts.ravel().tolist()) % tuple(block["f"].tolist())

@@ -50,6 +50,10 @@ PSD_GATE = 1e-4
 # square-root singularity would spread the two trace values by ~1e-8.
 DISC_SNAP = 1e-13
 
+# verify()'s five deviations (VerificationReport's equi_dev, comp_dev, psd_dev,
+# herm_dev and trace_dev) by name; the first largest is the report's worst_condition
+CONDITIONS = ("equiangularity", "completeness", "positivity", "hermiticity", "trace")
+
 # admissible_k lists d entries and `semisic spectrum` prints d rows: larger d are refused
 MAX_SPECTRUM_D = 10**5
 _COUNTING_TOL = 1e-12
@@ -267,6 +271,12 @@ class VerificationReport:
     fitted_b: float
     k: int
     max_violation: float
+    worst_condition: str  # the condition whose deviation is max_violation, one of CONDITIONS
+    equi_dev: float
+    comp_dev: float
+    psd_dev: float
+    herm_dev: float
+    trace_dev: float
     is_ic: bool
     all_rank_one: bool
     equiangular: bool
@@ -284,8 +294,10 @@ def verify(povm: Povm) -> VerificationReport:
     exactly when every trace is a root of the trace quadratic. Elements with
     a < 1/2 sit on the small root; when all traces agree within TOL_COND, or
     a qubit's do not split 2 + 2 (near the double root 1/2 they may spread by
-    about sqrt(TOL_COND)), there is one class, the SIC with k = d^2. The
-    largest deviation is max_violation: at most linalg.TOL_COND, the one gate,
+    about sqrt(TOL_COND)), there is one class, the SIC with k = d^2. The report
+    keeps each deviation (equi_dev, comp_dev, psd_dev, herm_dev, trace_dev) and
+    names the condition of the largest (worst_condition, first of CONDITIONS
+    on a tie). That largest is max_violation: at most linalg.TOL_COND, the one gate,
     means SIC (one trace class) or StrictSemiSIC (two), anything more
     NotSemiSIC; the rank and IC cutoffs are linalg constants too. Only the
     Gram matrix (kept on the Povm, where dual_basis reads it) and the traces
@@ -297,10 +309,12 @@ def verify(povm: Povm) -> VerificationReport:
 
 
 def _refusal(report: VerificationReport) -> str:
-    """Why verify() refused a POVM: any failed IC or rank test, then the largest violation."""
+    """Why verify() refused a POVM: any failed IC or rank test, then the largest violation
+    and the condition it breaks."""
     failed = [why for ok, why in ((report.is_ic, "not informationally complete"),
                                   (report.all_rank_one, "not rank one")) if not ok]
-    return ", ".join(failed + [f"max violation {report.max_violation:.3e}"])
+    return ", ".join(failed + [f"max violation {report.max_violation:.3e} "
+                               f"({report.worst_condition})"])
 
 
 def _measure(povm: Povm) -> VerificationReport:
@@ -335,7 +349,8 @@ def _measure(povm: Povm) -> VerificationReport:
         lo, hi = traces[small].sum() / k, traces[~small].sum() / (n - k)
         classes = ((float(lo), k), (float(hi), n - k))
 
-    max_violation = max(equi_dev, comp_dev, psd_dev, herm_dev, trace_dev)
+    deviations = (equi_dev, comp_dev, psd_dev, herm_dev, trace_dev)
+    max_violation = max(deviations)
     equiangular = equi_dev <= TOL_COND
 
     if is_ic and all_rank_one and max_violation <= TOL_COND:
@@ -348,6 +363,12 @@ def _measure(povm: Povm) -> VerificationReport:
         fitted_b=fitted_b,
         k=k,
         max_violation=max_violation,
+        worst_condition=CONDITIONS[deviations.index(max_violation)],
+        equi_dev=equi_dev,
+        comp_dev=comp_dev,
+        psd_dev=psd_dev,
+        herm_dev=herm_dev,
+        trace_dev=trace_dev,
         is_ic=is_ic,
         all_rank_one=all_rank_one,
         equiangular=equiangular,

@@ -1,12 +1,13 @@
 """Reading and writing text where the target is a path or an open stream.
 
-A path is written in place: an existing file is opened without truncation,
-overwritten from its start, and its old tail cut at the end of the write.
-Truncating a file that holds data before rewriting it makes ext4 (with its
-default auto_da_alloc) start writeback when the file is closed, which costs
-far more than the write itself; a file written in place keeps its hard links
-and its mode. A fresh path is written as before. Nothing is fsynced, so a
-crash during a write can leave old and new bytes mixed in the file.
+A path is read and written at its file descriptor, with no io wrappers, as
+UTF-8 with "\n" line ends on every platform (save_povm over an existing file:
+30 us, 39 us through a text wrapper), and in place: an existing file is opened
+without truncation, overwritten from its start, and its old tail cut at the
+end. Truncating a file that holds data first makes ext4 (auto_da_alloc) start
+writeback at close, which costs far more than the write; a file written in
+place keeps its hard links and its mode. Nothing is fsynced, so a crash during
+a write can leave old and new bytes mixed in the file.
 """
 
 from __future__ import annotations
@@ -14,33 +15,46 @@ from __future__ import annotations
 import json
 import os
 import stat
-from contextlib import contextmanager
+
+_READ_CHUNK = 1 << 16
 
 
-@contextmanager
-def open_text(target, mode: str = "r", **kwargs):
-    """Yield target itself if it is an open stream (it stays open), else open
-    the path with open(target, mode, **kwargs), or in place for mode "w", and
-    close it after. A "w" write to a regular file is cut at the last byte
-    written, also when the write raises."""
-    if hasattr(target, "read" if mode == "r" else "write"):
-        yield target
-    elif mode != "w":
-        with open(target, mode, **kwargs) as handle:
-            yield handle
-    else:
-        fd = os.open(target, os.O_WRONLY | os.O_CREAT, 0o666)
-        try:
-            handle = open(fd, "w", **kwargs)
-        except BaseException:
+def read_text(source) -> str:
+    """The whole text of source: an open stream's read(), or a path's bytes as UTF-8
+    (UnicodeDecodeError, a ValueError, if they are not)."""
+    if hasattr(source, "read"):
+        return source.read()
+    fd, chunks = os.open(source, os.O_RDONLY), []
+    try:
+        while chunk := os.read(fd, _READ_CHUNK):
+            chunks.append(chunk)
+    except OSError as exc:  # a directory opens, then fails its first read without a name
+        raise OSError(exc.errno, exc.strerror, os.fspath(source)) from None
+    finally:
+        os.close(fd)
+    return b"".join(chunks).decode()
+
+
+def write_text(target, texts) -> None:
+    """Write each string of texts to target: an open stream at its position (it
+    stays open), or a path in place as UTF-8. A regular file is cut at the last
+    byte written, also when texts raises."""
+    if hasattr(target, "write"):
+        for text in texts:
+            target.write(text)
+        return
+    fd = os.open(target, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        for text in texts:
+            view = memoryview(text.encode())
+            while view:  # os.write may take fewer bytes than it is given
+                view = view[os.write(fd, view):]
+    finally:
+        try:  # ftruncate on /dev/null, a pipe or a tty is EINVAL
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+        finally:
             os.close(fd)
-            raise
-        with handle:
-            try:
-                yield handle
-            finally:  # ftruncate on /dev/null, a pipe or a tty is EINVAL
-                if stat.S_ISREG(os.fstat(fd).st_mode):
-                    handle.truncate()
 
 
 def write_json(target, doc) -> None:
@@ -48,6 +62,4 @@ def write_json(target, doc) -> None:
     without indent is the C encoder; floats are float.__repr__, which round-trips).
     The document is encoded before the target is opened, so a doc that fails to
     encode leaves the target as it was."""
-    text = json.dumps(doc) + "\n"
-    with open_text(target, "w") as handle:
-        handle.write(text)
+    write_text(target, (json.dumps(doc) + "\n",))

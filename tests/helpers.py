@@ -34,6 +34,36 @@ def hesse_sic() -> Povm:
     return Povm.from_vectors(wh_sic_vectors(0.0))
 
 
+def perturbed_sic_stack(condition: str, size: float = 4e-9) -> np.ndarray:
+    """The Hesse SIC's elements with one defining condition of model.CONDITIONS broken
+    by about size and every other deviation smaller (verify's worst_condition)."""
+    rows = wh_sic_vectors(0.0)
+    if condition == "completeness":  # every element scaled alike: overlaps stay equal
+        return Povm.from_vectors(rows * np.sqrt(1.0 + size)).elements
+    if condition in ("equiangularity", "trace"):
+        # rotate v_0 and v_1 into each other, which keeps E_0 + E_1. With the phase
+        # i<v_1|v_0> their norms, so the traces, stay and only overlaps move; with
+        # <v_1|v_0> the traces move, and the overlaps by half as much: complete
+        # rank-one elements have a_x^2 + sum_{y != x} G_xy = a_x, so traces cannot
+        # move on their own
+        ip = np.vdot(rows[1], rows[0])
+        phase = ip / abs(ip) * (1j if condition == "equiangularity" else 1.0)
+        c, s = np.cos(size), np.sin(size)
+        rows[:2] = c * rows[0] + s * phase * rows[1], c * rows[1] - s * np.conj(phase) * rows[0]
+        return Povm.from_vectors(rows).elements
+    stack = np.array(Povm.from_vectors(rows).elements)
+    if condition == "hermiticity":  # an anti-Hermitian part, which Povm drops
+        stack[0, :2, :2] += 1j * size * np.array([[0.0, 1.0], [1.0, 0.0]])
+    elif condition == "positivity":  # size |w><w| moved from E_0 to E_1, w orthogonal to v_0
+        w = np.array([1.0, 0.0, 0.0]) - rows[0] * rows[0, 0].conj() / np.vdot(rows[0], rows[0])
+        projector = np.outer(w, w.conj()) / np.vdot(w, w).real
+        stack[0] -= size * projector
+        stack[1] += size * projector
+    else:
+        raise ValueError(condition)
+    return stack
+
+
 def two_call_vectors(rng: np.random.Generator, d: int) -> np.ndarray:
     """d^2 random vectors of length d scaled to total norm^2 d, real and imaginary parts
     from two draws: the fixed starting points some search tests were written against."""
@@ -130,7 +160,7 @@ def reference_structure(elements, d: int) -> tuple:
 def reference_report(elements, d: int) -> VerificationReport:
     """Reference for verify() on Povm(dim=d, elements=elements): the same measurements
     with a boolean off-diagonal mask, ndarray.mean and np.maximum, which model._measure
-    replaces by cheaper calls."""
+    replaces by cheaper calls, and the worst condition by np.argmax."""
     n = d * d
     herm_dev, comp_dev, eigs = reference_structure(elements, d)
     stack = np.asarray(elements, dtype=complex)
@@ -152,13 +182,15 @@ def reference_report(elements, d: int) -> VerificationReport:
         k, classes = n, ((float(traces.mean()), n),)
     else:
         classes = ((float(traces[small].mean()), k), (float(traces[~small].mean()), n - k))
-    max_violation = max(equi_dev, comp_dev, psd_dev, herm_dev, trace_dev)
+    deviations = (equi_dev, comp_dev, psd_dev, herm_dev, trace_dev)
+    max_violation = float(np.max(deviations))
     ok = is_ic and all_rank_one and max_violation <= TOL_COND
     label = model.NOT_SEMI_SIC
     if ok:
         label = model.SIC if len(classes) == 1 else model.STRICT_SEMI_SIC
-    return VerificationReport(label, fitted_b, k, max_violation, is_ic, all_rank_one,
-                              equi_dev <= TOL_COND, classes)
+    return VerificationReport(label, fitted_b, k, max_violation,
+                              model.CONDITIONS[int(np.argmax(deviations))], *deviations,
+                              is_ic, all_rank_one, equi_dev <= TOL_COND, classes)
 
 
 def reference_dual(povm: Povm) -> tuple[np.ndarray, tuple[int, ...]]:

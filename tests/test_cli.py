@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import count_measurements, disguise, hermitian_noise, hesse_sic
+from helpers import count_measurements, disguise, hermitian_noise, hesse_sic, perturbed_sic_stack
 from semisic import cli, dual, model, qubit
 from semisic.bloch import bloch_to_probs
-from semisic.documents import parse_povm_document, save_povm
+from semisic.documents import matrix_to_pairs, parse_povm_document, save_povm
 from semisic.model import Povm, VerificationReport
 from semisic.qubit import construct, family_point
 
@@ -91,6 +91,26 @@ def test_verify_json_keys_follow_the_report_fields(tmp_path, capsys):
     fields = dataclasses.asdict(report)
     fields["trace_classes"] = [list(c) for c in report.trace_classes]
     assert json.loads(out) == fields
+
+
+DEVIATIONS = ["equi_dev", "comp_dev", "psd_dev", "herm_dev", "trace_dev"]
+
+
+@pytest.mark.parametrize("condition", model.CONDITIONS)
+def test_verify_and_dual_name_the_failed_condition(tmp_path, capsys, condition):
+    path = tmp_path / "perturbed.json"
+    # written by hand: save_povm would store the Hermitian part only
+    path.write_text(json.dumps({"dim": 3, "elements": matrix_to_pairs(perturbed_sic_stack(condition))}))
+    rc, out, _ = run(capsys, "verify", "--in", str(path), "--json")
+    report = json.loads(out)
+    assert rc == 1 and report["worst_condition"] == condition
+    assert report["max_violation"] == max(report[name] for name in DEVIATIONS)
+    rc, out, _ = run(capsys, "verify", "--in", str(path))
+    lines = out.splitlines()
+    assert rc == 1 and f"worst_condition: {condition}" in lines
+    assert [line.split(":")[0] for line in lines[4:10]] == ["worst_condition", *DEVIATIONS]
+    rc, _, err = run(capsys, "dual", "--in", str(path))
+    assert rc == 1 and err.rstrip().endswith(f"({condition}))")
 
 
 def test_documents_are_one_line(tmp_path, capsys):
@@ -456,3 +476,60 @@ def test_dual_and_region_accept_a_member_1e_10_above_one_sixteenth(tmp_path, cap
     rc, _, err = run(capsys, "region", "--in", str(path), "--resolution", "10",
                      "--out", str(tmp_path / "r.csv"))
     assert rc == 0 and "of 286 grid points feasible" in err
+
+
+# One row per command (with --flag=value and abbreviated flags), the bloch
+# negative numbers, and the calls the top-level parser reports itself: no
+# arguments, -h and an unknown command; then a subparser's own errors and a
+# leftover argument. "{dir}" is the test's directory, holding member.json.
+ROUTING_TABLE = [
+    ["construct", "--b=2/25", "--ou", "{dir}/c.json"],
+    ["verify", "--in", "{dir}/member.json", "--js"],
+    ["verify", "--in={dir}/member.json"],
+    ["dual", "--in", "{dir}/member.json", "--ou={dir}/f.json"],
+    ["region", "--in", "{dir}/member.json", "--res", "3", "--out", "{dir}/r.csv"],
+    ["bloch", "--b", "2/25", "--to-p", "0", "0", "1"],
+    ["bloch", "--b", "2/25", "--to-probs", "-1e-05", "0", "-1e+00"],
+    ["bloch", "--b=2/25", "--to-bloch", "0.4", "0.2", "0.2", "0.2"],
+    ["search", "--d", "2", "--k", "4", "--restarts=1", "--max-it", "5", "--out", "{dir}/s.json"],
+    ["spectrum", "--d=3"],
+    [],
+    ["-h"],
+    ["bogus"],
+    ["dual", "-h"],
+    ["dual", "--in"],
+    ["search", "--d", "2", "--k", "4", "--re", "1"],
+    ["bloch", "--b", "2/25", "--to-probs", "0", "0", "1", "--to-bloch", "1", "0", "0", "0"],
+    ["verify", "--in", "{dir}/member.json", "--bogus"],
+    ["verify", "--in", "{dir}/member.json", "extra", "-x"],
+]
+
+
+def outcome(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("row", ROUTING_TABLE, ids=lambda row: " ".join(row) or "no-arguments")
+def test_routing_prints_and_exits_as_the_full_parse(tmp_path, capsys, monkeypatch, row):
+    member_path(tmp_path, capsys)
+    argv = [arg.format(dir=tmp_path) for arg in row]
+    parser, commands = cli._parsers()
+    top_level = []
+
+    def counted(*args, **kwargs):
+        top_level.append(args)
+        return type(parser).parse_known_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(parser, "parse_known_args", counted)
+    routed = outcome(capsys, argv)
+    assert (len(top_level) == 0) == (bool(argv) and argv[0] in commands)
+    # the same main() with no command known to it parses every call with build_parser()
+    monkeypatch.setattr(cli, "_parsers", lambda: (cli.build_parser(), {}))
+    assert routed == outcome(capsys, argv)
+    if argv[-1:] == ["--bogus"]:
+        assert routed[0] == 2 and "semisic: error: unrecognized arguments: --bogus" in routed[2]

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import stat
+import threading
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from semisic.dual import dual_basis, region_grid, write_region_csv
 from semisic.errors import DocumentError, MalformedPovm
 from semisic.model import Povm, SemiSicParams
 from semisic.qubit import construct
-from semisic.textio import open_text, write_json
+from semisic import textio
+from semisic.textio import write_json, write_text
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 # every finite double: hypothesis draws -0.0, subnormals and magnitudes near 1e308 too
@@ -267,7 +269,7 @@ def test_dual_frame_document_layout(tmp_path):
     assert json.loads(path.read_text())["dim"] == 2
 
 
-# every file the package writes goes through textio.open_text, which writes a
+# every file the package writes goes through textio.write_text, which writes a
 # path in place: an existing file is overwritten from its start and its tail cut
 def povm_writer(target):
     save_povm(target, construct(2.0 / 25.0), b=2.0 / 25.0, k=2, metadata={"note": "fixture"})
@@ -344,10 +346,13 @@ def test_a_stream_target_stays_open_and_untruncated(tmp_path, writer):
 def test_a_write_that_raises_keeps_the_bytes_written_and_no_old_tail(tmp_path):
     path = tmp_path / "partial.out"
     path.write_text("old " * 1000)
+
+    def texts():
+        yield "new "
+        raise RuntimeError("midway")
+
     with pytest.raises(RuntimeError, match="midway"):
-        with open_text(path, "w") as handle:
-            handle.write("new ")
-            raise RuntimeError("midway")
+        write_text(path, texts())
     assert path.read_text() == "new "
 
 
@@ -378,3 +383,70 @@ def test_a_scan_without_the_region_fields_leaves_the_target(tmp_path, scan):
     with pytest.raises(ValueError, match="region scan"):
         write_region_csv(scan, path)
     assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_short_os_writes_give_the_same_bytes(tmp_path, monkeypatch, writer):
+    # os.write may take fewer bytes than it is given; here it takes at most 7 a call
+    want = fresh_bytes(tmp_path, writer)
+    write, calls = os.write, []
+
+    def short(fd, data):
+        calls.append(fd)
+        return write(fd, data[:7])
+
+    monkeypatch.setattr(os, "write", short)
+    path = tmp_path / "old.out"
+    path.write_bytes(b"old tail\n" * 2000)
+    writer(path)
+    monkeypatch.undo()
+    assert path.read_bytes() == want
+    assert len(calls) >= len(want) / 7
+
+
+def padded_member(tmp_path, size):
+    path = tmp_path / f"member-{size}.json"
+    save_povm(path, construct(2.0 / 25.0), b=2.0 / 25.0, k=2, metadata={"pad": "x" * size})
+    return path
+
+
+def assert_same_document(got, want):
+    assert np.array_equal(got.povm.elements, want.povm.elements)
+    assert (got.b, got.k, got.metadata) == (want.b, want.k, want.metadata)
+
+
+@pytest.mark.parametrize("size", [0, 3 * textio._READ_CHUNK])
+def test_a_document_larger_than_a_read_chunk_loads_as_its_text(tmp_path, size):
+    path = padded_member(tmp_path, size)
+    assert (path.stat().st_size > textio._READ_CHUNK) == (size > 0)
+    assert_same_document(load_povm(path), parse_povm_document(json.loads(path.read_text())))
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("size", [0, 3 * textio._READ_CHUNK])
+def test_a_document_read_through_a_pipe_loads_as_from_its_path(tmp_path, size):
+    path = padded_member(tmp_path, size)
+    read_end, write_end = os.pipe()
+
+    def feed():  # the pipe holds less than the large document, so it is fed while read
+        with open(write_end, "wb") as handle:
+            handle.write(path.read_bytes())
+
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    try:
+        got = load_povm(f"/dev/fd/{read_end}")
+    finally:  # closed first, a failed read cannot leave the feeder blocked
+        os.close(read_end)
+        feeder.join()
+    assert_same_document(got, load_povm(path))
+
+
+def test_a_document_that_is_not_utf8_is_invalid_json(tmp_path, capsys):
+    path = padded_member(tmp_path, 0)
+    path.write_bytes(path.read_bytes().replace(b'"pad": ""', b'"pad": "\xff"'))
+    assert path.read_bytes().count(b"\xff") == 1
+    with pytest.raises(DocumentError, match="invalid JSON"):
+        load_povm(path)
+    assert cli.main(["verify", "--in", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid JSON: ")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import count_measurements, disguise, hesse_sic
+from helpers import count_measurements, disguise, hesse_sic, perturbed_sic_stack
 from semisic.dual import dual_basis
 from semisic.errors import (
     BOutOfRange,
@@ -18,6 +18,7 @@ from semisic.errors import (
 )
 from semisic.linalg import TOL_COND
 from semisic.model import (
+    CONDITIONS,
     MAX_SPECTRUM_D,
     NOT_SEMI_SIC,
     SIC,
@@ -27,6 +28,7 @@ from semisic.model import (
     admissible_k,
     b_from_k,
     b_from_k_exact,
+    _refusal,
     trace_values,
     trace_values_exact,
     verify,
@@ -302,7 +304,9 @@ def test_verify_classifies_at_the_given_gate():
 
 
 def test_verify_measures_each_povm_once(monkeypatch):
-    povm = construct(0.07)
+    # stored elements are exactly Hermitian, so the report of a Povm built from them
+    # (herm_dev measures the elements as given) is the report of any equal Povm
+    povm = Povm(dim=2, elements=construct(0.07).elements)
     calls = count_measurements(monkeypatch)
     report = verify(povm)
     assert verify(povm) is report and calls == [povm]
@@ -310,6 +314,22 @@ def test_verify_measures_each_povm_once(monkeypatch):
     other = Povm(dim=2, elements=povm.elements)
     assert verify(other) == report and verify(other) == report
     assert calls == [povm, other]
+
+
+@pytest.mark.parametrize("condition", CONDITIONS)
+def test_verify_names_the_condition_it_fails(condition):
+    report = verify(Povm(dim=3, elements=perturbed_sic_stack(condition)))
+    deviations = dict(zip(CONDITIONS, (report.equi_dev, report.comp_dev, report.psd_dev,
+                                       report.herm_dev, report.trace_dev)))
+    assert report.classification == NOT_SEMI_SIC and report.is_ic
+    assert report.worst_condition == condition
+    assert deviations[condition] == report.max_violation > TOL_COND
+    assert all(dev < report.max_violation for name, dev in deviations.items() if name != condition)
+    assert _refusal(report).endswith(f"max violation {report.max_violation:.3e} ({condition})")
+    # unperturbed, the same SIC passes with every deviation at rounding level
+    clean = verify(hesse_sic())
+    assert clean.classification == SIC and clean.max_violation < 1e-15
+    assert clean.worst_condition in CONDITIONS
 
 
 def test_verify_rejects_full_rank_elements():
