@@ -60,8 +60,8 @@ def cmd_construct(args) -> int:
     point = qubit.family_point(args.b)
     povm = qubit._member(point)
     meta = {"source": "construct", "r": point.r, "theta": point.theta}
-    documents.save_povm(args.out or sys.stdout, povm, b=point.b, k=point.params.k,
-                        metadata=meta)
+    documents.save_povm(sys.stdout if args.out is None else args.out, povm, b=point.b,
+                        k=point.params.k, metadata=meta)
     return 0
 
 
@@ -84,7 +84,7 @@ def _verified_dual(infile) -> tuple[dual.DualFrame, model.VerificationReport]:
 
 def cmd_dual(args) -> int:
     frame, report = _verified_dual(args.infile)
-    documents.save_dual_frame(args.out or sys.stdout, frame,
+    documents.save_dual_frame(sys.stdout if args.out is None else args.out, frame,
                               metadata={"fitted_b": report.fitted_b})
     return 0
 
@@ -92,7 +92,7 @@ def cmd_dual(args) -> int:
 def cmd_region(args) -> int:
     frame, _ = _verified_dual(args.infile)
     scan = dual.region_grid(frame, args.resolution)
-    dual.write_region_csv(scan, args.out or sys.stdout)
+    dual.write_region_csv(scan, sys.stdout if args.out is None else args.out)
     print(f"{int(scan.feasible.sum())} of {len(scan)} grid points feasible", file=sys.stderr)
     return 0
 
@@ -113,7 +113,7 @@ def cmd_search(args) -> int:
                                  max_iterations=args.max_iterations, seed=args.seed,
                                  residual_goal=args.residual_goal)
     report = search.run_search(config)
-    if args.out:
+    if args.out is not None:
         report.save(args.out)
     stops = ", ".join(f"{report.stop_reasons.count(r)} {r}" for r in search.STOP_REASONS
                       if r in report.stop_reasons)

@@ -26,10 +26,12 @@ restarts at once (one Gram each), as most quasi-Newton steps pass there
 halvings from 1/2 on, three per stacked call, whose Grams also give the gradient at
 the step they take, so no point is evaluated twice. Inner products are batched
 (R, 1, n) @ (R, n, 1) matmuls. A restart's pairs are one real (m, 2, 2 d^3) array,
-each pair divided by sqrt(Re<s, y>); an empty slot is zero, and a stored pair never is.
-A restart that stores no pair and keeps its vectors and f bitwise is at a fixed point:
-it would repeat that iteration until the cap, so it retires there at once as cap, with
-the trace points it would have added. A restart that finds no step (r does not descend,
+each pair divided by sqrt(Re<s, y>), newest last; an empty slot is zero and adds nothing,
+and after it iterations a restart holds at most its newest min(it, m), the slots run.
+Every max(1, cap // 200) iterations all restarts' f go into one f-history. A restart that
+stores no pair and keeps its vectors and f bitwise is at a fixed point: it would repeat
+that iteration until the cap, so it retires there at once as cap, its f standing at every
+later trace point. A restart that finds no step (r does not descend,
 or no halving passes) keeps its vectors, f and gradient, so it is such a point, and so
 is an exactly zero gradient, as its step is zero. Every report carries gradient_check,
 a finite-difference check of the gradient at the first five starts, from their own Grams.
@@ -65,6 +67,8 @@ _GOAL, _CAP = range(len(STOP_REASONS))
 # d <= 19 is admitted. Under the cap: the full step's (restarts, d^2, d^2) Grams, a ladder's
 # (pending, _LADDER = 3, d^2, d^2), the starts' restarts + 2 min(restarts, 5), and each half
 # (s, y) of the L-BFGS history (restarts, _MEMORY, 2, 2 d^3): _MEMORY d^3 <= 3 d^4 complex.
+# Outside it, the f-history: at most cap // stride + 1 <= 400 rows of restarts floats,
+# so <= 3.2 KB per restart.
 MAX_SEARCH_ENTRIES = 2**22
 _PENALTY_WEIGHT = 10.0  # w of the objective
 _INITIAL_STEP = 1e-2  # gradient steps start at this, divided by 1 + |gradient|
@@ -264,25 +268,25 @@ def _dot(a, b):
     return (a[:, None] @ b[..., None])[:, 0, 0]
 
 
-def _lbfgs_directions(grad, pairs, gamma, used):
+def _lbfgs_directions(grad, pairs, gamma):
     """Per restart, H grad by the L-BFGS two-loop recursion, in real coordinates.
 
     grad is an (R, 2d^3) real view of the gradients, and pairs the
-    (R, _MEMORY, 2, 2d^3) history of s (index 0) and y (index 1), oldest first,
+    (R, slots, 2, 2d^3) history of s (index 0) and y (index 1), oldest first,
     each pair divided by sqrt(<s, y>) when stored, so that s y^T / <s, y> = s' y'^T.
     An empty slot is zero, and a stored pair never is (<s, y> > 0 needs s != 0); a zero
-    slot adds nothing, so a restart's empty slots may run. used lists, in order, the slots
-    filled in some restart; the others are skipped. H0 = gamma I with the
-    per-restart gamma that _descend_batch keeps beside the pairs.
+    slot adds nothing, so a restart's empty slots may run. _descend_batch passes only
+    the newest slots any restart can hold. H0 = gamma I with the per-restart gamma that
+    _descend_batch keeps beside the pairs.
     So each slot's alpha and beta is one batched (R, 1, n) @ (R, n, 1) matmul.
     """
     as_rows, as_cols = pairs[:, :, :, None], pairs[..., None]
-    q, alpha = grad[..., None].copy(), {}
-    for i in used[::-1]:
+    q, alpha, slots = grad[..., None].copy(), {}, range(pairs.shape[1])
+    for i in reversed(slots):
         alpha[i] = as_rows[:, i, 0] @ q
         q -= alpha[i] * as_cols[:, i, 1]
     r = gamma[:, None, None] * q
-    for i in used:
+    for i in slots:
         r += (alpha[i] - as_rows[:, i, 1] @ r) * as_cols[:, i, 0]
     return r[..., 0]
 
@@ -290,45 +294,26 @@ def _lbfgs_directions(grad, pairs, gamma, used):
 def _descend_batch(rows, f, grad, b, cfg: SearchConfig):
     """Advance a (R, d^2, d) stack of restarts from f and its gradient there, together;
     restart i's result does not depend on the rest. Returns per restart the final rows and
-    objective, the accepted iterations, the objective trace and the stop reason. gamma, H0's
-    scale, is gamma0 at a restart's start, then Re<s, y> / <y, y> of each pair stored.
+    objective, the accepted iterations and the stop reason, and the f-history, which _trace
+    reads: row m holds every restart's f after m stride iterations, a stopped one's final f.
+    gamma, H0's scale, is gamma0 at a restart's start, then Re<s, y> / <y, y> of each pair.
 
     An iteration evaluates f and its gradient at the full step of every live restart in one
     stacked call; only those that fail Armijo there run the ladder, which returns both at the
     step it takes. One that finds no step keeps its state; one that stores no pair and ends
-    with its rows and f unchanged is at a fixed point and retires as cap (full trace)."""
-    out_rows, out_f = np.empty_like(rows), np.empty(len(rows))
-    done, reasons = np.zeros(len(rows), dtype=int), np.empty(len(rows), dtype=int)
-    stride = max(1, cfg.max_iterations // _TRACE_POINTS)
-    live, used = np.arange(len(rows)), ()
+    with its rows and f unchanged is at a fixed point and retires as cap."""
+    cap = cfg.max_iterations
+    out_rows, out_f, history = np.empty_like(rows), np.empty_like(f), [f.copy()]
+    done, reasons = np.full(len(rows), cap), np.full(len(rows), _CAP)
+    stride, live = max(1, cap // _TRACE_POINTS), np.arange(len(rows))
     g = grad.view(float).reshape(len(rows), -1)
-    # the last _MEMORY steps s and gradient changes y, oldest first, as flat real vectors;
-    # a restart holds a pair exactly when its newest slot is not zero
+    # the last _MEMORY steps s and gradient changes y, oldest first, as flat real vectors
     pairs = np.zeros((len(rows), _MEMORY, 2, g.shape[1]))
     gamma = _INITIAL_STEP / (1.0 + np.sqrt(_dot(g, g)))  # H0's scale, then each new pair's
-    traces = [[(0, float(v))] for v in f]
-    goal = cfg.residual_goal
 
-    def retire(stop, it):
-        """Stop codes index STOP_REASONS; -1 keeps a restart live. A goal stop in iteration
-        it ran it + 1 iterations, a cap stop the cap; its trace gets its f at each stride
-        point after its last one up to there, then at its end unless that is one."""
-        state, mask = (live, rows, f, g, pairs, gamma), stop >= 0
-        if not mask.any():
-            return state
-        gone, code = live[mask], stop[mask]
-        out_rows[gone], out_f[gone], reasons[gone] = rows[mask], f[mask], code
-        done[gone] = np.where(code == _CAP, cfg.max_iterations, it + 1)
-        for i, n, value in zip(gone.tolist(), done[gone].tolist(), f[mask].tolist()):
-            traces[i] += [(m, value) for m in range(traces[i][-1][0] + stride, n + 1, stride)]
-            if n % stride:
-                traces[i].append((n, value))
-        return [a[~mask] for a in state]
-
-    for it in range(cfg.max_iterations):
-        if len(used) < _MEMORY:  # the slots filled in some restart; all stay so until a retire
-            used = pairs[:, :, 0].any(axis=(0, 2)).nonzero()[0]
-        direction = _lbfgs_directions(g, pairs, gamma, used)
+    for it in range(cap):
+        # after it iterations no restart holds more than its newest min(it, _MEMORY) pairs
+        direction = _lbfgs_directions(g, pairs[:, _MEMORY - min(it, _MEMORY):], gamma)
         slope = _dot(g, direction)
         step = direction.view(complex).reshape(rows.shape)
         # the full step first, with its gradient: most quasi-Newton steps take it
@@ -358,15 +343,28 @@ def _descend_batch(rows, f, grad, b, cfg: SearchConfig):
             pairs[keep, -1] = pair[keep] / np.sqrt(sy[keep])[:, None, None]
         rows, f, g = new_rows, fc, new_g
         if (it + 1) % stride == 0:
-            for i, value in zip(live.tolist(), f.tolist()):
-                traces[i].append((it + 1, value))
-        if fixed is not None or (f < goal).any():
-            stop = np.where(f < goal, _GOAL, -1 if fixed is None else np.where(fixed, _CAP, -1))
-            (live, rows, f, g, pairs, gamma), used = retire(stop, it), ()
+            out_f[live] = f
+            history.append(out_f.copy())
+        goal = f < cfg.residual_goal
+        stop = goal if fixed is None else goal | fixed
+        if stop.any():  # a goal stop in iteration it ran it + 1 iterations, a fixed point the cap
+            done[live[goal]], reasons[live[goal]] = it + 1, _GOAL
+            out_rows[live[stop]], out_f[live[stop]] = rows[stop], f[stop]
+            live, rows, f, g, pairs, gamma = (a[~stop] for a in (live, rows, f, g, pairs, gamma))
             if not live.size:
                 break
-    retire(np.full(live.size, _CAP), cfg.max_iterations - 1)
-    return out_rows, out_f, done, traces, [STOP_REASONS[r] for r in reasons]
+    out_rows[live], out_f[live] = rows, f
+    return out_rows, out_f, done, np.array(history), [STOP_REASONS[r] for r in reasons]
+
+
+def _trace(column, final, n, cap):
+    """One restart's objective trace from its column of _descend_batch's f-history, its
+    final f and its n iterations: f at every stride point up to n, then at n unless that is
+    one. Points past the history's end, where every restart had stopped, take final."""
+    n, final, stride = int(n), float(final), max(1, cap // _TRACE_POINTS)
+    points = range(0, n + 1, stride)
+    values = column[:len(points)].tolist() + [final] * (len(points) - len(column))
+    return list(zip(points, values)) + ([(n, final)] if n % stride else [])
 
 
 def _initial_vectors(rng: np.random.Generator, d: int, count: int) -> np.ndarray:
@@ -444,7 +442,7 @@ def run_search(config: SearchConfig) -> SearchReport:
         raise InvalidConfig(f"expected a SearchConfig, got {type(config).__name__}")
     rows, f, grad, check = _checked_start(np.random.default_rng(config.seed), config.d,
                                           config.restarts, config.b)
-    rows, f, iterations, traces, reasons = _descend_batch(rows, f, grad, config.b, config)
+    rows, f, iterations, history, reasons = _descend_batch(rows, f, grad, config.b, config)
     order = np.argsort(f, kind="stable")
     best, best_f = int(order[0]), float(f[order[0]])
     best_povm = classification = observed_k = None
@@ -465,7 +463,8 @@ def run_search(config: SearchConfig) -> SearchReport:
         restarts_run=config.restarts,
         iterations_per_restart=tuple(int(n) for n in iterations),
         stop_reasons=tuple(reasons),
-        objective_trace=tuple((int(i), float(f)) for i, f in traces[best]),
+        objective_trace=tuple(_trace(history[:, best], f[best], iterations[best],
+                                     config.max_iterations)),
         gradient_check=check,
         classification=classification,
         observed_k=observed_k,

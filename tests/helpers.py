@@ -328,8 +328,8 @@ def serial_armijo_steps(rows, direction, f, slope, b, start=0):
 
 def h0_scale(s, y, gamma0):
     """H0's scale for one restart's history: <s, y> / <y, y> of the newest pair (the last
-    slot), or gamma0 when that slot is empty (zero)."""
-    return float(s[-1] @ y[-1] / (y[-1] @ y[-1])) if s[-1].any() else gamma0
+    slot), or gamma0 when that slot is empty (zero) or the history has no slot."""
+    return float(s[-1] @ y[-1] / (y[-1] @ y[-1])) if s[-1:].any() else gamma0
 
 
 def dense_lbfgs_direction(grad, s, y, gamma0):

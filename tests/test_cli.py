@@ -147,6 +147,16 @@ def test_construct_writes_stdout(tmp_path, capsys):
     assert len(doc.povm.elements) == 4
 
 
+def test_every_writer_takes_a_given_out_as_a_path(tmp_path, capsys):
+    # only an absent --out means stdout; an empty path fails to open, with nothing written
+    path = str(member_path(tmp_path, capsys))
+    for argv in (["construct", "--b", "2/25"], ["dual", "--in", path],
+                 ["region", "--in", path, "--resolution", "5"],
+                 ["search", "--d", "2", "--k", "4", "--restarts", "1", "--max-iterations", "5"]):
+        rc, out, err = run(capsys, *argv, "--out", "")
+        assert (rc, out) == (2, "") and err.startswith("error: ")
+
+
 def test_construct_resolves_the_family_point_once(capsys, monkeypatch):
     calls = []
 

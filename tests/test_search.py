@@ -1,5 +1,6 @@
 """Search configuration, objective/gradient contracts, and full runs."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -176,8 +177,13 @@ def directional_errors(starts, directions, d, k, b, step=1e-6):
 
 
 def descend(stack, cfg):
-    """search._descend_batch from the stack's own f and gradient."""
-    return search._descend_batch(stack, *search._value_and_gradient(stack, cfg.b), cfg.b, cfg)
+    """search._descend_batch from the stack's own f and gradient, with each restart's
+    objective trace read from its f-history by search._trace in place of the history."""
+    rows, f, iterations, history, reasons = search._descend_batch(
+        stack, *search._value_and_gradient(stack, cfg.b), cfg.b, cfg)
+    traces = [search._trace(history[:, i], f[i], iterations[i], cfg.max_iterations)
+              for i in range(len(f))]
+    return rows, f, iterations, traces, reasons
 
 
 def check_points(d, seed):
@@ -404,14 +410,15 @@ def test_two_loop_direction_equals_the_dense_update(d):
     # the H0 scale _descend_batch keeps per restart, by the dense reference's rule
     gamma = np.array([h0_scale(pairs[i, :, 0], pairs[i, :, 1], gamma0[i])
                       for i in range(restarts)])
-    got = search._lbfgs_directions(grad, stored, gamma, np.arange(search._MEMORY))
+    got = search._lbfgs_directions(grad, stored, gamma)
     for i in range(restarts):
         expected = dense_lbfgs_direction(grad[i], pairs[i, :, 0], pairs[i, :, 1], gamma0[i])
         assert np.linalg.norm(got[i] - expected) <= 1e-12 * np.linalg.norm(expected)
-        # alone, a restart's empty slots are skipped; the direction is unchanged
-        one = slice(i, i + 1)
-        used = stored[i, :, 0].any(axis=-1).nonzero()[0]
-        alone = search._lbfgs_directions(grad[one], stored[one], gamma[one], used)
+        # alone, over the view of its newest slots from its oldest filled one on, a
+        # restart's direction is unchanged
+        one, filled = slice(i, i + 1), stored[i, :, 0].any(axis=-1)
+        newest = stored[one, filled.argmax() if filled.any() else search._MEMORY:]
+        alone = search._lbfgs_directions(grad[one], newest, gamma[one])
         assert np.array_equal(alone[0], got[i])
     assert np.array_equal(got[0], gamma0[0] * grad[0])
 
@@ -465,6 +472,30 @@ def test_stop_reasons_are_reported_per_restart():
     assert solved.to_dict()["stop_reasons"] == list(solved.stop_reasons)
 
 
+@pytest.mark.parametrize("d,k,restarts,cap,loop_end", [
+    (3, 9, 3, 1, None), (3, 9, 3, 3, None), (3, 9, 3, 399, None), (3, 9, 3, 401, None),
+    (3, 9, 3, 1999, None), (3, 8, 2, 1200, 1147)])
+def test_trace_points_are_the_f_of_each_restart_capped_there(d, k, restarts, cap, loop_end):
+    # a restart's trace is f at the stride multiples up to its n iterations, then at n,
+    # each the final f of that restart run alone under a cap at that point. The loop ends
+    # at the last stop; at (3, 8) both restarts retire as fixed points, at iterations 808
+    # and 1147, so the trace points past 1146 lie beyond the f-history's last row
+    cfg = SearchConfig(d=d, k=k, restarts=restarts, max_iterations=cap, seed=0)
+    stack = search._initial_vectors(np.random.default_rng(cfg.seed), d, restarts)
+    f0, grad = search._value_and_gradient(stack, cfg.b)
+    _, f, iterations, history, _ = search._descend_batch(stack, f0, grad, cfg.b, cfg)
+    stride = max(1, cap // 200)  # 1 up to cap 399; 2 at 401 and 9 at 1999 leave remainders
+    assert len(history) == (loop_end or max(iterations)) // stride + 1
+    for i, n in enumerate(iterations.tolist()):
+        trace = search._trace(history[:, i], f[i], n, cap)
+        assert [m for m, _ in trace] == list(range(0, n + 1, stride)) + [n] * (n % stride > 0)
+        assert trace[0] == (0, f0[i]) and trace[-1] == (n, f[i])
+        later = trace[1:]
+        for m, value in later[::max(1, len(later) // 4)] + later[-2:]:
+            alone = descend(stack[i:i + 1], dataclasses.replace(cfg, max_iterations=m))
+            assert alone[1][0] == value
+
+
 def test_restarts_at_a_fixed_point_retire_at_the_cap(monkeypatch):
     # restart 0, the best, reaches a state its iterations no longer change at iteration
     # 807; it reports the cap, its iterations and every trace point, unevaluated
@@ -513,9 +544,9 @@ def test_stalled_and_gradient_free_restarts_stop_at_once(monkeypatch):
         evaluated.append(len(rows))
         return value_and_gradient(rows, b)
 
-    def uphill(grad, pairs, gamma, used):
-        held.append(pairs[:, -1, 0].any(axis=-1).tolist())
-        r = lbfgs_directions(grad, pairs, gamma, used)
+    def uphill(grad, pairs, gamma):
+        held.append(pairs[:, -1:, 0].any(axis=(1, 2)).tolist())
+        r = lbfgs_directions(grad, pairs, gamma)
         r[held[-1]] *= -1.0
         return r
 
@@ -554,13 +585,13 @@ def test_each_restart_keeps_its_h0_scale(monkeypatch, d, k, b):
     # restart stores one in its first iteration, so gamma0 is NaN after the first call
     newest = []
 
-    def checked(grad, pairs, gamma, used):
+    def checked(grad, pairs, gamma):
         for i in range(len(grad)):
             gamma0 = np.nan if newest else 0.01 / (1.0 + np.linalg.norm(grad[i]))
             expected = h0_scale(pairs[i, :, 0], pairs[i, :, 1], gamma0)
             assert gamma[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
-        newest.append(pairs[:, -1, 0].any(axis=-1))
-        return lbfgs_directions(grad, pairs, gamma, used)
+        newest.append(pairs[:, -1:, 0].any(axis=(1, 2)))
+        return lbfgs_directions(grad, pairs, gamma)
 
     lbfgs_directions = search._lbfgs_directions
     monkeypatch.setattr(search, "_lbfgs_directions", checked)
@@ -572,24 +603,26 @@ def test_each_restart_keeps_its_h0_scale(monkeypatch, d, k, b):
 
 def test_the_pair_history_is_its_own_empty_slot_mask(monkeypatch):
     # a stored pair is never zero (Re<s, y> > 0 needs s != 0), so a slot is empty exactly
-    # when its s is zero; a restart's filled slots are its newest ones; and an all-zero
-    # slot, which the two-loop runs for a restart whenever another restart fills it,
-    # leaves the direction bit for bit
+    # when its s is zero; a restart's filled slots are its newest ones; after it iterations
+    # every slot older than the newest min(it, _MEMORY), which the two-loop skips, is zero in
+    # every live restart; and an all-zero slot, which the two-loop runs for a restart that
+    # stored fewer pairs, leaves the direction bit for bit
     counts = []
 
-    def checked(grad, pairs, gamma, used):
-        filled = pairs[:, :, 0].any(axis=-1)
-        assert np.array_equal(filled, pairs.any(axis=(2, 3)))
+    def checked(grad, pairs, gamma):
+        history = pairs.base  # the whole (restarts, _MEMORY, 2, n) history it is a view of
+        assert history.shape == (len(grad), search._MEMORY) + pairs.shape[2:]
+        assert pairs.shape[1] == min(len(counts), search._MEMORY)
+        assert not history[:, :search._MEMORY - pairs.shape[1]].any()
+        filled = history[:, :, 0].any(axis=-1)
+        assert np.array_equal(filled, history.any(axis=(2, 3)))
         assert (filled[:, 1:] >= filled[:, :-1]).all()
-        # the slots the two-loop runs are those filled in some restart
-        assert np.array_equal(used, filled.any(axis=0).nonzero()[0])
         counts.append(filled.sum(axis=1).tolist())
-        r = lbfgs_directions(grad, pairs, gamma, used)
+        r = lbfgs_directions(grad, pairs, gamma)
         # one more, oldest slot: zero in every restart but an added one that fills it
         padded = np.zeros((len(grad) + 1, pairs.shape[1] + 1) + pairs.shape[2:])
         padded[:-1, 1:], padded[-1, 0] = pairs, 1.0
-        wider = lbfgs_directions(np.vstack([grad, grad[:1]]), padded, np.append(gamma, 1.0),
-                                 np.append(0, used + 1))
+        wider = lbfgs_directions(np.vstack([grad, grad[:1]]), padded, np.append(gamma, 1.0))
         assert np.array_equal(wider[:-1], r)
         return r
 
@@ -628,10 +661,11 @@ def test_each_iteration_evaluates_each_point_once(monkeypatch, d, k, b, restarts
         events.append(rows.shape[:-2])
         return real_parts(rows, b)
 
-    def directions(grad, pairs, gamma, used):
-        assert np.array_equal(used, pairs[:, :, 0].any(axis=(0, 2)).nonzero()[0])
+    def directions(grad, pairs, gamma):
+        # the newest min(it, _MEMORY) slots, it the iterations run before this one
+        assert pairs.shape[1] == min(sum(isinstance(e, str) for e in events), search._MEMORY)
         events.append("iteration")
-        return real_directions(grad, pairs, gamma, used)
+        return real_directions(grad, pairs, gamma)
 
     def armijo(*args):
         out = real_armijo(*args)
