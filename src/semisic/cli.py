@@ -13,6 +13,7 @@ or out-of-range errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import re
@@ -188,16 +189,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="small-trace element count")
     p.add_argument("--b", type=parse_number, default=None,
                    help="target overlap (required for d=2 unless k=4)")
-    p.add_argument("--restarts", type=int, default=20,
-                   help="random starts, descended as one batch (default: 20)")
-    p.add_argument("--max-iterations", type=int, default=2000,
+    defaults = {f.name: f.default for f in dataclasses.fields(search.SearchConfig)}
+    p.add_argument("--restarts", type=int, default=defaults["restarts"],
+                   help="random starts, descended as one batch (default: %(default)s)")
+    p.add_argument("--max-iterations", type=int, default=defaults["max_iterations"],
                    help="L-BFGS iterations per restart before it stops at the cap "
-                        "(default: 2000)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed of the one draw that gives every start (default: 0)")
-    p.add_argument("--residual-goal", type=float, default=1e-12,
+                        "(default: %(default)s)")
+    p.add_argument("--seed", type=int, default=defaults["seed"],
+                   help="seed of the one draw that gives every start (default: %(default)s)")
+    p.add_argument("--residual-goal", type=float, default=defaults["residual_goal"],
                    help="a restart stops once its objective is below this; the best "
-                        "such hit is polished and verified (default: 1e-12)")
+                        "such hit is polished and verified (default: %(default)s)")
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--require-solution", action="store_true",
                    help="exit 1 unless a hit meets the residual goal and passes verify")

@@ -34,6 +34,7 @@ from .errors import (
     KOutOfRange,
     NotQubitSemiSic,
 )
+from .linalg import TOL_COND
 from .model import NOT_SEMI_SIC, Povm, SemiSicParams, _refusal, trace_values, verify
 
 B_MIN = 1.0 / 16.0   # open: the family degenerates here
@@ -53,21 +54,22 @@ class QubitFamilyPoint:
 def family_point(b: float) -> QubitFamilyPoint:
     """Resolve an overlap b to its family coordinates.
 
-    Raises BOutOfFamilyRange outside (1/16, 1/12]; values within one
-    discriminant snap width of 1/12 collapse to the SIC endpoint (see
-    model.trace_values).
+    Raises BOutOfFamilyRange outside (1/16, 1/12 + TOL_COND]. A b in
+    (1/12, 1/12 + TOL_COND] is the SIC point b = 1/12, k = 4, by the rule of
+    SemiSicParams.from_b; values within one discriminant snap width below
+    1/12 also collapse to the SIC endpoint (see model.trace_values).
     """
     b = float(b)
     if not math.isfinite(b) or b <= B_MIN:
         raise BOutOfFamilyRange(
             f"b must exceed 1/16 = {B_MIN!r} for a qubit semi-SIC, got {b!r}"
         )
-    try:
-        lo, hi = trace_values(2, b)
-    except BOutOfRange as exc:
+    if b > B_MAX + TOL_COND:
         raise BOutOfFamilyRange(
             f"b must be at most 1/12 = {B_MAX!r} for a qubit semi-SIC, got {b!r}"
-        ) from exc
+        )
+    b = min(b, B_MAX)
+    lo, hi = trace_values(2, b)
     s = hi - lo  # sqrt(1 - 12 b), exactly zero at the (snapped) SIC endpoint
     k = 4 if s == 0.0 else 2
     params = SemiSicParams(d=2, b=b, k=k)

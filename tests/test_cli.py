@@ -3,7 +3,10 @@
 import argparse
 import dataclasses
 import json
+import os
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -11,7 +14,8 @@ import numpy as np
 import pytest
 
 from helpers import count_measurements, disguise, hermitian_noise, hesse_sic, perturbed_sic_stack
-from semisic import cli, dual, model, qubit
+import semisic
+from semisic import cli, dual, model, qubit, search
 from semisic.bloch import bloch_to_probs
 from semisic.documents import matrix_to_pairs, parse_povm_document, save_povm
 from semisic.model import Povm, VerificationReport
@@ -196,20 +200,26 @@ def test_usage_and_range_errors_exit_2(tmp_path, capsys):
 
 
 def test_construct_snaps_to_sic(tmp_path, capsys):
+    # just under 1/12, and at most TOL_COND above it, where b is the SIC point itself
     path = tmp_path / "sic.json"
-    rc, _, _ = run(capsys, "construct", "--b", "0.0833333333333333", "--out", str(path))
-    assert rc == 0
-    doc = parse_povm_document(json.loads(path.read_text()))
-    traces = np.einsum("xii->x", doc.povm.elements).real
-    assert np.allclose(traces, 0.5, atol=1e-12)
-    assert doc.k == 4
+    for text in ("0.0833333333333333", "0.0833333333834"):
+        rc, _, err = run(capsys, "construct", "--b", text, "--out", str(path))
+        assert rc == 0, err
+        doc = parse_povm_document(json.loads(path.read_text()))
+        traces = np.einsum("xii->x", doc.povm.elements).real
+        assert np.allclose(traces, 0.5, atol=1e-12)
+        assert doc.k == 4
+    assert doc.b == 1.0 / 12.0  # the b above 1/12 is stored as the SIC point
 
 
 def test_dual_roundtrip(tmp_path, capsys):
     path = member_path(tmp_path, capsys)
     out_path = tmp_path / "frame.json"
+    out_path.write_text("old tail\n" * 2000)
     rc, _, _ = run(capsys, "dual", "--in", str(path), "--out", str(out_path))
     assert rc == 0
+    # the file over a longer old one holds what stdout gets
+    assert run(capsys, "dual", "--in", str(path)) == (0, out_path.read_text(), "")
     frame_doc = json.loads(out_path.read_text())
     assert frame_doc["metadata"]["kind"] == "dual-frame"
     assert frame_doc["k"] == 2
@@ -230,6 +240,13 @@ def test_region_scan(tmp_path, capsys):
     assert lines[0].startswith("p1,")
     assert len(lines) == 1 + 286
     assert "feasible" in err
+    # the file over a longer scan's holds what stdout got
+    csv_path = tmp_path / "r.csv"
+    for resolution in ("20", "10"):
+        rc, _, _ = run(capsys, "region", "--in", str(path), "--resolution", resolution,
+                       "--out", str(csv_path))
+        assert rc == 0
+    assert csv_path.read_text() == out
 
 
 @pytest.mark.parametrize("argv", [["dual"], ["region", "--resolution", "3"]])
@@ -266,17 +283,22 @@ def test_bloch_conversions(capsys):
                      "--to-bloch", "0.9", "0.05", "0.03", "0.02")
     assert rc == 1 and "error:" in err
 
+    # a fit that overflows is refused at once
+    rc, _, err = run(capsys, "bloch", "--b", "2/25", "--to-bloch", "1e200", "0", "0", "0")
+    assert rc == 1 and "error:" in err
+
 
 @pytest.mark.parametrize("argv, want", [
     # the README example and the maximally mixed state
     ("--to-bloch 0.4 0.2 0.2 0.2", "0 0 1"),
     ("--to-bloch 0.2 0.2 0.3 0.3", "0 0 0"),
-    # the README example in fractions
+    # the README example in fractions, and back
     ("--to-bloch 2/5 1/5 1/5 1/5", "0 0 1"),
+    ("--to-probs 0 0 1", "0.4 0.2 0.2 0.2"),
     # the pure state opposite n_3 (to 15 digits), whose q_3 is 0
     ("--to-probs 0.333333333333333 0.881917103688197 0.333333333333333",
      "0.266666666667 0.266666666667 0 0.466666666667"),
-], ids=["readme", "mixed", "fractions", "to-probs"])
+], ids=["readme", "mixed", "fractions", "readme-to-probs", "to-probs"])
 def test_bloch_prints_rounding_noise_as_zero(capsys, argv, want):
     # each zero is about 1e-16 after rounding
     rc, out, _ = run(capsys, "bloch", "--b", "2/25", *argv.split())
@@ -292,19 +314,26 @@ def test_bloch_refuses_non_finite_numbers(capsys, value):
 
 def test_search_command(tmp_path, capsys):
     report_path = tmp_path / "report.json"
-    rc, out, _ = run(capsys, "search", "--d", "2", "--k", "2", "--b", "2/25",
-                     "--restarts", "2", "--seed", "3", "--out", str(report_path))
-    assert rc == 0
-    assert "solution found" in out
-    report = json.loads(report_path.read_text())
-    assert report["best_residual"] < 1e-12
-    # the hit flows through verify and dual as a document of its own
-    hit_path = tmp_path / "hit.json"
-    hit_path.write_text(json.dumps(report["best_povm"]))
-    rc, out, _ = run(capsys, "verify", "--in", str(hit_path))
-    assert rc == 0 and f"classification: {report['classification']}" in out
-    rc, _, _ = run(capsys, "dual", "--in", str(hit_path), "--out", str(tmp_path / "f.json"))
-    assert rc == 0
+    for argv in (["--d", "2", "--k", "2", "--b", "2/25", "--restarts", "2", "--seed", "3"],
+                 ["--d", "4", "--k", "16", "--restarts", "4", "--seed", "0"],
+                 ["--d", "2", "--k", "4", "--restarts", "4", "--seed", "4"]):
+        rc, out, _ = run(capsys, "search", *argv, "--require-solution", "--out", str(report_path))
+        assert rc == 0, argv
+        assert "solution found" in out
+        report = json.loads(report_path.read_text())
+        assert report["best_residual"] < 1e-12 and report["gradient_check"] < 1e-6
+        # the hit flows through verify and dual as a document of its own
+        hit_path = tmp_path / "hit.json"
+        hit_path.write_text(json.dumps(report["best_povm"]))
+        rc, out, _ = run(capsys, "verify", "--in", str(hit_path))
+        assert rc == 0 and f"classification: {report['classification']}" in out
+        rc, _, _ = run(capsys, "dual", "--in", str(hit_path), "--out", str(tmp_path / "f.json"))
+        assert rc == 0
+
+    # a fraction b where (d, k) pins it
+    rc, out, _ = run(capsys, "search", "--d", "3", "--k", "9", "--b", "1/36", "--restarts", "1",
+                     "--max-iterations", "5")
+    assert rc == 0 and "stopped: 1 cap)" in out
 
     rc, out, _ = run(capsys, "search", "--d", "3", "--k", "7", "--restarts", "1",
                      "--max-iterations", "150", "--require-solution")
@@ -361,7 +390,12 @@ def test_every_option_has_help():
     for name, sub in commands.choices.items():
         for action in sub._actions:
             assert action.help, (name, action.option_strings)
-    goal = next(a for a in commands.choices["search"]._actions if a.dest == "residual_goal")
+    # the search options default to SearchConfig's fields, and their help prints them
+    options = {a.dest: a for a in commands.choices["search"]._actions}
+    defaults = {f.name: f.default for f in dataclasses.fields(search.SearchConfig)}
+    for name in ("restarts", "max_iterations", "seed", "residual_goal"):
+        assert options[name].default == defaults[name] and "%(default)s" in options[name].help
+    goal = options["residual_goal"]
     # the one goal threshold: a restart stops below it, and a hit is polished
     assert "1e-3" not in goal.help and "stops" in goal.help and "polish" in goal.help
 
@@ -378,7 +412,7 @@ def test_readme_examples_run_in_order(tmp_path, capsys, monkeypatch):
 
 def test_spectrum_table(capsys):
     rc, out, _ = run(capsys, "spectrum", "--d", "3")
-    assert rc == 0
+    assert rc == 0 and len(out.splitlines()) == 4  # the header and k = 7, 8, 9
     for token in ("1/50", "5/196", "1/36", "2/7", "5/7"):
         assert token in out
 
@@ -398,11 +432,24 @@ def test_spectrum_refuses_an_oversized_dimension_at_once(capsys):
 
 
 def test_unknown_command_is_usage_error(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["bogus"])
-    with pytest.raises(SystemExit):
-        cli.main([])
+    for argv, code in ((["bogus"], 2), ([], 2), (["--help"], 0)):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == code, argv
     capsys.readouterr()
+
+
+def test_the_module_runs_as_a_script_with_main_s_exit_codes(tmp_path):
+    # a process of its own, so the __main__ line and the real exit status are checked
+    path = [str(Path(semisic.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    for argv, code in ((["spectrum", "--d", "3"], 0),
+                       (["bloch", "--b", "2/25", "--to-bloch", "0.9", "0.05", "0.03", "0.02"], 1),
+                       ([], 2)):
+        done = subprocess.run([sys.executable, "-m", "semisic.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == code, (argv, done.stderr)
+        assert (done.stderr == "") == (code == 0)
 
 
 def test_bloch_reads_negative_scientific_notation(capsys):
@@ -459,6 +506,11 @@ def test_near_sic_member_with_fitted_b_above_the_double_root_dualizes(tmp_path, 
     rc, _, err = run(capsys, "dual", "--in", str(path), "--out", str(tmp_path / "frame.json"))
     assert rc == 0, err
 
+    # the fitted b is a family overlap too: the SIC point, as SemiSicParams.from_b takes it
+    rc, _, err = run(capsys, "bloch", "--b", repr(json.loads(out)["fitted_b"]),
+                     "--to-probs", "0", "0", "1")
+    assert rc == 0, err
+
 
 def test_dual_refuses_a_shifted_document(tmp_path, capsys):
     path = member_path(tmp_path, capsys)
@@ -486,6 +538,10 @@ def test_dual_and_region_accept_a_member_1e_10_above_one_sixteenth(tmp_path, cap
     rc, _, err = run(capsys, "region", "--in", str(path), "--resolution", "10",
                      "--out", str(tmp_path / "r.csv"))
     assert rc == 0 and "of 286 grid points feasible" in err
+    # each coordinate and f round-trips at 17 digits, and the flag is f's sign test
+    rows = [line.split(",") for line in (tmp_path / "r.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 286 and all(x == "%.17g" % float(x) for r in rows for x in r[:4])
+    assert all(r[4] == str(int(float(r[3]) >= -dual.FEASIBILITY_SLACK)) for r in rows)
 
 
 # One row per command (with --flag=value and abbreviated flags), the bloch

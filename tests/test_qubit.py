@@ -49,11 +49,15 @@ def test_theta_decreases_over_the_interval():
 
 
 def test_family_range_gates():
-    for bad in (0.05, B_MIN, 0.09, 1.0 / 11.0, -1.0, np.nan):
+    for bad in (0.05, B_MIN, 0.09, 1.0 / 11.0, B_MAX + 2e-10, -1.0, np.nan):
         with pytest.raises(BOutOfFamilyRange):
             family_point(bad)
-    # the closed endpoint itself is fine
+    # the closed endpoint itself is fine, and so is a b at most TOL_COND above it,
+    # which is the SIC point by SemiSicParams.from_b's rule
     assert family_point(B_MAX).b == B_MAX
+    point = family_point(B_MAX + 5e-11)
+    assert (point.b, point.params.k) == (B_MAX, 4)
+    assert point.b == SemiSicParams.from_b(2, B_MAX + 5e-11, 4).b
 
 
 @pytest.mark.parametrize("b", FAMILY_GRID)

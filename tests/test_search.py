@@ -274,6 +274,9 @@ def test_gradient_check_is_one_evaluation(monkeypatch):
 def test_gradient_check_at_large_d():
     for d in (12, 19):
         assert gradient_check(d, b_from_k(d, d * d)) < 1e-6
+    # d = 19 is the largest SearchConfig admits with one restart
+    report = run_search(SearchConfig(d=19, k=361, restarts=1, max_iterations=1))
+    assert report.gradient_check < 1e-6
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -462,6 +465,10 @@ def test_stop_reasons_are_reported_per_restart():
     stalled = run_search(SearchConfig(d=3, k=8, restarts=3, max_iterations=50, seed=5))
     assert stalled.stop_reasons == ("cap",) * 3
     assert stalled.iterations_per_restart == (50,) * 3
+    # both restarts retire as fixed points, at iterations 808 and 1147, and count as capped
+    fixed = run_search(SearchConfig(d=3, k=8, restarts=2, max_iterations=1200, seed=0))
+    assert fixed.stop_reasons == ("cap", "cap") and fixed.iterations_per_restart == (1200, 1200)
+    assert [n for n, _ in fixed.objective_trace] == list(range(0, 1201, 6))
 
     solved = run_search(SearchConfig(d=2, k=2, b=2.0 / 25.0, restarts=4, seed=8))
     assert solved.best_povm is not None
