@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InconsistentProbabilities, LengthMismatch, OutsideBlochBall
+from .errors import DimensionMismatch, InconsistentProbabilities, NotAState
 from .qubit import QubitFamilyPoint, family_kets
 
 _BALL_SLACK = 1e-9
@@ -36,12 +36,12 @@ _RESIDUAL_GATE = 1e-8
 def _as_bloch(r) -> np.ndarray:
     vec = np.asarray(r, dtype=float)
     if vec.shape != (3,):
-        raise LengthMismatch(f"Bloch vector must have shape (3,), got {vec.shape}")
+        raise DimensionMismatch(f"Bloch vector must have shape (3,), got {vec.shape}")
     if not np.all(np.isfinite(vec)):
         raise ValueError("Bloch vector has non-finite entries")
     norm = float(np.linalg.norm(vec))
     if norm > 1.0 + _BALL_SLACK:
-        raise OutsideBlochBall(f"Bloch vector norm {norm!r} exceeds 1")
+        raise NotAState(f"Bloch vector norm {norm!r} exceeds 1")
     return vec
 
 
@@ -104,7 +104,7 @@ def probs_to_bloch(q, point: QubitFamilyPoint) -> np.ndarray:
     """
     probs = np.asarray(q, dtype=float)
     if probs.shape != (4,):
-        raise LengthMismatch(f"expected 4 probabilities, got shape {probs.shape}")
+        raise DimensionMismatch(f"expected 4 probabilities, got shape {probs.shape}")
     if not np.all(np.isfinite(probs)):
         raise ValueError("probabilities contain non-finite entries")
     weights, dirs = _directions(point)

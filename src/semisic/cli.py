@@ -43,18 +43,14 @@ def _print_report(report: model.VerificationReport, as_json: bool) -> None:
     if as_json:
         print(json.dumps(vars(report)))  # one line, fields in declaration order
         return
-    print(f"classification: {report.classification}")
-    print(f"fitted_b: {report.fitted_b:.12g}")
-    print(f"k: {report.k}")
-    print(f"max_violation: {report.max_violation:.6g}")
-    print(f"worst_condition: {report.worst_condition}")
-    for name in ("equi_dev", "comp_dev", "psd_dev", "herm_dev", "trace_dev"):
-        print(f"{name}: {getattr(report, name):.6g}")
-    print(f"is_ic: {'yes' if report.is_ic else 'no'}")
-    print(f"all_rank_one: {'yes' if report.all_rank_one else 'no'}")
-    print(f"equiangular: {'yes' if report.equiangular else 'no'}")
-    classes = ", ".join(f"{t:.12g} x{c}" for t, c in report.trace_classes)
-    print(f"trace_classes: {classes}")
+    for name, value in vars(report).items():  # the --json keys, formatted by type
+        if isinstance(value, bool):
+            value = "yes" if value else "no"
+        elif isinstance(value, float):
+            value = format(value, ".12g" if name == "fitted_b" else ".6g")
+        elif name == "trace_classes":
+            value = ", ".join(f"{t:.12g} x{c}" for t, c in value)
+        print(f"{name}: {value}")
 
 
 def cmd_construct(args) -> int:

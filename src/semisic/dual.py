@@ -24,12 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    LengthMismatch,
-    NotAState,
-    NotSemiSic,
-)
+from .errors import DimensionMismatch, NotAState, NotSemiSic
 from .linalg import TOL_COND, TOL_NORM, TOL_PSD, as_hermitian
 from .model import NOT_SEMI_SIC, Povm, SemiSicParams, _refusal, verify
 from .textio import write_text
@@ -122,7 +117,7 @@ def _frame_probs(p, frame: DualFrame) -> np.ndarray:
     """p as a finite float vector of one probability per frame element."""
     probs = np.asarray(p, dtype=float)
     if probs.ndim != 1 or probs.size != len(frame):
-        raise LengthMismatch(f"expected {len(frame)} probabilities, got shape {probs.shape}")
+        raise DimensionMismatch(f"expected {len(frame)} probabilities, got shape {probs.shape}")
     if not np.isfinite(probs).all():
         raise ValueError("probabilities contain non-finite entries")
     return probs

@@ -1,61 +1,37 @@
-"""Exception hierarchy shared across the package."""
+"""One ValueError per kind of refusal. CLI exit 1: NotSemiSic, InconsistentProbabilities; else 2."""
 
 
 class DimensionMismatch(ValueError):
-    """Operands live on Hilbert spaces of different (or wrong) dimensions."""
+    """A matrix, vector, list or POVM of the wrong shape or dimension, or a d out of range."""
 
 
 class BOutOfRange(ValueError):
-    """Pairwise overlap b is outside the admissible range for the dimension."""
+    """An overlap b <= 0 or past 1/(4(d^2 - 1)), or a qubit b outside the family's (1/16, 1/12]."""
 
 
 class KOutOfRange(ValueError):
-    """Trace-split count k is outside the admissible range for the dimension."""
-
-
-class DimensionTooSmall(ValueError):
-    """Operation is only defined for dimension three and above."""
-
-
-class DimensionTooLarge(ValueError):
-    """Dimension is above the cap an operation states."""
+    """A trace split k the dimension does not admit, or a b off the overlap that (d, k) pins."""
 
 
 class MalformedPovm(ValueError):
-    """Element list is structurally not a POVM."""
-
-
-class BOutOfFamilyRange(ValueError):
-    """b is outside the qubit family interval (1/16, 1/12]."""
-
-
-class NotQubitSemiSic(ValueError):
-    """POVM is not a verified qubit semi-SIC."""
+    """An element stack that is structurally not a POVM: its shape, non-finite entries or a gate."""
 
 
 class NotSemiSic(ValueError):
-    """POVM fails semi-SIC verification."""
+    """A POVM that verify() refuses, or params or a dual frame that do not fit a semi-SIC."""
 
 
 class NotAState(ValueError):
-    """Operator is not a density matrix."""
-
-
-class LengthMismatch(ValueError):
-    """Vector length does not match the frame size."""
-
-
-class OutsideBlochBall(ValueError):
-    """Bloch vector has norm greater than one."""
+    """A density matrix with a negative eigenvalue or trace not 1, or a Bloch vector of norm > 1."""
 
 
 class InconsistentProbabilities(ValueError):
-    """Probability vector is not realizable by any qubit state."""
+    """Outcome probabilities that no qubit state reproduces."""
 
 
 class InvalidConfig(ValueError):
-    """Search configuration violates its constraints."""
+    """A search configuration, or an objective's (d, k, b), that breaks its constraints."""
 
 
 class DocumentError(ValueError):
-    """Serialized document failed to parse or validate."""
+    """A JSON document that fails to parse or validate."""

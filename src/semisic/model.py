@@ -23,13 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    BOutOfRange,
-    DimensionTooLarge,
-    DimensionTooSmall,
-    KOutOfRange,
-    MalformedPovm,
-)
+from .errors import BOutOfRange, DimensionMismatch, KOutOfRange, MalformedPovm
 from .linalg import TOL_COND, TOL_RANK
 
 # Classification labels used by verify() and the CLI.
@@ -65,7 +59,7 @@ def trace_values(d: int, b: float) -> tuple[float, float]:
     Roots of a^2 - a + (d^2 - 1) b = 0; real iff b <= 1/(4(d^2-1)).
     """
     if not isinstance(d, (int, np.integer)) or d < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
+        raise DimensionMismatch(f"dimension must be an integer >= 2, got {d!r}")
     b = float(b)
     if not math.isfinite(b) or b <= 0.0:
         raise BOutOfRange(f"overlap b must be positive, got {b!r}")
@@ -109,16 +103,16 @@ def trace_values_exact(d: int, k: int) -> tuple[Fraction, Fraction]:
 def admissible_k(d: int) -> list[int]:
     """All k permitted by the counting bound d^2 - d < k <= d^2 (3 <= d <= MAX_SPECTRUM_D)."""
     if not isinstance(d, (int, np.integer)) or d < 3:
-        raise DimensionTooSmall(f"trace-split enumeration needs d >= 3, got {d!r}")
+        raise DimensionMismatch(f"trace-split enumeration needs d >= 3, got {d!r}")
     if d > MAX_SPECTRUM_D:
-        raise DimensionTooLarge(f"trace-split enumeration needs d <= {MAX_SPECTRUM_D}, got {d}")
+        raise DimensionMismatch(f"trace-split enumeration needs d <= {MAX_SPECTRUM_D}, got {d}")
     n = d * d
     return list(range(n - d + 1, n + 1))
 
 
 def _check_dk(d: int, k: int) -> None:
     if not isinstance(d, (int, np.integer)) or d < 3:
-        raise DimensionTooSmall(f"k-parametrized overlap needs d >= 3, got {d!r}")
+        raise DimensionMismatch(f"k-parametrized overlap needs d >= 3, got {d!r}")
     n = d * d
     if not isinstance(k, (int, np.integer)) or not (n - d < k <= n):
         raise KOutOfRange(f"k must satisfy {n - d} < k <= {n} for d = {d}, got {k!r}")

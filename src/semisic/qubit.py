@@ -28,12 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BOutOfFamilyRange,
-    BOutOfRange,
-    KOutOfRange,
-    NotQubitSemiSic,
-)
+from .errors import BOutOfRange, DimensionMismatch, NotSemiSic
 from .linalg import TOL_COND
 from .model import NOT_SEMI_SIC, Povm, SemiSicParams, _refusal, trace_values, verify
 
@@ -54,18 +49,18 @@ class QubitFamilyPoint:
 def family_point(b: float) -> QubitFamilyPoint:
     """Resolve an overlap b to its family coordinates.
 
-    Raises BOutOfFamilyRange outside (1/16, 1/12 + TOL_COND]. A b in
+    Raises BOutOfRange outside (1/16, 1/12 + TOL_COND]. A b in
     (1/12, 1/12 + TOL_COND] is the SIC point b = 1/12, k = 4, by the rule of
     SemiSicParams.from_b; values within one discriminant snap width below
     1/12 also collapse to the SIC endpoint (see model.trace_values).
     """
     b = float(b)
     if not math.isfinite(b) or b <= B_MIN:
-        raise BOutOfFamilyRange(
+        raise BOutOfRange(
             f"b must exceed 1/16 = {B_MIN!r} for a qubit semi-SIC, got {b!r}"
         )
     if b > B_MAX + TOL_COND:
-        raise BOutOfFamilyRange(
+        raise BOutOfRange(
             f"b must be at most 1/12 = {B_MAX!r} for a qubit semi-SIC, got {b!r}"
         )
     b = min(b, B_MAX)
@@ -129,22 +124,20 @@ def canonicalize(povm: Povm) -> tuple[np.ndarray, Povm, float]:
     in index order (elements 0 and 1 when verify() finds one trace class),
     W sends psi_1 to |0> with <0|W E_2 W^dagger|1> real and positive, and of
     the other two the one with Im <0|W E W^dagger|1> > 0 is psi_3 (sin theta
-    > 0 on [pi/3, pi/2)).
+    > 0 on [pi/3, pi/2)). Raises DimensionMismatch for anything but a qubit Povm,
+    NotSemiSic if verify() refuses it, and BOutOfRange for a fitted b at or below 1/16.
     """
     if not isinstance(povm, Povm) or povm.dim != 2:
-        raise NotQubitSemiSic("canonicalization is defined for qubit POVMs only")
+        raise DimensionMismatch("canonicalization is defined for qubit POVMs only")
     report = verify(povm)
     if report.classification == NOT_SEMI_SIC:
-        raise NotQubitSemiSic(f"verification failed ({_refusal(report)})")
-    refused = f"fitted overlap {report.fitted_b!r} is outside the family"
-    try:
-        b = SemiSicParams.from_b(2, report.fitted_b, report.k).b
-    except (BOutOfRange, KOutOfRange) as exc:
-        raise NotQubitSemiSic(refused) from exc
+        raise NotSemiSic(f"verification failed ({_refusal(report)})")
+    # from_b admits all verify accepts: k in {2, 4}, and b <= 1/12 + TOL_COND/3 (trace residual)
+    b = SemiSicParams.from_b(2, report.fitted_b, report.k).b
     if not b > B_MIN:  # from_b admits every b up to 1/12; family_point's open end
-        raise NotQubitSemiSic(refused)
+        raise BOutOfRange(f"fitted overlap {report.fitted_b!r} is outside the family")
 
-    # the small-trace pair as verify() draws it (k is 2 or 4 once from_b admits it)
+    # the small-trace pair as verify() draws it
     i1, i2 = np.flatnonzero(povm.traces() < 0.5) if report.k == 2 else (0, 1)
     _, vecs = np.linalg.eigh(povm[i1])
     w1 = _completion_unitary(vecs[:, -1])

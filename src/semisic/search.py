@@ -54,7 +54,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig
+from .errors import DimensionMismatch, InvalidConfig
 from .documents import povm_document
 from .linalg import TOL_COND
 from .model import NOT_SEMI_SIC, Povm, SemiSicParams, b_from_k, verify
@@ -172,7 +172,7 @@ class SearchReport:
 def _coerce_vectors(vectors, d: int) -> np.ndarray:
     rows = np.asarray(vectors, dtype=complex)
     if rows.shape != (d * d, d):
-        raise ValueError(f"expected {d * d} vectors of length {d}, got shape {rows.shape}")
+        raise DimensionMismatch(f"expected {d * d} vectors of length {d}, got shape {rows.shape}")
     if not np.isfinite(rows).all():
         raise ValueError("vectors contain non-finite entries")
     return rows

@@ -34,6 +34,45 @@ def hesse_sic() -> Povm:
     return Povm.from_vectors(wh_sic_vectors(0.0))
 
 
+def wh_sic(d: int, seed: int = 0) -> Povm:
+    """A SIC in dimension d: the Weyl-Heisenberg orbit D_jm psi / sqrt(d), D_jm = X^j Z^m,
+    of a fiducial psi with |<psi|D_jm|psi>|^2 = 1/(d + 1) for (j, m) != (0, 0) and norm 1.
+
+    psi is solved from a seeded random start by Levenberg-Marquardt with a
+    central-difference Jacobian (numpy only, none of the package's search), so
+    it is an oracle for d = 4 and 5 independent of run_search.
+    """
+    shift = np.roll(np.eye(d), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    ops = np.array([np.linalg.matrix_power(shift, j) @ np.linalg.matrix_power(clock, m)
+                    for j in range(d) for m in range(d)])
+
+    def residuals(x):
+        psi = x[:d] + 1j * x[d:]
+        norm = np.vdot(psi, psi).real
+        overlaps = np.abs(np.einsum("i,pij,j->p", psi.conj(), ops[1:], psi)) ** 2 / norm**2
+        return np.append(overlaps - 1.0 / (d + 1), norm - 1.0)
+
+    x = np.random.default_rng(seed).standard_normal(2 * d)
+    r, lam, h, eye = residuals(x), 1e-3, 1e-6, np.eye(2 * d)
+    for _ in range(100):
+        if r @ r <= 1e-30:
+            break
+        jac = np.array([residuals(x + h * e) - residuals(x - h * e) for e in eye]).T / (2 * h)
+        for _ in range(40):  # raise the damping until the step lowers |r|^2
+            step = np.linalg.solve(jac.T @ jac + lam * eye, -(jac.T @ r))
+            trial = residuals(x + step)
+            if trial @ trial < r @ r:
+                x, r, lam = x + step, trial, lam / 10.0
+                break
+            lam *= 10.0
+        else:
+            break  # no step lowers |r|^2: as close as float64 gets
+    assert r @ r < 1e-28, f"no d = {d} fiducial from seed {seed}"
+    psi = x[:d] + 1j * x[d:]
+    return Povm.from_vectors(ops @ (psi / np.linalg.norm(psi)) / np.sqrt(d))
+
+
 def perturbed_sic_stack(condition: str, size: float = 4e-9) -> np.ndarray:
     """The Hesse SIC's elements with one defining condition of model.CONDITIONS broken
     by about size and every other deviation smaller (verify's worst_condition)."""

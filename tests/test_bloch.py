@@ -15,11 +15,7 @@ from semisic.bloch import (
     probs_to_bloch,
 )
 from semisic.dual import probabilities
-from semisic.errors import (
-    InconsistentProbabilities,
-    LengthMismatch,
-    OutsideBlochBall,
-)
+from semisic.errors import DimensionMismatch, InconsistentProbabilities, NotAState
 from semisic.qubit import construct, family_point
 
 
@@ -86,13 +82,13 @@ def test_bloch_pure_boundary():
 
 def test_bloch_rejections():
     point = family_point(2.0 / 25.0)
-    with pytest.raises(OutsideBlochBall):
+    with pytest.raises(NotAState):
         bloch_to_probs([0.8, 0.8, 0.8], point)
-    with pytest.raises(OutsideBlochBall):
+    with pytest.raises(NotAState):
         bloch_to_state([0.0, 0.0, 1.0 + 1e-6])
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DimensionMismatch):
         bloch_to_probs([0.0, 0.0], point)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DimensionMismatch):
         probs_to_bloch([0.25, 0.25, 0.5], point)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="non-finite"):

@@ -97,6 +97,41 @@ def test_verify_json_keys_follow_the_report_fields(tmp_path, capsys):
     assert json.loads(out) == fields
 
 
+# verify's text report of the 2/25 member, frozen
+VERIFY_TEXT_2_25 = """\
+classification: StrictSemiSIC
+fitted_b: 0.08
+k: 2
+max_violation: 2.22045e-16
+worst_condition: completeness
+equi_dev: 4.16334e-17
+comp_dev: 2.22045e-16
+psd_dev: 0
+herm_dev: 0
+trace_dev: 0
+is_ic: yes
+all_rank_one: yes
+equiangular: yes
+trace_classes: 0.4 x2, 0.6 x2
+"""
+
+
+def test_verify_text_prints_one_line_per_json_key(tmp_path, capsys):
+    path = member_path(tmp_path, capsys)
+    _, as_json, _ = run(capsys, "verify", "--in", str(path), "--json")
+    rc, out, _ = run(capsys, "verify", "--in", str(path))
+    assert rc == 0
+    assert [line.split(": ")[0] for line in out.splitlines()] == list(json.loads(as_json))
+    assert out == VERIFY_TEXT_2_25
+
+
+def test_verify_of_a_directory_exits_2_and_names_it(tmp_path, capsys):
+    # a directory opens, then fails its first read; textio puts the path back in the error
+    rc, out, err = run(capsys, "verify", "--in", str(tmp_path))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and repr(str(tmp_path)) in err
+
+
 DEVIATIONS = ["equi_dev", "comp_dev", "psd_dev", "herm_dev", "trace_dev"]
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from helpers import (block_dual, count_measurements, disguise, disguised_stack, hesse_sic,
                      random_density, reference_dual, reference_probabilities,
                      reference_reconstruct, reference_region_csv, reference_report,
-                     reference_structure)
+                     reference_structure, wh_sic)
 from semisic import dual
 from semisic.bloch import _directions
 from semisic.dual import (
@@ -27,7 +27,6 @@ from semisic.dual import (
 )
 from semisic.errors import (
     DimensionMismatch,
-    LengthMismatch,
     NotAState,
     NotSemiSic,
 )
@@ -53,6 +52,15 @@ def d3_frame():
     report = verify(povm)
     params = SemiSicParams.from_b(3, report.fitted_b, report.k)
     return povm, dual_basis(povm, params)
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_weyl_heisenberg_sic_dual_frames_reconstruct_a_state(d):
+    povm = wh_sic(d)
+    report = verify(povm)
+    frame = dual_basis(povm, SemiSicParams.from_b(d, report.fitted_b, report.k))
+    rho = random_density(np.random.default_rng(d), d)
+    assert np.max(np.abs(reconstruct(probabilities(rho, povm), frame) - rho)) <= 1e-12
 
 
 def test_dual_coefficients_for_the_frozen_member():
@@ -322,7 +330,7 @@ def test_reconstruct_is_the_tensordot_of_p_and_the_duals(d):
 
 def test_reconstruct_validates_input():
     _, frame = frame_for(2.0 / 25.0)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DimensionMismatch):
         reconstruct([0.5, 0.5], frame)
     with pytest.raises(ValueError):
         reconstruct([np.nan, 0.0, 0.0, 1.0], frame)

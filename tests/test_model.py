@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import count_measurements, disguise, hesse_sic, perturbed_sic_stack
+from helpers import count_measurements, disguise, hesse_sic, perturbed_sic_stack, wh_sic
 from semisic.dual import dual_basis
 from semisic.errors import (
     BOutOfRange,
-    DimensionTooLarge,
-    DimensionTooSmall,
+    DimensionMismatch,
     KOutOfRange,
     MalformedPovm,
 )
@@ -82,7 +81,7 @@ def test_trace_values_rejects_out_of_range():
         trace_values(2, 0.0)
     with pytest.raises(BOutOfRange):
         trace_values(2, -0.01)
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch):
         trace_values(1, 0.01)
 
 
@@ -97,19 +96,19 @@ def test_overlap_spectrum_d3():
 
 
 def test_spectrum_rejects_bad_dk():
-    with pytest.raises(DimensionTooSmall):
+    with pytest.raises(DimensionMismatch):
         b_from_k(2, 2)
     with pytest.raises(KOutOfRange):
         b_from_k(3, 6)
     with pytest.raises(KOutOfRange):
         b_from_k(3, 10)
-    with pytest.raises(DimensionTooSmall):
+    with pytest.raises(DimensionMismatch):
         admissible_k(2)
 
 
 def test_spectrum_refuses_d_over_its_cap():
     assert len(admissible_k(MAX_SPECTRUM_D)) == MAX_SPECTRUM_D
-    with pytest.raises(DimensionTooLarge, match="needs d <= "):
+    with pytest.raises(DimensionMismatch, match="needs d <= "):
         admissible_k(MAX_SPECTRUM_D + 1)
 
 
@@ -271,6 +270,21 @@ def test_verify_d3_sic_oracle():
     assert report.max_violation < 1e-12
     assert len(report.trace_classes) == 1
     assert report.trace_classes[0] == (pytest.approx(1.0 / 3.0, abs=1e-14), 9)
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_verify_weyl_heisenberg_sic_oracles(d):
+    report = verify(wh_sic(d))
+    assert (report.classification, report.k) == (SIC, d * d)
+    assert abs(report.fitted_b - 1.0 / (d * d * (d + 1))) <= 1e-15
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_weyl_heisenberg_sics_keep_class_and_k_under_disguise(d):
+    povm = wh_sic(d)
+    for seed in range(5):
+        report = verify(disguise(np.random.default_rng(seed), povm, 1e-12))
+        assert (report.classification, report.k) == (SIC, d * d)
 
 
 def test_verify_flags_perturbation():

@@ -10,7 +10,9 @@ DELETED = {
              "Tolerances", "DEFAULT_TOL", "as_matrix", "eig_hermitian", "pauli_compose",
              "PAULI_X", "PAULI_Y", "PAULI_Z"),
     errors: ("NotNormalized", "NonNegligibleImaginaryPart", "ConvergenceFailure",
-             "AmbiguousCanonicalization", "DegenerateCoefficients"),
+             "AmbiguousCanonicalization", "DegenerateCoefficients", "LengthMismatch",
+             "DimensionTooSmall", "DimensionTooLarge", "BOutOfFamilyRange", "NotQubitSemiSic",
+             "OutsideBlochBall"),
     qubit: ("CANON_TOL",),
     search: ("STEP_POLICIES",),
 }

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import anchor_search_canonicalize, disguise, haar_unitary, hesse_sic
 from semisic import qubit
-from semisic.errors import BOutOfFamilyRange, NotQubitSemiSic
+from semisic.errors import BOutOfRange, DimensionMismatch, NotSemiSic
 from semisic.model import NOT_SEMI_SIC, SIC, STRICT_SEMI_SIC, Povm, SemiSicParams, verify
 from semisic.qubit import (
     B_MAX,
@@ -50,7 +50,7 @@ def test_theta_decreases_over_the_interval():
 
 def test_family_range_gates():
     for bad in (0.05, B_MIN, 0.09, 1.0 / 11.0, B_MAX + 2e-10, -1.0, np.nan):
-        with pytest.raises(BOutOfFamilyRange):
+        with pytest.raises(BOutOfRange):
             family_point(bad)
     # the closed endpoint itself is fine, and so is a b at most TOL_COND above it,
     # which is the SIC point by SemiSicParams.from_b's rule
@@ -136,12 +136,12 @@ def test_canonicalize_recovers_noisy_sic():
 def test_canonicalize_rejects_non_semisic():
     stack = np.array(construct(0.07).elements, copy=True)
     stack[0, 0, 0] += 1e-3
-    with pytest.raises(NotQubitSemiSic):
+    with pytest.raises(NotSemiSic):
         canonicalize(Povm(dim=2, elements=stack))
 
 
 def test_canonicalize_rejects_wrong_dimension():
-    with pytest.raises(NotQubitSemiSic):
+    with pytest.raises(DimensionMismatch):
         canonicalize(hesse_sic())
 
 
@@ -164,7 +164,7 @@ def test_canonicalize_refuses_a_fitted_b_at_or_under_one_sixteenth(monkeypatch, 
     # from_b admits every b up to 1/12 at k = 2; the family's open end is canonicalize's rule
     report = dataclasses.replace(verify(construct(0.07)), fitted_b=float(fitted_b))
     monkeypatch.setattr(qubit, "verify", lambda povm: report)
-    with pytest.raises(NotQubitSemiSic, match="outside the family"):
+    with pytest.raises(BOutOfRange, match="outside the family"):
         canonicalize(construct(0.07))
 
 
@@ -184,7 +184,7 @@ def test_canonicalize_matches_the_anchor_search(b, seed, noise):
     # the direct construction gives the search's first match, bit for bit
     povm = disguise(np.random.default_rng(seed), construct(b), noise)
     if verify(povm).classification == NOT_SEMI_SIC:
-        with pytest.raises(NotQubitSemiSic):
+        with pytest.raises(NotSemiSic):
             canonicalize(povm)
         return
     u, canon, got_b = canonicalize(povm)

@@ -13,7 +13,7 @@ from helpers import (dense_lbfgs_direction, h0_scale, serial_armijo_steps, two_c
 from semisic import search
 from semisic.documents import parse_povm_document
 from semisic.dual import dual_basis
-from semisic.errors import InvalidConfig
+from semisic.errors import DimensionMismatch, InvalidConfig
 from semisic.linalg import TOL_COND
 from semisic.model import NOT_SEMI_SIC, STRICT_SEMI_SIC, SemiSicParams, b_from_k, verify
 from semisic.qubit import family_kets, family_point
@@ -152,7 +152,7 @@ def test_objective_and_gradient_follow_the_config_b_rule():
 
 
 def test_objective_validates_vectors():
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch):
         objective(np.zeros((3, 2)), 2, 2, b=0.07)
     bad = np.full((4, 2), np.nan, dtype=complex)
     with pytest.raises(ValueError):
