@@ -7,15 +7,7 @@ examples in higher dimensions.
 """
 
 from .bloch import bloch_to_probs, bloch_to_state, probs_to_bloch
-from .documents import (
-    PovmDocument,
-    dual_frame_document,
-    load_povm,
-    parse_povm_document,
-    povm_document,
-    save_dual_frame,
-    save_povm,
-)
+from .documents import PovmDocument, load_povm, save_dual_frame, save_povm
 from .dual import (
     DualFrame,
     dual_basis,
@@ -72,15 +64,12 @@ __all__ = [
     "canonicalize",
     "construct",
     "dual_basis",
-    "dual_frame_document",
     "family_kets",
     "family_point",
     "feasibility_poly",
     "gradient",
     "load_povm",
     "objective",
-    "parse_povm_document",
-    "povm_document",
     "probabilities",
     "probs_to_bloch",
     "reconstruct",

@@ -29,8 +29,7 @@ import numpy as np
 from .errors import DimensionMismatch, InconsistentProbabilities, NotAState
 from .qubit import QubitFamilyPoint, family_kets
 
-_BALL_SLACK = 1e-9
-_RESIDUAL_GATE = 1e-8
+_RESIDUAL_GATE = 1e-8  # a ball-fit residual, and a Bloch norm's excess over 1
 
 
 def _as_bloch(r) -> np.ndarray:
@@ -38,9 +37,9 @@ def _as_bloch(r) -> np.ndarray:
     if vec.shape != (3,):
         raise DimensionMismatch(f"Bloch vector must have shape (3,), got {vec.shape}")
     if not np.all(np.isfinite(vec)):
-        raise ValueError("Bloch vector has non-finite entries")
+        raise NotAState("Bloch vector has non-finite entries")
     norm = float(np.linalg.norm(vec))
-    if norm > 1.0 + _BALL_SLACK:
+    if norm > 1.0 + _RESIDUAL_GATE:
         raise NotAState(f"Bloch vector norm {norm!r} exceeds 1")
     return vec
 
@@ -100,13 +99,14 @@ def probs_to_bloch(q, point: QubitFamilyPoint) -> np.ndarray:
 
     Returns the r of the closed unit ball that best fits the 4x3 affine
     system (the least-squares r when that lies in the ball); if its
-    residual exceeds 1e-8 or is not finite, raises InconsistentProbabilities.
+    residual exceeds _RESIDUAL_GATE or is not finite, or q is not finite,
+    raises InconsistentProbabilities.
     """
     probs = np.asarray(q, dtype=float)
     if probs.shape != (4,):
         raise DimensionMismatch(f"expected 4 probabilities, got shape {probs.shape}")
     if not np.all(np.isfinite(probs)):
-        raise ValueError("probabilities contain non-finite entries")
+        raise InconsistentProbabilities("probabilities contain non-finite entries")
     weights, dirs = _directions(point)
     sol, residual = _ball_residual(weights[:, None] * dirs, probs - weights)
     if not residual <= _RESIDUAL_GATE:

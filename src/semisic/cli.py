@@ -25,6 +25,7 @@ import numpy as np
 from . import documents, dual, model, qubit, search
 from .bloch import bloch_to_probs, probs_to_bloch
 from .errors import InconsistentProbabilities, NotSemiSic
+from .linalg import TOL_ROUND
 
 
 def parse_number(text: str) -> float:
@@ -72,9 +73,7 @@ def cmd_verify(args) -> int:
 def _verified_dual(infile) -> tuple[dual.DualFrame, model.VerificationReport]:
     """Load a POVM document, verify it once, and build its dual frame."""
     povm = documents.load_povm(infile).povm
-    report = model.verify(povm)
-    if report.classification == model.NOT_SEMI_SIC:
-        raise NotSemiSic(f"input is not a semi-SIC ({model._refusal(report)})")
+    report = model.verified(povm)
     params = model.SemiSicParams.from_b(povm.dim, report.fitted_b, report.k)
     return dual.dual_basis(povm, params), report
 
@@ -100,8 +99,8 @@ def cmd_bloch(args) -> int:
         values = bloch_to_probs(np.array(args.to_probs), point)
     else:
         values = probs_to_bloch(np.array(args.to_bloch), point)
-    # both maps are accurate to about 1e-10, so magnitudes below 1e-12 are rounding noise
-    print(" ".join(f"{v:.12g}" if abs(v) >= 1e-12 else "0" for v in values))
+    # both maps are accurate to about 1e-10, so magnitudes below TOL_ROUND are rounding noise
+    print(" ".join(f"{v:.12g}" if abs(v) >= TOL_ROUND else "0" for v in values))
     return 0
 
 

@@ -12,7 +12,7 @@ there, and its duality check allows for the conditioning of G.
 
 For a qubit, p comes from a state exactly when det(sum_y p_y F_y) >= 0.
 region_grid scans that test over a simplex lattice into one numpy record
-array, and scans over MAX_REGION_POINTS points raise ValueError (CLI exit 2)
+array, and scans over MAX_REGION_POINTS points raise InvalidConfig (CLI exit 2)
 before allocating. write_region_csv formats every float with "%.17g" a
 block of rows at a time, each distinct lattice coordinate once and all f by
 one % call over the rest of the block's text: the bytes of a per-row format.
@@ -24,13 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotAState, NotSemiSic
-from .linalg import TOL_COND, TOL_NORM, TOL_PSD, as_hermitian
-from .model import NOT_SEMI_SIC, Povm, SemiSicParams, _refusal, verify
+from .errors import (DimensionMismatch, InconsistentProbabilities, InvalidConfig, NotAState,
+                     NotSemiSic)
+from .linalg import TOL_COND, TOL_ROUND
+from .model import Povm, SemiSicParams, verified
 from .textio import write_text
-
-# Feasibility slack: determinant values above -1e-12 count as reconstructible.
-FEASIBILITY_SLACK = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,18 +55,16 @@ class DualFrame:
 def dual_basis(povm: Povm, params: SemiSicParams) -> DualFrame:
     """Dual frame of a verified semi-SIC, by one solve of its Gram system.
 
-    params must agree with a POVM that passes verify() at linalg.TOL_COND:
-    the same d, and params.b within TOL_COND of the fitted overlap (else
+    params must agree with a POVM that passes model.verified() (else NotSemiSic):
+    the same d, and params.b within linalg.TOL_COND of the fitted overlap (else
     NotSemiSic). source_k is the k that verify() measures, not params.k.
     Verifies duality Tr[E_x F_y] = delta_xy before returning, within
-    max(1e-10, 1e3 max_violation, 10 eps cond(G)): the last term is the
+    max(TOL_COND, 1e3 max_violation, 10 eps cond(G)): the last term is the
     solve's rounding, which grows as a qubit b nears 1/16. The verify()
     report and the Gram matrix G with its eigenvalues are the ones the Povm
     keeps, so a POVM the caller has already verified is not measured again.
     """
-    report = verify(povm)
-    if report.classification == NOT_SEMI_SIC:
-        raise NotSemiSic(f"verification failed ({_refusal(report)})")
+    report = verified(povm)
     d = povm.dim
     if params.d != d:
         raise DimensionMismatch(f"params are for d = {params.d}, POVM has d = {d}")
@@ -83,7 +79,7 @@ def dual_basis(povm: Povm, params: SemiSicParams) -> DualFrame:
     products.flat[::len(povm) + 1] -= 1.0
     duality_dev = float(np.abs(products).max())
     rounding = 10.0 * np.finfo(float).eps * float(eigs[-1] / eigs[0])
-    if duality_dev > max(1e-10, 1e3 * report.max_violation, rounding):
+    if duality_dev > max(TOL_COND, 1e3 * report.max_violation, rounding):
         raise NotSemiSic(f"dual frame fails duality check (deviation {duality_dev:.3e})")
 
     return DualFrame(
@@ -95,19 +91,26 @@ def dual_basis(povm: Povm, params: SemiSicParams) -> DualFrame:
 
 
 def probabilities(rho, povm: Povm) -> np.ndarray:
-    """Outcome probabilities p_y = Tr[E_y rho] of a density matrix."""
-    mat = as_hermitian(rho)
+    """Outcome probabilities p_y = Tr[E_y rho] of a d x d density matrix: finite, and
+    Hermitian, PSD and of trace 1 within linalg.TOL_COND (else NotAState)."""
+    mat = np.asarray(rho, dtype=complex)
     if mat.shape != (povm.dim, povm.dim):
-        raise DimensionMismatch(f"state shape {mat.shape} does not match d = {povm.dim}")
+        raise DimensionMismatch(f"state must be a non-empty square matrix of shape "
+                                f"({povm.dim}, {povm.dim}), got {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise NotAState("state has non-finite entries")
+    dev = float(np.abs(mat - mat.conj().T).max())
+    if dev > TOL_COND * max(1.0, float(np.abs(mat).max())):
+        raise NotAState(f"state is not Hermitian within tolerance (deviation {dev:.3e})")
     eigs = np.linalg.eigvalsh(mat)
-    if eigs[0] < -TOL_PSD:
+    if eigs[0] < -TOL_COND:
         raise NotAState(f"state has negative eigenvalue {eigs[0]:.3e}")
     tr = float(mat.trace().real)
-    if abs(tr - 1.0) > 1e2 * TOL_NORM:
+    if abs(tr - 1.0) > TOL_COND:
         raise NotAState(f"state has trace {tr!r}, expected 1")
     p = np.einsum("yij,ji->y", povm.elements, mat).real
     # roundoff can leave tiny negatives on boundary states
-    p[(p < 0) & (p > -TOL_PSD)] = 0.0
+    p[(p < 0) & (p > -TOL_COND)] = 0.0
     if (p < 0).any():
         raise NotAState(f"negative outcome probability {float(p.min()):.3e}")
     return p
@@ -119,7 +122,7 @@ def _frame_probs(p, frame: DualFrame) -> np.ndarray:
     if probs.ndim != 1 or probs.size != len(frame):
         raise DimensionMismatch(f"expected {len(frame)} probabilities, got shape {probs.shape}")
     if not np.isfinite(probs).all():
-        raise ValueError("probabilities contain non-finite entries")
+        raise InconsistentProbabilities("probabilities contain non-finite entries")
     return probs
 
 
@@ -149,7 +152,7 @@ def _determinants(probs: np.ndarray, frame: DualFrame) -> np.ndarray:
     return (probs @ f00) * (probs @ f11) - np.abs(probs @ f01) ** 2
 
 
-# Region scans of more lattice points than this are refused (ValueError, exit
+# Region scans of more lattice points than this are refused (InvalidConfig, exit
 # 2 from the CLI) before anything is allocated. A scan holds 40 bytes per
 # point, 400 MB at the cap; resolution 389 is the largest admitted.
 MAX_REGION_POINTS = 10_000_000
@@ -167,17 +170,19 @@ def region_grid(frame: DualFrame, resolution: int) -> np.recarray:
     Scans all (p1, p2, p3) with p_i = i/resolution and p1+p2+p3 <= 1, p1
     outermost and p3 innermost; p4 is the slack. Returns a record array with
     float fields p1, p2, p3, f = det(sum_y p_y F_y) and bool field feasible
-    (f >= -FEASIBILITY_SLACK): scan.feasible is a column, scan[i].p1 a value.
-    A lattice of C(N+3, 3) > MAX_REGION_POINTS points raises ValueError (exit 2).
+    (f >= -linalg.TOL_ROUND): scan.feasible is a column, scan[i].p1 a value. A
+    resolution under 2 or a lattice of C(N+3, 3) > MAX_REGION_POINTS points raises
+    InvalidConfig (exit 2).
     """
     if frame.dim != 2:
         raise DimensionMismatch(f"region scan is qubit-only, got d = {frame.dim}")
     if not isinstance(resolution, (int, np.integer)) or resolution < 2:
-        raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
+        raise InvalidConfig(f"resolution must be an integer >= 2, got {resolution!r}")
     n = int(resolution)
     count = (n + 1) * (n + 2) * (n + 3) // 6
     if count > MAX_REGION_POINTS:
-        raise ValueError(f"resolution {n} gives {count} points, over the cap {MAX_REGION_POINTS}")
+        raise InvalidConfig(f"resolution {n} gives {count} points, over the cap "
+                            f"{MAX_REGION_POINTS}")
 
     # (i, j) pairs in scan order, each followed by its run l = 0 .. n - i - j
     span = np.arange(n + 1)
@@ -192,7 +197,7 @@ def region_grid(frame: DualFrame, resolution: int) -> np.recarray:
         rows = slice(start, start + _CHUNK)
         a, b, c = p1[rows], p2[rows], p3[rows]
         scan["f"][rows] = _determinants(np.column_stack([a, b, c, 1.0 - (a + b + c)]), frame)
-    scan.feasible = scan.f >= -FEASIBILITY_SLACK
+    scan.feasible = scan.f >= -TOL_ROUND
     return scan
 
 
@@ -205,11 +210,11 @@ def write_region_csv(scan: np.recarray, path) -> None:
     their text. Rows join those texts and "%.17g,1\n" or "%.17g,0\n" by
     feasible, so one % call converts only f: the bytes of a per-row format.
     A scan without those fields, float64 and bool as region_grid makes them,
-    raises ValueError before the target is opened.
+    raises DimensionMismatch before the target is opened.
     """
     fields = getattr(scan, "dtype", np.dtype(float)).fields or {}
     if any(name not in fields or fields[name][0] != _REGION_DTYPE[name] for name in _REGION_FIELDS):
-        raise ValueError(f"a region scan needs the fields of {_REGION_DTYPE}")
+        raise DimensionMismatch(f"a region scan needs the fields of {_REGION_DTYPE}")
     write_text(path, _region_csv_texts(scan))
 
 

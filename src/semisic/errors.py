@@ -2,7 +2,7 @@
 
 
 class DimensionMismatch(ValueError):
-    """A matrix, vector, list or POVM of the wrong shape or dimension, or a d out of range."""
+    """A matrix, vector, list, POVM or scan of the wrong shape, d or fields, or a d out of range."""
 
 
 class BOutOfRange(ValueError):
@@ -22,15 +22,15 @@ class NotSemiSic(ValueError):
 
 
 class NotAState(ValueError):
-    """A density matrix with a negative eigenvalue or trace not 1, or a Bloch vector of norm > 1."""
+    """A density matrix or Bloch vector that is non-finite or is not a state."""
 
 
 class InconsistentProbabilities(ValueError):
-    """Outcome probabilities that no qubit state reproduces."""
+    """Outcome probabilities that no state reproduces, non-finite ones included."""
 
 
 class InvalidConfig(ValueError):
-    """A search configuration, or an objective's (d, k, b), that breaks its constraints."""
+    """A search config, an objective's (d, k, b, vectors) or a region scan size that is invalid."""
 
 
 class DocumentError(ValueError):

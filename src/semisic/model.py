@@ -23,26 +23,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BOutOfRange, DimensionMismatch, KOutOfRange, MalformedPovm
-from .linalg import TOL_COND, TOL_RANK
+from .errors import BOutOfRange, DimensionMismatch, KOutOfRange, MalformedPovm, NotSemiSic
+from .linalg import TOL_COND, TOL_ROUND
 
 # Classification labels used by verify() and the CLI.
 SIC = "SIC"
 STRICT_SEMI_SIC = "StrictSemiSIC"
 NOT_SEMI_SIC = "NotSemiSIC"
 
-# Coarse structural gates. Deliberately loose: mildly broken inputs should
-# reach verify() and come back NotSemiSIC with the violation quantified,
-# not explode at construction.
+# Coarse structural gates, loose by design (README's threshold table): MalformedPovm past them
 HERMITIAN_GATE = 1e-8
 COMPLETENESS_GATE = 1e-2
 PSD_GATE = 1e-4
-
-# Discriminants this close to zero are snapped to the degenerate (SIC) root.
-# The endpoint b = 1/(4(d^2-1)) is irrational in binary, so exact-endpoint
-# inputs arrive as floats with discriminant ~1e-16; without the snap the
-# square-root singularity would spread the two trace values by ~1e-8.
-DISC_SNAP = 1e-13
 
 # verify()'s five deviations (VerificationReport's equi_dev, comp_dev, psd_dev,
 # herm_dev and trace_dev) by name; the first largest is the report's worst_condition
@@ -50,13 +42,13 @@ CONDITIONS = ("equiangularity", "completeness", "positivity", "hermiticity", "tr
 
 # admissible_k lists d entries and `semisic spectrum` prints d rows: larger d are refused
 MAX_SPECTRUM_D = 10**5
-_COUNTING_TOL = 1e-12
 
 
 def trace_values(d: int, b: float) -> tuple[float, float]:
     """The two admissible element traces (a-, a+) for overlap b in dimension d.
 
-    Roots of a^2 - a + (d^2 - 1) b = 0; real iff b <= 1/(4(d^2-1)).
+    Roots of a^2 - a + (d^2 - 1) b = 0; real iff b <= 1/(4(d^2-1)). A discriminant
+    within linalg.TOL_ROUND of 0 is 0: the double (SIC) root.
     """
     if not isinstance(d, (int, np.integer)) or d < 2:
         raise DimensionMismatch(f"dimension must be an integer >= 2, got {d!r}")
@@ -64,7 +56,7 @@ def trace_values(d: int, b: float) -> tuple[float, float]:
     if not math.isfinite(b) or b <= 0.0:
         raise BOutOfRange(f"overlap b must be positive, got {b!r}")
     disc = 1.0 - 4.0 * b * (d * d - 1)
-    if abs(disc) <= DISC_SNAP:
+    if abs(disc) <= TOL_ROUND:
         disc = 0.0
     if disc < 0.0:
         raise BOutOfRange(
@@ -122,7 +114,7 @@ def _check_dk(d: int, k: int) -> None:
 class SemiSicParams:
     """Validated parameter bundle (d, b, k) with its roots (a_minus, a_plus) = trace_values(d, b).
 
-    The counting identity k a- + (d^2 - k) a+ = d must hold within 1e-12;
+    The counting identity k a- + (d^2 - k) a+ = d must hold within TOL_ROUND;
     for d >= 3 that is equivalent to the admissible-k bound. For d = 2 it
     admits k = 2 (the strict family), and every k at the SIC point b = 1/12,
     so a qubit k must also be 2 or 4 (the strict split or one trace class).
@@ -142,7 +134,7 @@ class SemiSicParams:
         if not isinstance(self.k, (int, np.integer)) or not 0 < self.k <= n:
             raise KOutOfRange(f"k must lie in 1..{n}, got {self.k!r}")
         counted = self.k * self.a_minus + (n - self.k) * self.a_plus
-        if abs(counted - self.d) > _COUNTING_TOL:
+        if abs(counted - self.d) > TOL_ROUND:
             raise KOutOfRange(
                 f"counting identity fails: k a- + (d^2-k) a+ = {counted!r} != {self.d}"
             )
@@ -293,22 +285,26 @@ def verify(povm: Povm) -> VerificationReport:
     names the condition of the largest (worst_condition, first of CONDITIONS
     on a tie). That largest is max_violation: at most linalg.TOL_COND, the one gate,
     means SIC (one trace class) or StrictSemiSIC (two), anything more
-    NotSemiSIC; the rank and IC cutoffs are linalg constants too. Only the
-    Gram matrix (kept on the Povm, where dual_basis reads it) and the traces
-    are new work: the rest the Povm constructor measured. The report is kept.
+    NotSemiSIC; the rank and IC cutoffs, relative to max(1, largest |eigenvalue|),
+    are TOL_COND too. Only the Gram matrix (kept on the Povm, where dual_basis
+    reads it) and the traces are new work: the rest the Povm constructor
+    measured. The report is kept.
     """
     if not isinstance(povm, Povm):
         raise MalformedPovm(f"expected a Povm, got {type(povm).__name__}")
     return povm._report
 
 
-def _refusal(report: VerificationReport) -> str:
-    """Why verify() refused a POVM: any failed IC or rank test, then the largest violation
-    and the condition it breaks."""
+def verified(povm: Povm) -> VerificationReport:
+    """verify()'s report of a POVM it accepts, else NotSemiSic naming any failed IC or rank
+    test, then the largest violation and the condition it breaks."""
+    report = verify(povm)
+    if report.classification != NOT_SEMI_SIC:
+        return report
     failed = [why for ok, why in ((report.is_ic, "not informationally complete"),
                                   (report.all_rank_one, "not rank one")) if not ok]
-    return ", ".join(failed + [f"max violation {report.max_violation:.3e} "
-                               f"({report.worst_condition})"])
+    failed.append(f"max violation {report.max_violation:.3e} ({report.worst_condition})")
+    raise NotSemiSic(f"input is not a semi-SIC ({', '.join(failed)})")
 
 
 def _measure(povm: Povm) -> VerificationReport:
@@ -325,11 +321,11 @@ def _measure(povm: Povm) -> VerificationReport:
     psd_dev = max(0.0, -float(eig_stack.min()))
     abs_eigs = np.abs(eig_stack)
     scale = abs_eigs.max(axis=1, initial=1.0)
-    ranks = (abs_eigs > TOL_RANK * scale[:, None]).sum(axis=1)
+    ranks = (abs_eigs > TOL_COND * scale[:, None]).sum(axis=1)
     all_rank_one = bool((ranks == 1).all())
 
     ic_scale = max(1.0, float(np.abs(gram_eigs).max()))
-    is_ic = bool(gram_eigs.min() > TOL_RANK * ic_scale)
+    is_ic = bool(gram_eigs.min() > TOL_COND * ic_scale)
 
     traces = povm.traces()
     trace_dev = float(np.abs(traces * traces - traces + (n - 1) * fitted_b).max())

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BOutOfRange, DimensionMismatch, NotSemiSic
+from .errors import BOutOfRange, DimensionMismatch
 from .linalg import TOL_COND
-from .model import NOT_SEMI_SIC, Povm, SemiSicParams, _refusal, trace_values, verify
+from .model import Povm, SemiSicParams, trace_values, verified
 
 B_MIN = 1.0 / 16.0   # open: the family degenerates here
 B_MAX = 1.0 / 12.0   # closed: the SIC point
@@ -51,8 +51,9 @@ def family_point(b: float) -> QubitFamilyPoint:
 
     Raises BOutOfRange outside (1/16, 1/12 + TOL_COND]. A b in
     (1/12, 1/12 + TOL_COND] is the SIC point b = 1/12, k = 4, by the rule of
-    SemiSicParams.from_b; values within one discriminant snap width below
-    1/12 also collapse to the SIC endpoint (see model.trace_values).
+    SemiSicParams.from_b; a b less than TOL_ROUND / 12 below 1/12, where the
+    discriminant 1 - 12 b is within linalg.TOL_ROUND of 0, is the SIC endpoint
+    too (see model.trace_values).
     """
     b = float(b)
     if not math.isfinite(b) or b <= B_MIN:
@@ -125,13 +126,11 @@ def canonicalize(povm: Povm) -> tuple[np.ndarray, Povm, float]:
     W sends psi_1 to |0> with <0|W E_2 W^dagger|1> real and positive, and of
     the other two the one with Im <0|W E W^dagger|1> > 0 is psi_3 (sin theta
     > 0 on [pi/3, pi/2)). Raises DimensionMismatch for anything but a qubit Povm,
-    NotSemiSic if verify() refuses it, and BOutOfRange for a fitted b at or below 1/16.
+    NotSemiSic if model.verified() refuses it, and BOutOfRange for a fitted b at or below 1/16.
     """
     if not isinstance(povm, Povm) or povm.dim != 2:
         raise DimensionMismatch("canonicalization is defined for qubit POVMs only")
-    report = verify(povm)
-    if report.classification == NOT_SEMI_SIC:
-        raise NotSemiSic(f"verification failed ({_refusal(report)})")
+    report = verified(povm)
     # from_b admits all verify accepts: k in {2, 4}, and b <= 1/12 + TOL_COND/3 (trace residual)
     b = SemiSicParams.from_b(2, report.fitted_b, report.k).b
     if not b > B_MIN:  # from_b admits every b up to 1/12; family_point's open end

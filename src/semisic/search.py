@@ -174,7 +174,7 @@ def _coerce_vectors(vectors, d: int) -> np.ndarray:
     if rows.shape != (d * d, d):
         raise DimensionMismatch(f"expected {d * d} vectors of length {d}, got shape {rows.shape}")
     if not np.isfinite(rows).all():
-        raise ValueError("vectors contain non-finite entries")
+        raise InvalidConfig("vectors contain non-finite entries")
     return rows
 
 

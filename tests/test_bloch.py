@@ -127,6 +127,9 @@ def test_probabilities_just_outside_the_ball_are_projected(b):
         v /= np.linalg.norm(v)
         pure = bloch_to_probs(v, point) - center
         for excess in (1e-8, 1e-10):
+            # the forward map accepts the vector too: one gate for the norm and the residual
+            q = bloch_to_probs((1.0 + excess) * v, point)
+            assert np.max(np.abs(q - (center + (1.0 + excess) * pure))) < 1e-15
             r = probs_to_bloch(center + (1.0 + excess) * pure, point)
             assert np.linalg.norm(r) <= 1.0 + 1e-15
             assert np.max(np.abs(r - v)) < 10.0 * excess

@@ -18,6 +18,7 @@ import semisic
 from semisic import cli, dual, model, qubit, search
 from semisic.bloch import bloch_to_probs
 from semisic.documents import matrix_to_pairs, parse_povm_document, save_povm
+from semisic.linalg import TOL_ROUND
 from semisic.model import Povm, VerificationReport
 from semisic.qubit import construct, family_point
 
@@ -558,7 +559,7 @@ def test_dual_refuses_a_shifted_document(tmp_path, capsys):
 
 
 def test_dual_names_the_failed_ic_test(tmp_path, capsys):
-    # 1e-13 above 1/16 the Gram matrix falls under TOL_RANK, at a violation of ~2e-16
+    # 1e-13 above 1/16 the Gram matrix falls under the IC cutoff TOL_COND, at a violation of ~2e-16
     path = member_path(tmp_path, capsys, b="0.0625000000001")
     rc, out, err = run(capsys, "dual", "--in", str(path))
     assert rc == 1 and out == ""
@@ -576,7 +577,7 @@ def test_dual_and_region_accept_a_member_1e_10_above_one_sixteenth(tmp_path, cap
     # each coordinate and f round-trips at 17 digits, and the flag is f's sign test
     rows = [line.split(",") for line in (tmp_path / "r.csv").read_text().splitlines()[1:]]
     assert len(rows) == 286 and all(x == "%.17g" % float(x) for r in rows for x in r[:4])
-    assert all(r[4] == str(int(float(r[3]) >= -dual.FEASIBILITY_SLACK)) for r in rows)
+    assert all(r[4] == str(int(float(r[3]) >= -TOL_ROUND)) for r in rows)
 
 
 # One row per command (with --flag=value and abbreviated flags), the bloch

@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 from helpers import (block_dual, count_measurements, disguise, disguised_stack, hesse_sic,
                      random_density, reference_dual, reference_probabilities,
                      reference_reconstruct, reference_region_csv, reference_report,
-                     reference_structure, wh_sic)
+                     reference_structure, WH_SEEDS, wh_sic)
 from semisic import dual
 from semisic.bloch import _directions
 from semisic.dual import (
-    FEASIBILITY_SLACK,
     DualFrame,
     dual_basis,
     feasibility_poly,
@@ -30,7 +29,7 @@ from semisic.errors import (
     NotAState,
     NotSemiSic,
 )
-from semisic.linalg import TOL_COND
+from semisic.linalg import TOL_COND, TOL_ROUND
 from semisic.model import NOT_SEMI_SIC, Povm, SemiSicParams, b_from_k, verify
 from semisic.qubit import construct, family_point
 
@@ -54,9 +53,9 @@ def d3_frame():
     return povm, dual_basis(povm, params)
 
 
-@pytest.mark.parametrize("d", [4, 5])
-def test_weyl_heisenberg_sic_dual_frames_reconstruct_a_state(d):
-    povm = wh_sic(d)
+@pytest.mark.parametrize("d, seed", WH_SEEDS)
+def test_weyl_heisenberg_sic_dual_frames_reconstruct_a_state(d, seed):
+    povm = wh_sic(d, seed)
     report = verify(povm)
     frame = dual_basis(povm, SemiSicParams.from_b(d, report.fitted_b, report.k))
     rho = random_density(np.random.default_rng(d), d)
@@ -356,7 +355,7 @@ def test_region_grid_lattice_and_flags():
     # lattice points of the simplex p1 + p2 + p3 <= 1 at step 1/4
     assert len(samples) == 35
     for s in samples:
-        assert s.feasible == (s.f >= -FEASIBILITY_SLACK)
+        assert s.feasible == (s.f >= -TOL_ROUND)
         direct = feasibility_poly([s.p1, s.p2, s.p3, 1.0 - s.p1 - s.p2 - s.p3], frame)
         assert direct == pytest.approx(s.f, abs=1e-12)
 
@@ -402,7 +401,7 @@ def test_region_grid_is_a_record_array_in_scan_order():
                 for l in range(n + 1 - i - j)]
         got = np.column_stack([scan.p1, scan.p2, scan.p3])
         assert np.array_equal(got, np.array(want, dtype=float) / n)
-        assert np.array_equal(scan.feasible, scan.f >= -FEASIBILITY_SLACK)
+        assert np.array_equal(scan.feasible, scan.f >= -TOL_ROUND)
 
 
 def test_region_blocks_do_not_change_the_output(monkeypatch):

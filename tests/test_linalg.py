@@ -1,28 +1,33 @@
-"""Unit tests for the Hermitian coercion and the finite-entry checks."""
+"""Unit tests for the state checks and the finite-entry checks."""
 
 import numpy as np
 import pytest
 
 from semisic.dual import probabilities
-from semisic.errors import DimensionMismatch, MalformedPovm
-from semisic.linalg import as_hermitian
+from semisic.errors import DimensionMismatch, MalformedPovm, NotAState
 from semisic.model import Povm
 from semisic.qubit import construct
 from semisic.search import objective
 
 
-def test_as_hermitian_accepts_and_rejects():
-    as_hermitian(np.eye(3))
-    with pytest.raises(ValueError):
-        as_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+def test_probabilities_accepts_and_rejects_states():
+    member = construct(2.0 / 25.0)
+    probabilities(np.eye(2) / 2, member)
+    with pytest.raises(NotAState, match="not Hermitian"):
+        probabilities(np.array([[0.0, 1.0], [0.0, 0.0]]), member)
     with pytest.raises(DimensionMismatch):
-        as_hermitian(np.zeros((2, 3)))
+        probabilities(np.zeros((2, 3)), member)
     with pytest.raises(DimensionMismatch, match="non-empty square"):
-        as_hermitian(np.zeros((0, 0)))
-    with pytest.raises(DimensionMismatch, match="non-empty square"):
-        probabilities(np.zeros((0, 0)), construct(2.0 / 25.0))
-    with pytest.raises(ValueError):
-        as_hermitian(np.array([[np.inf, 0.0], [0.0, 0.0]]))
+        probabilities(np.zeros((0, 0)), member)
+    with pytest.raises(NotAState, match="non-finite"):
+        probabilities(np.array([[np.inf, 0.0], [0.0, 0.0]]), member)
+    # the Hermitian check is TOL_COND = 1e-10 relative to max(1, max |rho_ij|)
+    rho = np.eye(2, dtype=complex) / 2
+    rho[0, 1] = 5e-11j
+    probabilities(rho, member)
+    rho[0, 1] = 2e-10j
+    with pytest.raises(NotAState, match="not Hermitian"):
+        probabilities(rho, member)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import count_measurements, disguise, hesse_sic, perturbed_sic_stack, wh_sic
+from helpers import WH_SEEDS, count_measurements, disguise, hesse_sic, perturbed_sic_stack, wh_sic
 from semisic.dual import dual_basis
 from semisic.errors import (
     BOutOfRange,
     DimensionMismatch,
     KOutOfRange,
     MalformedPovm,
+    NotSemiSic,
 )
 from semisic.linalg import TOL_COND
 from semisic.model import (
@@ -27,21 +28,22 @@ from semisic.model import (
     admissible_k,
     b_from_k,
     b_from_k_exact,
-    _refusal,
     trace_values,
     trace_values_exact,
+    verified,
     verify,
 )
 from semisic.qubit import construct, family_kets, family_point
 from semisic.search import SearchConfig, SearchReport
 
 # Random disguises: a Haar unitary, a permutation, and Hermitian noise whose
-# largest entry is at most TOL_COND / 10. b = None stands for the Hesse SIC.
+# largest entry is at most TOL_COND / 10. b = None stands for the Hesse SIC, an
+# int b for wh_sic(b).
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 SEEDS = st.integers(0, 2**32 - 1)
 NOISE = st.floats(0.0, TOL_COND / 10.0)
 MEMBERS = st.one_of(st.just(1.0 / 12.0), st.floats(1.0 / 16.0, 1.0 / 12.0, exclude_min=True),
-                    st.just(None))
+                    st.just(None), st.sampled_from([4, 5]))
 # Members within about 1e-11 of 1/16 fail verify's IC test, so strict
 # members for the dual are drawn from 1/16 + 1e-9 up.
 DUAL_MEMBERS = st.one_of(st.just(1.0 / 12.0), st.floats(1.0 / 16.0 + 1e-9, 1.0 / 12.0),
@@ -49,7 +51,7 @@ DUAL_MEMBERS = st.one_of(st.just(1.0 / 12.0), st.floats(1.0 / 16.0 + 1e-9, 1.0 /
 
 
 def member(b):
-    return hesse_sic() if b is None else construct(b)
+    return hesse_sic() if b is None else wh_sic(b) if isinstance(b, int) else construct(b)
 
 
 def test_trace_values_qubit_oracle():
@@ -272,16 +274,16 @@ def test_verify_d3_sic_oracle():
     assert report.trace_classes[0] == (pytest.approx(1.0 / 3.0, abs=1e-14), 9)
 
 
-@pytest.mark.parametrize("d", [4, 5])
-def test_verify_weyl_heisenberg_sic_oracles(d):
-    report = verify(wh_sic(d))
+@pytest.mark.parametrize("d, seed", WH_SEEDS)
+def test_verify_weyl_heisenberg_sic_oracles(d, seed):
+    report = verify(wh_sic(d, seed))
     assert (report.classification, report.k) == (SIC, d * d)
     assert abs(report.fitted_b - 1.0 / (d * d * (d + 1))) <= 1e-15
 
 
-@pytest.mark.parametrize("d", [4, 5])
-def test_weyl_heisenberg_sics_keep_class_and_k_under_disguise(d):
-    povm = wh_sic(d)
+@pytest.mark.parametrize("d, seed", WH_SEEDS)
+def test_weyl_heisenberg_sics_keep_class_and_k_under_disguise(d, seed):
+    povm = wh_sic(d, seed)
     for seed in range(5):
         report = verify(disguise(np.random.default_rng(seed), povm, 1e-12))
         assert (report.classification, report.k) == (SIC, d * d)
@@ -332,18 +334,23 @@ def test_verify_measures_each_povm_once(monkeypatch):
 
 @pytest.mark.parametrize("condition", CONDITIONS)
 def test_verify_names_the_condition_it_fails(condition):
-    report = verify(Povm(dim=3, elements=perturbed_sic_stack(condition)))
+    povm = Povm(dim=3, elements=perturbed_sic_stack(condition))
+    report = verify(povm)
     deviations = dict(zip(CONDITIONS, (report.equi_dev, report.comp_dev, report.psd_dev,
                                        report.herm_dev, report.trace_dev)))
     assert report.classification == NOT_SEMI_SIC and report.is_ic
     assert report.worst_condition == condition
     assert deviations[condition] == report.max_violation > TOL_COND
     assert all(dev < report.max_violation for name, dev in deviations.items() if name != condition)
-    assert _refusal(report).endswith(f"max violation {report.max_violation:.3e} ({condition})")
+    with pytest.raises(NotSemiSic) as refusal:
+        verified(povm)
+    assert str(refusal.value).endswith(f"max violation {report.max_violation:.3e} ({condition}))")
     # unperturbed, the same SIC passes with every deviation at rounding level
-    clean = verify(hesse_sic())
+    sic = hesse_sic()
+    clean = verify(sic)
     assert clean.classification == SIC and clean.max_violation < 1e-15
     assert clean.worst_condition in CONDITIONS
+    assert verified(sic) is clean
 
 
 def test_verify_rejects_full_rank_elements():

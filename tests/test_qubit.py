@@ -163,7 +163,7 @@ def test_canonicalize_b_equals_the_family_point_of_from_b(b, noise):
 def test_canonicalize_refuses_a_fitted_b_at_or_under_one_sixteenth(monkeypatch, fitted_b):
     # from_b admits every b up to 1/12 at k = 2; the family's open end is canonicalize's rule
     report = dataclasses.replace(verify(construct(0.07)), fitted_b=float(fitted_b))
-    monkeypatch.setattr(qubit, "verify", lambda povm: report)
+    monkeypatch.setattr(qubit, "verified", lambda povm: report)
     with pytest.raises(BOutOfRange, match="outside the family"):
         canonicalize(construct(0.07))
 
