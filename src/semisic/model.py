@@ -74,7 +74,7 @@ def b_from_k(d: int, k: int) -> float:
 
 def b_from_k_exact(d: int, k: int) -> Fraction:
     """Exact rational value of b_from_k."""
-    _check_dk(d, k)
+    d, k = _check_dk(d, k)
     n = d * d
     return Fraction((k - d) * (k + d - n), (n - 1) * (n - 2 * k) ** 2)
 
@@ -85,11 +85,10 @@ def trace_values_exact(d: int, k: int) -> tuple[Fraction, Fraction]:
     For admissible k the discriminant is the square of (d^2 - 2d)/(2k - d^2),
     so both roots are rational.
     """
-    _check_dk(d, k)
+    d, k = _check_dk(d, k)
     n = d * d
-    half = Fraction(1, 2)
     root = Fraction(n - 2 * d, 2 * k - n)
-    return (half * (1 - root), half * (1 + root))
+    return ((1 - root) / 2, (1 + root) / 2)
 
 
 def admissible_k(d: int) -> list[int]:
@@ -102,21 +101,30 @@ def admissible_k(d: int) -> list[int]:
     return list(range(n - d + 1, n + 1))
 
 
-def _check_dk(d: int, k: int) -> None:
+def _check_dk(d: int, k: int) -> tuple[int, int]:
+    """(d, k) as Python ints, so the closed forms cannot wrap, for an admissible k and d >= 3."""
     if not isinstance(d, (int, np.integer)) or d < 3:
         raise DimensionMismatch(f"k-parametrized overlap needs d >= 3, got {d!r}")
+    d = int(d)
     n = d * d
     if not isinstance(k, (int, np.integer)) or not (n - d < k <= n):
         raise KOutOfRange(f"k must satisfy {n - d} < k <= {n} for d = {d}, got {k!r}")
+    return d, int(k)
+
+
+def _pinned_b(d: int, k: int) -> float | None:
+    """The b that (d, k) pins (1/12, the double root, at a qubit k = 4); None if it pins none."""
+    return b_from_k(d, k) if d >= 3 else 1.0 / 12.0 if k == 4 else None
 
 
 @dataclass(frozen=True)
 class SemiSicParams:
     """Validated parameter bundle (d, b, k) with its roots (a_minus, a_plus) = trace_values(d, b).
 
-    The counting identity k a- + (d^2 - k) a+ = d must hold within TOL_ROUND;
-    for d >= 3 that is equivalent to the admissible-k bound. For d = 2 it
-    admits k = 2 (the strict family), and every k at the SIC point b = 1/12,
+    The counting identity k a- + (d^2 - k) a+ = d is checked solved for a- (as a+ = 1 - a-):
+    a- = (d^2 - k - d)/(d^2 - 2k) within TOL_ROUND, and at d^2 = 2k only k = d satisfies
+    it. For d >= 3 it needs an admissible k and pins b to b_from_k(d, k). For d = 2 it
+    admits k = 2 (the strict family) at any b, and every k at the SIC point b = 1/12,
     so a qubit k must also be 2 or 4 (the strict split or one trace class).
     """
 
@@ -130,40 +138,32 @@ class SemiSicParams:
         lo, hi = trace_values(self.d, self.b)
         object.__setattr__(self, "a_minus", lo)
         object.__setattr__(self, "a_plus", hi)
-        n = self.d * self.d
-        if not isinstance(self.k, (int, np.integer)) or not 0 < self.k <= n:
-            raise KOutOfRange(f"k must lie in 1..{n}, got {self.k!r}")
-        counted = self.k * self.a_minus + (n - self.k) * self.a_plus
-        if abs(counted - self.d) > TOL_ROUND:
-            raise KOutOfRange(
-                f"counting identity fails: k a- + (d^2-k) a+ = {counted!r} != {self.d}"
-            )
-        if self.d == 2 and self.k not in (2, 4):
-            raise KOutOfRange(f"a qubit k must be 2 or 4, got {self.k!r}")
+        d, k = self.d, self.k
+        n = d * d
+        if not isinstance(k, (int, np.integer)) or not 0 < k <= n:
+            raise KOutOfRange(f"k must lie in 1..{n}, got {k!r}")
+        if k != d if n == 2 * k else abs(lo - (n - k - d) / (n - 2 * k)) > TOL_ROUND:
+            raise KOutOfRange(f"counting identity fails at a- = {lo!r} for (d, k) = ({d}, {k!r})")
+        if d == 2 and k not in (2, 4):
+            raise KOutOfRange(f"a qubit k must be 2 or 4, got {k!r}")
 
     @classmethod
     def from_b(cls, d: int, b: float, k: int) -> "SemiSicParams":
         """Bundle for overlap b and split k.
 
         Where (d, k) pins the overlap (every k for d >= 3, k = d^2 in any d)
-        the closed form is stored; b must lie within linalg.TOL_COND of it,
-        else KOutOfRange. Otherwise b itself is used (the qubit family),
-        except that a qubit b at most TOL_COND above the double root 1/12
-        (where a fitted b of a near-SIC member can land) is that root.
+        that pin is stored, and b must lie within linalg.TOL_COND of it, else
+        KOutOfRange. Otherwise b is kept (the strict qubit family), but a b at most
+        TOL_COND above the double root 1/12, where a near-SIC fit can land, is 1/12.
         """
         b = float(b)
-        if d >= 3:
-            pinned = b_from_k(d, k)  # 1/(d^2 (d + 1)) at k = d^2
-        elif k == 4 or 1.0 / 12.0 < b <= 1.0 / 12.0 + TOL_COND:
-            pinned = 1.0 / 12.0  # the qubit SIC point, the double root 1/(4(d^2 - 1))
-        else:
-            pinned = None
+        pinned = _pinned_b(d, k)
+        if pinned is None and 1.0 / 12.0 < b <= 1.0 / 12.0 + TOL_COND:
+            pinned = 1.0 / 12.0  # the qubit SIC point
         if pinned is not None:
             if not abs(b - pinned) <= TOL_COND:
-                raise KOutOfRange(
-                    f"b = {b!r} does not match the overlap {pinned!r} pinned by "
-                    f"(d, k) = ({d}, {k})"
-                )
+                raise KOutOfRange(f"b = {b!r} does not match the overlap {pinned!r} pinned by "
+                                  f"(d, k) = ({d}, {k})")
             b = pinned
         # a numpy integer k is stored as an int; any other k is left to __post_init__
         k = int(k) if isinstance(k, np.integer) else k

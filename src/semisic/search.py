@@ -44,8 +44,8 @@ along which f grows quartically, so the polish converges only linearly at (3, 9)
 For d >= 3 the target overlap is pinned by (d, k); for d = 2 it is supplied
 (the k = 4 SIC point is the default there); objective, gradient and
 SearchConfig admit b by one rule, and w is always 10. Residuals below 1e-12 are
-reached for d = 2 and for (d, k) = (3, 9), while (3, 7) and (3, 8) stall; the
-README's search notes give the measured values.
+reached for d = 2 and for the SICs (d, k) = (3, 9), (4, 16) and (5, 25), while
+(3, 7) and (3, 8) stall; the README's search notes give the measured values.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidConfig
 from .documents import povm_document
 from .linalg import TOL_COND
-from .model import NOT_SEMI_SIC, Povm, SemiSicParams, b_from_k, verify
+from .model import NOT_SEMI_SIC, Povm, SemiSicParams, _pinned_b, verify
 from .textio import write_json
 
 STOP_REASONS = ("goal", "cap")
@@ -86,8 +86,8 @@ _POLISH_STOP = (TOL_COND / 100.0) ** 2  # f at which the finish stops
 class SearchConfig:
     """Validated search parameters. b is admitted at construction by
     SemiSicParams.from_b (at TOL_COND, and pinned where (d, k) fixes it);
-    left out, it is derived from (d, k) when d >= 3 and required for d = 2
-    except k = 4, which defaults to the SIC point 1/12. Configs over
+    left out, it is that pin, which a strict qubit split lacks, so there b is
+    required (a qubit k = 4 pins the SIC point 1/12). Configs over
     MAX_SEARCH_ENTRIES are refused. A restart stops as goal at f < residual_goal."""
 
     d: int
@@ -120,14 +120,14 @@ class SearchConfig:
 
 def _resolve_b(d: int, k: int, b: float | None) -> float:
     """The search's overlap for (d, k, b), by SearchConfig's rule; else InvalidConfig."""
-    if b is None and d == 2 and k != 4:
-        raise InvalidConfig(f"for d = 2, k = {k} an explicit b is required "
-                            "(only k = 4 defaults, to the SIC point 1/12)")
     try:
-        target = b if b is not None else 1.0 / 12.0 if d == 2 else b_from_k(d, k)
-        return SemiSicParams.from_b(d, target, k).b
+        target = _pinned_b(d, k) if b is None else b
+        if target is not None:
+            return SemiSicParams.from_b(d, target, k).b
     except (TypeError, ValueError) as exc:
         raise InvalidConfig(f"(d, k, b) = ({d}, {k}, {b!r}) is not admissible: {exc}") from exc
+    raise InvalidConfig(f"for d = {d}, k = {k} an explicit b is required "
+                        "(only k = 4 defaults, to the SIC point 1/12)")
 
 
 @dataclass(frozen=True)

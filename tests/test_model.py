@@ -123,6 +123,27 @@ def test_counting_identity_across_dimensions():
             assert 0.0 < p.a_minus <= p.a_plus < 1.0
 
 
+@pytest.mark.parametrize("d", [200, 300, 1000, MAX_SPECTRUM_D])
+def test_from_b_admits_the_pin_of_sampled_admissible_k_at_large_d(d):
+    # the counting identity is checked solved for a-, whose rounding does not grow with d
+    n = d * d
+    for k in np.random.default_rng(0).integers(n - d + 1, n + 1, size=50).tolist():
+        params = SemiSicParams.from_b(d, b_from_k(d, k), k)
+        assert params.b == b_from_k(d, k)
+        assert params.a_minus == pytest.approx(float(trace_values_exact(d, k)[0]), abs=1e-15)
+
+
+@pytest.mark.parametrize("d", [2000, 5000])
+def test_numpy_and_python_integers_give_the_same_closed_forms(d):
+    # the closed forms multiply in Python ints, so numpy integers cannot wrap in int64
+    n = d * d
+    for k in (n - d + 1, n - d // 2, n):
+        wide = (np.int64(d), np.int64(k))
+        assert b_from_k(*wide) == b_from_k(d, k)
+        assert b_from_k_exact(*wide) == b_from_k_exact(d, k)
+        assert trace_values_exact(*wide) == trace_values_exact(d, k)
+
+
 def test_exact_and_float_spectra_agree():
     for d in (3, 4, 5):
         for k in admissible_k(d):

@@ -15,7 +15,8 @@ from semisic.documents import parse_povm_document
 from semisic.dual import dual_basis
 from semisic.errors import DimensionMismatch, InvalidConfig
 from semisic.linalg import TOL_COND
-from semisic.model import NOT_SEMI_SIC, STRICT_SEMI_SIC, SemiSicParams, b_from_k, verify
+from semisic.model import (NOT_SEMI_SIC, STRICT_SEMI_SIC, SemiSicParams, admissible_k, b_from_k,
+                           verify)
 from semisic.qubit import family_kets, family_point
 from semisic.search import (
     STOP_REASONS,
@@ -74,6 +75,14 @@ def test_config_admits_b_through_the_params_rule():
     for b in (1.0 / 36.0 + 1e-9, float("nan")):
         with pytest.raises(InvalidConfig, match="does not match the overlap"):
             SearchConfig(d=3, k=9, b=b)
+
+
+def test_config_without_b_stores_the_pin_of_from_b():
+    for d in range(3, 7):
+        for k in admissible_k(d):
+            pin = SemiSicParams.from_b(d, b_from_k(d, k), k).b
+            assert SearchConfig(d=d, k=k, restarts=1).b == pin == b_from_k(d, k)
+    assert SearchConfig(d=2, k=4).b == SemiSicParams.from_b(2, 1.0 / 12.0, 4).b == 1.0 / 12.0
 
 
 @pytest.mark.parametrize(
@@ -723,7 +732,7 @@ def test_search_finds_qubit_member():
     # the descent ends this one near the double root 1/2 with traces split 1 + 3
     (2, 4, None, 4, 35),
     # the worst (2, 4) hit over seeds 0-119; 40 polish solves keep it under 1e-11
-    (2, 4, None, 4, 33), (3, 9, None, 6, 0), (4, 16, None, 3, 0)])
+    (2, 4, None, 4, 33), (3, 9, None, 6, 0), (4, 16, None, 3, 0), (5, 25, None, 2, 0)])
 def test_every_search_hit_passes_verify_and_dual(d, k, b, restarts, seed):
     config = SearchConfig(d=d, k=k, b=b, restarts=restarts, seed=seed)
     report = run_search(config)
